@@ -19,6 +19,7 @@ from .errors import (
     InvalidWeights,
     KindMismatch,
     NotHermitian,
+    NotIdempotent,
     NotOrthonormalMetric,
     NotSemiHermitian,
     SchemaError,
@@ -72,7 +73,6 @@ from .sl2c import (
     build_rep_diag,
     chiral_projectors,
     default_epsilon,
-    default_epsilon_diag,
     orthonormal_basis,
     rep_signature,
     rotation_basis,
@@ -98,6 +98,7 @@ from .transforms import (
     group_element,
     is_symmetry,
     orthonormalizing_change,
+    symmetry_deviation,
     transform_generator,
     transform_metric,
     transform_operator,

@@ -11,11 +11,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .cg import clebsch_gordan
 from .errors import BraketError
-from .linalg import DEFAULT_TOLS, signature
+from .linalg import signature
 from .serialize import (
     dump_json,
     environment_from_json,
@@ -39,7 +37,7 @@ from .spaces import MetricOperator, VarVector
 from .su2 import Weight, su2_generators
 from .dsl import eval_source
 from .operators import KindedOperator, OperatorKind
-from .transforms import BasisChange, is_symmetry, transform_metric, transform_operator
+from .transforms import BasisChange, symmetry_deviation, transform_metric, transform_operator
 
 __all__ = ["main"]
 
@@ -85,11 +83,8 @@ def _cmd_signature(args) -> list:
 def _cmd_check_symmetry(args) -> dict:
     u = _load_matrix(args.matrix)
     metric = MetricOperator(_load_matrix(args.metric))
-    deviation = float(np.max(np.abs(u.conj().T @ metric.eta @ u - metric.eta)))
-    return {
-        "symmetry": is_symmetry(u, metric, DEFAULT_TOLS.sym_tol),
-        "max_deviation": deviation,
-    }
+    deviation = symmetry_deviation(u, metric)
+    return {"symmetry": deviation <= metric.tols.sym_tol, "max_deviation": deviation}
 
 
 def _cmd_eval(args) -> dict:
@@ -178,14 +173,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        payload = args.func(args)
+        # Only the text outlives this line, so the payload is freed before
+        # printing; for large bundles that lowers peak memory.
+        text = dump_json(args.func(args))
     except BraketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(dump_json(payload))
+    print(text)
     return 0
 
 

@@ -87,5 +87,9 @@ class UnboundName(BraketError):
     """Expression refers to a name missing from the environment."""
 
 
+class NotIdempotent(BraketError):
+    """Projector candidate fails the idempotency check P.P = P."""
+
+
 class SchemaError(BraketError):
     """JSON payload does not match the expected schema."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, KindMismatch, WrongKind
-from .linalg import as_matrix
+from .linalg import as_matrix, max_abs
 from .spaces import MetricOperator
 
 __all__ = [
@@ -187,7 +187,7 @@ def is_semi_hermitian(x: KindedOperator, m: MetricOperator, tol: float) -> bool:
     if not x.kind.is_endomorphism:
         raise WrongKind(f"semi-hermiticity is defined for dd/uu, got {x.kind.value}")
     bar = dirac_adjoint(x, m)
-    return float(np.max(np.abs(bar.mat - x.mat))) <= tol
+    return max_abs(bar.mat - x.mat) <= tol
 
 
 def trace(x: KindedOperator) -> complex:

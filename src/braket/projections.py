@@ -15,12 +15,13 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    NotIdempotent,
     NotOrthonormalMetric,
     NotSemiHermitian,
     Singular,
     WrongKind,
 )
-from .linalg import DEFAULT_TOLS, Tolerances, max_abs
+from .linalg import DEFAULT_TOLS, max_abs
 from .operators import KindedOperator, OperatorKind
 from .spaces import MetricOperator
 
@@ -47,7 +48,7 @@ class Projector:
                 f"projectors are ket-down endomorphisms, got {self.op.kind.value}"
             )
         if max_abs(self.op.mat @ self.op.mat - self.op.mat) > DEFAULT_TOLS.eq_tol:
-            raise ValueError("matrix is not idempotent within eq_tol")
+            raise NotIdempotent("matrix is not idempotent within eq_tol")
 
     @classmethod
     def from_matrix(cls, mat) -> "Projector":
@@ -76,7 +77,7 @@ def is_additive(p: Projector, q: Projector, tol: float) -> bool:
         return False
     total = p.mat + q.mat
     if max_abs(total @ total - total) > 4 * tol:
-        raise ValueError("additive pair failed the sum idempotency check")
+        raise NotIdempotent("additive pair failed the sum idempotency check")
     return True
 
 
@@ -119,9 +120,7 @@ def elementary_projectors(n: int) -> list[Projector]:
     return out
 
 
-def orthonormal_split(
-    m: MetricOperator, tols: Tolerances = DEFAULT_TOLS
-) -> tuple[Projector, Projector]:
+def orthonormal_split(m: MetricOperator) -> tuple[Projector, Projector]:
     """Split an orthonormal metric into its positive and negative parts.
 
     Requires the metric matrix to be diagonal with entries +-1. Returns
@@ -132,7 +131,8 @@ def orthonormal_split(
     diag = np.diagonal(eta)
     off = eta - np.diag(diag)
     signs = np.sign(diag.real)
-    if max_abs(off) > tols.eq_tol or max_abs(diag - signs) > tols.eq_tol:
+    tol = m.tols.eq_tol
+    if max_abs(off) > tol or max_abs(diag - signs) > tol:
         raise NotOrthonormalMetric("metric is not diagonal with entries +-1")
     plus = np.diag((signs > 0).astype(complex))
     minus = np.diag((signs < 0).astype(complex))

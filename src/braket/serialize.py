@@ -14,6 +14,7 @@ import numpy as np
 
 from .dsl import Environment
 from .errors import SchemaError
+from .linalg import max_abs
 from .operators import KindedOperator, OperatorKind
 from .sl2c import CANONICAL, ORTHONORMAL, ROTATION, CoupledRep, rep_signature
 from .spaces import MetricOperator, Variance, VarVector
@@ -169,19 +170,27 @@ def rep_from_json(obj) -> CoupledRep:
     labels = obj["labels"]
     _require(isinstance(labels, list) and len(labels) == dim, "rep: need one label per dimension")
     _require(all(isinstance(lab, dict) for lab in labels), "rep: labels must be objects")
-    return CoupledRep(
+    rep = CoupledRep(
         j1=j1,
         j2=j2,
         dim=dim,
         M=mats["M"],
         N=mats["N"],
-        I=mats["I"],
-        K=mats["K"],
         metric=MetricOperator(metric),
         epsilon=int(obj["epsilon"]),
         basis=obj["basis"],
         labels=tuple(labels),
     )
+    # I and K are not stored; the payload's copies must match M and N.
+    eq_tol = rep.metric.tols.eq_tol
+    for name, derived in (("I", rep.I), ("K", rep.K)):
+        _require(
+            all(max_abs(a - b) <= eq_tol for a, b in zip(mats[name], derived)),
+            f"rep: {name} does not match the value derived from M and N",
+        )
+    if "signature" in obj:
+        _require(tuple(sig) == rep_signature(rep), "rep: signature does not match the metric")
+    return rep
 
 
 def environment_to_json(env: Environment) -> dict:

@@ -1,16 +1,22 @@
 """Coupled finite-dimensional sl(2,C) representations with invariant metrics.
 
 A two-weight bundle lives on (K^j1 x K^j2) + (K^j2 x K^j1) and carries
-commuting block generators M (left tensor slot) and N (right slot); the
-rotations are I = M + N and the boosts K = -i(M - N). The invariant
-metric is epsilon times the block-swap pairing, which makes I and K
-self-adjoint and exchanges the adjoints of M and N. For equal weights the
-carrier is the single tensor square K^j x K^j with the slot-swap metric.
+commuting block generators M (left tensor slot) and N (right slot). Only
+M and N are stored; the rotations I = M + N and the boosts K = -i(M - N)
+are derived from them on access. The invariant metric is epsilon times
+the block-swap pairing, which makes I and K self-adjoint and exchanges
+the adjoints of M and N. For equal weights the carrier is the single
+tensor square K^j x K^j with the slot-swap metric.
+
+Both shapes are assembled by one path over the bundle's tensor blocks:
+((j, j),) for a tensor square, ((j1, j2), (j2, j1)) for a pair.
 
 Basis pipeline: canonical (tensor-product labels) -> rotation (total-spin
 labels via Clebsch-Gordan columns, diagonalizing I^2 and I3) ->
 orthonormal (diagonal +-1 metric; only needed when the weights differ,
 the rotation basis of an equal-weight bundle is already orthonormal).
+Both basis changes are unitary, so generators move by conjugation with
+the adjoint of the change.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .cg import clebsch_gordan
 from .errors import EqualWeights, WrongRepShape
-from .linalg import DEFAULT_TOLS, Tolerances, inverse, kron, signature
+from .linalg import kron, signature
 from .projections import Projector
 from .spaces import MetricOperator
 from .su2 import Weight, su2_generators
@@ -30,7 +36,6 @@ from .su2 import Weight, su2_generators
 __all__ = [
     "CoupledRep",
     "default_epsilon",
-    "default_epsilon_diag",
     "build_rep",
     "build_rep_diag",
     "chiral_projectors",
@@ -53,8 +58,6 @@ class CoupledRep:
     dim: int
     M: tuple[np.ndarray, np.ndarray, np.ndarray]
     N: tuple[np.ndarray, np.ndarray, np.ndarray]
-    I: tuple[np.ndarray, np.ndarray, np.ndarray]
-    K: tuple[np.ndarray, np.ndarray, np.ndarray]
     metric: MetricOperator
     epsilon: int
     basis: str
@@ -65,21 +68,31 @@ class CoupledRep:
         """Equal-weight bundles live on a single tensor square."""
         return self.j1 == self.j2
 
+    @property
+    def I(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rotation generators I_a = M_a + N_a."""
+        return tuple(m + n for m, n in zip(self.M, self.N))
+
+    @property
+    def K(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Boost generators K_a = -i(M_a - N_a)."""
+        return tuple(-1j * (m - n) for m, n in zip(self.M, self.N))
+
 
 def default_epsilon(j1: Weight, j2: Weight) -> int:
-    """Sign choice (-1)^(j1+j2-|j1-j2|) for a two-weight bundle."""
+    """Sign choice (-1)^(j1+j2-|j1-j2|); (-1)^(2j) for equal weights."""
     return -1 if min(j1.twice_j, j2.twice_j) % 2 else 1
-
-
-def default_epsilon_diag(j: Weight) -> int:
-    """Sign choice (-1)^(2j) for an equal-weight bundle."""
-    return -1 if j.twice_j % 2 else 1
 
 
 def _check_epsilon(epsilon) -> int:
     if epsilon not in (-1, 1):
         raise ValueError(f"epsilon must be +1 or -1, got {epsilon!r}")
     return int(epsilon)
+
+
+def _blocks(j1: Weight, j2: Weight) -> tuple[tuple[Weight, Weight], ...]:
+    """(left, right) weights of the bundle's tensor blocks, in basis order."""
+    return ((j1, j1),) if j1 == j2 else ((j1, j2), (j2, j1))
 
 
 def _exchange(d_left: int, d_right: int) -> np.ndarray:
@@ -91,15 +104,23 @@ def _exchange(d_left: int, d_right: int) -> np.ndarray:
     return s
 
 
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
+def _block_diag(*mats: np.ndarray) -> np.ndarray:
+    rows, cols = sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)
+    out = np.zeros((rows, cols), dtype=complex)
+    r = c = 0
+    for m in mats:
+        out[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
     return out
 
 
-def _derived(m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return m + n, -1j * (m - n)
+def _c2(n: int) -> np.ndarray:
+    """The involution mixing two blocks of size n into (b0 +- b1)/sqrt(2).
+
+    It is real, symmetric and its own inverse.
+    """
+    eye = np.eye(n, dtype=complex)
+    return np.block([[eye, eye], [eye, -eye]]) / np.sqrt(2.0)
 
 
 def _canonical_block_labels(jl: Weight, jr: Weight) -> list[dict]:
@@ -133,6 +154,43 @@ def _rotation_block_labels(jl: Weight, jr: Weight) -> list[dict]:
     ]
 
 
+def _canonical(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
+    """The bundle of weights (j1, j2) in the canonical basis; in every
+    tensor block M acts on the left slot and N on the right one."""
+    blocks = _blocks(j1, j2)
+    gens = {w: su2_generators(w).J for block in blocks for w in block}
+    eye = {w: np.eye(w.dim, dtype=complex) for w in gens}
+    m_gens = tuple(
+        _block_diag(*(kron(gens[jl][a], eye[jr]) for jl, jr in blocks)) for a in range(3)
+    )
+    n_gens = tuple(
+        _block_diag(*(kron(eye[jl], gens[jr][a]) for jl, jr in blocks)) for a in range(3)
+    )
+
+    # epsilon times the exchange pairing the first block with the last. For
+    # a tensor square they are one block, the exchange is symmetric and the
+    # second assignment stands.
+    dim = sum(jl.dim * jr.dim for jl, jr in blocks)
+    swap = _exchange(j1.dim, j2.dim)
+    n = swap.shape[0]
+    eta = np.zeros((dim, dim), dtype=complex)
+    eta[dim - n :, :n] = epsilon * swap.conj().T
+    eta[:n, dim - n :] = epsilon * swap
+
+    labels = [lab for jl, jr in blocks for lab in _canonical_block_labels(jl, jr)]
+    return CoupledRep(
+        j1=j1,
+        j2=j2,
+        dim=dim,
+        M=m_gens,
+        N=n_gens,
+        metric=MetricOperator(eta),
+        epsilon=epsilon,
+        basis=CANONICAL,
+        labels=tuple(labels),
+    )
+
+
 def build_rep(j1: Weight, j2: Weight, epsilon: int | None = None) -> CoupledRep:
     """Two-weight bundle on (K^j1 x K^j2) + (K^j2 x K^j1), canonical basis.
 
@@ -144,41 +202,7 @@ def build_rep(j1: Weight, j2: Weight, epsilon: int | None = None) -> CoupledRep:
     if j1 == j2:
         raise EqualWeights("equal weights form a tensor square; use build_rep_diag")
     epsilon = default_epsilon(j1, j2) if epsilon is None else _check_epsilon(epsilon)
-    d1, d2 = j1.dim, j2.dim
-    n = d1 * d2
-    rep1, rep2 = su2_generators(j1), su2_generators(j2)
-    eye1 = np.eye(d1, dtype=complex)
-    eye2 = np.eye(d2, dtype=complex)
-
-    m_gens, n_gens, i_gens, k_gens = [], [], [], []
-    for a in range(3):
-        m_a = _block_diag(kron(rep1.J[a], eye2), kron(rep2.J[a], eye1))
-        n_a = _block_diag(kron(eye1, rep2.J[a]), kron(eye2, rep1.J[a]))
-        i_a, k_a = _derived(m_a, n_a)
-        m_gens.append(m_a)
-        n_gens.append(n_a)
-        i_gens.append(i_a)
-        k_gens.append(k_a)
-
-    eta = np.zeros((2 * n, 2 * n), dtype=complex)
-    swap = _exchange(d1, d2)
-    eta[:n, n:] = epsilon * swap
-    eta[n:, :n] = epsilon * swap.conj().T
-
-    labels = _canonical_block_labels(j1, j2) + _canonical_block_labels(j2, j1)
-    return CoupledRep(
-        j1=j1,
-        j2=j2,
-        dim=2 * n,
-        M=tuple(m_gens),
-        N=tuple(n_gens),
-        I=tuple(i_gens),
-        K=tuple(k_gens),
-        metric=MetricOperator(eta),
-        epsilon=epsilon,
-        basis=CANONICAL,
-        labels=tuple(labels),
-    )
+    return _canonical(j1, j2, epsilon)
 
 
 def build_rep_diag(j: Weight, epsilon: int | None = None) -> CoupledRep:
@@ -186,46 +210,8 @@ def build_rep_diag(j: Weight, epsilon: int | None = None) -> CoupledRep:
 
     The metric is epsilon times the tensor-slot swap.
     """
-    epsilon = default_epsilon_diag(j) if epsilon is None else _check_epsilon(epsilon)
-    d = j.dim
-    rep = su2_generators(j)
-    eye = np.eye(d, dtype=complex)
-
-    m_gens = [kron(rep.J[a], eye) for a in range(3)]
-    n_gens = [kron(eye, rep.J[a]) for a in range(3)]
-    derived = [_derived(m_gens[a], n_gens[a]) for a in range(3)]
-
-    eta = epsilon * _exchange(d, d)
-    labels = _canonical_block_labels(j, j)
-    return CoupledRep(
-        j1=j,
-        j2=j,
-        dim=d * d,
-        M=tuple(m_gens),
-        N=tuple(n_gens),
-        I=tuple(x[0] for x in derived),
-        K=tuple(x[1] for x in derived),
-        metric=MetricOperator(eta),
-        epsilon=epsilon,
-        basis=CANONICAL,
-        labels=tuple(labels),
-    )
-
-
-def _chiral_matrices(rep: CoupledRep) -> tuple[np.ndarray, np.ndarray]:
-    n = rep.dim // 2
-    eye = np.eye(n, dtype=complex)
-    zero = np.zeros((n, n), dtype=complex)
-    left = _block_diag(eye, zero)
-    right = _block_diag(zero, eye)
-    if rep.basis == ORTHONORMAL:
-        # The +- mixing is the fixed involution C2; conjugate through it.
-        c2 = np.vstack(
-            [np.hstack([eye, eye]), np.hstack([eye, -eye])]
-        ) / np.sqrt(2.0)
-        left = c2 @ left @ c2
-        right = c2 @ right @ c2
-    return left, right
+    epsilon = default_epsilon(j, j) if epsilon is None else _check_epsilon(epsilon)
+    return _canonical(j, j, epsilon)
 
 
 def chiral_projectors(rep: CoupledRep) -> tuple[Projector, Projector]:
@@ -237,7 +223,13 @@ def chiral_projectors(rep: CoupledRep) -> tuple[Projector, Projector]:
     """
     if rep.is_diagonal:
         raise WrongRepShape("equal-weight bundles have no chiral split")
-    left, right = _chiral_matrices(rep)
+    n = rep.dim // 2
+    left = np.zeros((rep.dim, rep.dim), dtype=complex)
+    left[:n, :n] = np.eye(n)
+    right = np.eye(rep.dim, dtype=complex) - left
+    if rep.basis == ORTHONORMAL:
+        c2 = _c2(n)
+        left, right = c2 @ left @ c2, c2 @ right @ c2
     return Projector.from_matrix(left), Projector.from_matrix(right)
 
 
@@ -264,17 +256,16 @@ def _cg_block(jl: Weight, jr: Weight) -> np.ndarray:
 
 
 def _transform(rep: CoupledRep, c: np.ndarray, basis: str, labels) -> CoupledRep:
-    c_inv = inverse(c)
-    move = lambda mats: tuple(c_inv @ m @ c for m in mats)
+    """Move a bundle to the basis given by the columns of the unitary c."""
+    c_adj = c.conj().T
+    move = lambda mats: tuple(c_adj @ m @ c for m in mats)
     return CoupledRep(
         j1=rep.j1,
         j2=rep.j2,
         dim=rep.dim,
         M=move(rep.M),
         N=move(rep.N),
-        I=move(rep.I),
-        K=move(rep.K),
-        metric=MetricOperator(c.conj().T @ rep.metric.eta @ c),
+        metric=MetricOperator(c_adj @ rep.metric.eta @ c, rep.metric.tols),
         epsilon=rep.epsilon,
         basis=basis,
         labels=tuple(labels),
@@ -291,14 +282,9 @@ def rotation_basis(rep: CoupledRep) -> tuple[np.ndarray, CoupledRep]:
     """
     if rep.basis != CANONICAL:
         raise WrongRepShape(f"expected a canonical-basis bundle, got {rep.basis!r}")
-    if rep.is_diagonal:
-        c = _cg_block(rep.j1, rep.j1)
-        labels = _rotation_block_labels(rep.j1, rep.j1)
-    else:
-        c = _block_diag(_cg_block(rep.j1, rep.j2), _cg_block(rep.j2, rep.j1))
-        labels = _rotation_block_labels(rep.j1, rep.j2) + _rotation_block_labels(
-            rep.j2, rep.j1
-        )
+    blocks = _blocks(rep.j1, rep.j2)
+    c = _block_diag(*(_cg_block(jl, jr) for jl, jr in blocks))
+    labels = [lab for jl, jr in blocks for lab in _rotation_block_labels(jl, jr)]
     return c, _transform(rep, c, ROTATION, labels)
 
 
@@ -315,16 +301,14 @@ def orthonormal_basis(rep: CoupledRep) -> CoupledRep:
     if rep.basis != ROTATION:
         raise WrongRepShape(f"expected a rotation-basis bundle, got {rep.basis!r}")
     n = rep.dim // 2
-    eye = np.eye(n, dtype=complex)
-    c2 = np.vstack([np.hstack([eye, eye]), np.hstack([eye, -eye])]) / np.sqrt(2.0)
     labels = [
         {"sign": sign, "twice_s": lab["twice_s"], "twice_sigma": lab["twice_sigma"]}
         for sign in (1, -1)
         for lab in rep.labels[:n]
     ]
-    return _transform(rep, c2, ORTHONORMAL, labels)
+    return _transform(rep, _c2(n), ORTHONORMAL, labels)
 
 
-def rep_signature(rep: CoupledRep, tols: Tolerances = DEFAULT_TOLS) -> tuple[int, int]:
+def rep_signature(rep: CoupledRep) -> tuple[int, int]:
     """Eigenvalue signature (n_plus, n_minus) of the bundle's metric."""
-    return signature(rep.metric.eta, tols)
+    return signature(rep.metric.eta, rep.metric.tols)

@@ -32,6 +32,7 @@ __all__ = [
     "GaugeParams",
     "transform_metric",
     "transform_operator",
+    "symmetry_deviation",
     "is_symmetry",
     "generator_x",
     "generator_h",
@@ -129,12 +130,17 @@ def transform_operator(bc: BasisChange, x: KindedOperator) -> KindedOperator:
     return KindedOperator(mat, x.kind)
 
 
-def is_symmetry(u, m: MetricOperator, tol: float) -> bool:
-    """Semi-unitarity test: U+ . eta . U = eta within tol."""
+def symmetry_deviation(u, m: MetricOperator) -> float:
+    """Largest entry of U+ . eta . U - eta; zero for an exact symmetry."""
     u = as_matrix(u)
     if u.shape != (m.dim, m.dim):
         raise DimensionMismatch(f"expected {m.dim}x{m.dim}, got {u.shape}")
-    return max_abs(u.conj().T @ m.eta @ u - m.eta) <= tol
+    return max_abs(u.conj().T @ m.eta @ u - m.eta)
+
+
+def is_symmetry(u, m: MetricOperator, tol: float) -> bool:
+    """Semi-unitarity test: U+ . eta . U = eta within tol."""
+    return symmetry_deviation(u, m) <= tol
 
 
 def _check_index(i: int, n: int):

@@ -5,6 +5,7 @@ from braket import (
     DimensionMismatch,
     KindedOperator,
     MetricOperator,
+    NotIdempotent,
     NotOrthonormalMetric,
     NotSemiHermitian,
     OperatorKind,
@@ -30,7 +31,7 @@ SKEW_Q = Projector.from_matrix([[0.0, -1.0], [0.0, 1.0]])
 
 class TestProjectorType:
     def test_rejects_non_idempotent(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotIdempotent):
             Projector.from_matrix([[0.0, 2.0], [0.0, 0.0]])
 
     def test_rejects_wrong_kind(self):

@@ -146,6 +146,20 @@ class TestRepSchema:
         with pytest.raises(SchemaError):
             rep_from_json(payload)
 
+    def test_tampered_signature(self):
+        payload = rep_to_json(build_rep(Weight(1), Weight(0)))
+        payload["signature"] = [3, 1]
+        with pytest.raises(SchemaError, match="signature"):
+            rep_from_json(payload)
+
+    @pytest.mark.parametrize("family", ["I", "K"])
+    def test_tampered_derived_generator(self, family):
+        # I and K are derived from M and N; a payload that disagrees is rejected
+        payload = rep_to_json(build_rep(Weight(1), Weight(0)))
+        payload["generators"][family][0]["data"][0][0] += 1e-3
+        with pytest.raises(SchemaError, match=family):
+            rep_from_json(payload)
+
 
 class TestEnvironmentSchema:
     def test_round_trip(self, rng):

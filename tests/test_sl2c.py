@@ -10,7 +10,6 @@ from braket import (
     build_rep_diag,
     chiral_projectors,
     default_epsilon,
-    default_epsilon_diag,
     dirac_adjoint,
     is_additive,
     is_semi_hermitian,
@@ -19,6 +18,7 @@ from braket import (
     rotation_basis,
 )
 from braket.operators import KindedOperator, OperatorKind
+from braket.sl2c import _c2
 from conftest import max_dev
 
 EPS = np.zeros((3, 3, 3))
@@ -34,6 +34,13 @@ def all_reps():
     reps = [build_rep_diag(Weight(tj)) for tj in DIAG_WEIGHTS]
     reps += [build_rep(Weight(a), Weight(b)) for a, b in PAIR_WEIGHTS]
     return reps
+
+
+def reps_in_every_basis():
+    """all_reps() in the canonical, rotation and (pairs only) orthonormal bases."""
+    canonical = all_reps()
+    rotated = [rotation_basis(rep)[1] for rep in canonical]
+    return canonical + rotated + [orthonormal_basis(r) for r in rotated if not r.is_diagonal]
 
 
 def pair_signature(tj1, tj2):
@@ -60,8 +67,8 @@ class TestBuild:
         assert default_epsilon(Weight(1), Weight(0)) == 1
         assert default_epsilon(Weight(2), Weight(1)) == -1
         assert default_epsilon(Weight(3), Weight(1)) == -1
-        assert default_epsilon_diag(Weight(1)) == -1
-        assert default_epsilon_diag(Weight(2)) == 1
+        assert default_epsilon(Weight(1), Weight(1)) == -1
+        assert default_epsilon(Weight(2), Weight(2)) == 1
 
     def test_equal_weights_rejected(self):
         with pytest.raises(EqualWeights):
@@ -93,7 +100,7 @@ class TestBuild:
                         assert max_dev(comm, want) < 1e-12
 
     def test_i_k_built_from_m_n(self):
-        for rep in all_reps():
+        for rep in reps_in_every_basis():
             for a in range(3):
                 assert max_dev(rep.I[a], rep.M[a] + rep.N[a]) == 0
                 assert max_dev(rep.K[a], -1j * (rep.M[a] - rep.N[a])) == 0
@@ -224,9 +231,14 @@ class TestRotationBasis:
             rotation_basis(rot)
 
     def test_change_is_orthogonal(self):
-        for rep in (build_rep(Weight(2), Weight(1)), build_rep_diag(Weight(2))):
+        # basis changes conjugate by the adjoint, which needs C+ C = 1
+        for rep in all_reps() + [build_rep(Weight(8), Weight(7))]:
             c, _ = rotation_basis(rep)
             assert max_dev(c.conj().T @ c, np.eye(rep.dim)) < 1e-12
+            if not rep.is_diagonal:
+                c2 = _c2(rep.dim // 2)
+                assert max_dev(c2.conj().T @ c2, np.eye(rep.dim)) < 1e-12
+                assert max_dev(c2 @ c2, np.eye(rep.dim)) < 1e-12
 
     def test_total_spin_diagonalized(self):
         for rep in all_reps():
