@@ -16,6 +16,7 @@ from .errors import (
     DslSyntaxError,
     EqualWeights,
     IndexOutOfRange,
+    InvalidArgument,
     InvalidWeights,
     KindMismatch,
     NotHermitian,
@@ -34,7 +35,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOLS,
-    Tolerances,
     conj_transpose,
     expm,
     inverse,

@@ -19,7 +19,7 @@ from math import factorial, isqrt, sqrt
 from numbers import Real
 from typing import Iterable
 
-from .errors import InvalidWeights
+from .errors import InvalidArgument, InvalidWeights
 
 __all__ = ["CGValue", "clebsch_gordan", "radical_sum"]
 
@@ -33,11 +33,11 @@ class CGValue:
 
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
+            raise InvalidArgument(f"sign must be -1, 0 or +1, got {self.sign}")
         if self.squared < 0:
-            raise ValueError("squared value must be non-negative")
+            raise InvalidArgument("squared value must be non-negative")
         if (self.squared == 0) != (self.sign == 0):
-            raise ValueError("squared is zero exactly when sign is zero")
+            raise InvalidArgument("squared is zero exactly when sign is zero")
 
     @property
     def value(self) -> float:

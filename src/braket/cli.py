@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .cg import clebsch_gordan
 from .errors import BraketError
-from .linalg import signature
+from .linalg import DEFAULT_TOLS, signature
 from .serialize import (
     dump_json,
     environment_from_json,
@@ -84,7 +84,7 @@ def _cmd_check_symmetry(args) -> dict:
     u = _load_matrix(args.matrix)
     metric = MetricOperator(_load_matrix(args.metric))
     deviation = symmetry_deviation(u, metric)
-    return {"symmetry": deviation <= metric.tols.sym_tol, "max_deviation": deviation}
+    return {"symmetry": deviation <= DEFAULT_TOLS.sym_tol, "max_deviation": deviation}
 
 
 def _cmd_eval(args) -> dict:

@@ -93,3 +93,7 @@ class NotIdempotent(BraketError):
 
 class SchemaError(BraketError):
     """JSON payload does not match the expected schema."""
+
+
+class InvalidArgument(BraketError, ValueError):
+    """Argument outside its documented set of values; also a ValueError."""

@@ -1,9 +1,10 @@
 """Dense complex matrix kernel.
 
 Products, adjoints, inverses, hermitian eigen-signatures, matrix
-exponentials and Kronecker products, all on plain 2-D complex ndarrays
-with explicit tolerance control. Everything here is a pure function;
-inputs are never mutated.
+exponentials and Kronecker products, all on plain 2-D complex ndarrays.
+The numeric thresholds are the fixed constants of DEFAULT_TOLS; only
+checks that judge the caller's own data take an explicit tol. Everything
+here is a pure function; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import scipy.linalg
 from .errors import DegenerateMetric, DimensionMismatch, NotHermitian, Singular
 
 __all__ = [
-    "Tolerances",
     "DEFAULT_TOLS",
     "as_matrix",
     "as_vector",
@@ -31,8 +31,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    """Numeric thresholds used throughout the library.
+class _Tolerances:
+    """The library's fixed numeric thresholds.
 
     eq_tol   entrywise equality of matrices and scalars
     herm_tol allowed deviation from hermiticity
@@ -45,13 +45,8 @@ class Tolerances:
     sig_tol: float = 1e-9
     sym_tol: float = 1e-8
 
-    def __post_init__(self):
-        for name in ("eq_tol", "herm_tol", "sig_tol", "sym_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
 
-
-DEFAULT_TOLS = Tolerances()
+DEFAULT_TOLS = _Tolerances()
 
 
 def as_matrix(a) -> np.ndarray:
@@ -100,7 +95,7 @@ def conj_transpose(a) -> np.ndarray:
     return as_matrix(a).conj().T.copy()
 
 
-def inverse(a, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def inverse(a) -> np.ndarray:
     """Inverse of a square matrix.
 
     Raises Singular when the smallest singular value falls below sig_tol,
@@ -108,12 +103,12 @@ def inverse(a, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """
     m = _require_square(as_matrix(a))
     smin = float(np.linalg.svd(m, compute_uv=False)[-1])
-    if smin < tols.sig_tol:
-        raise Singular(f"smallest singular value {smin:.3e} below {tols.sig_tol:.3e}")
+    if smin < DEFAULT_TOLS.sig_tol:
+        raise Singular(f"smallest singular value {smin:.3e} below {DEFAULT_TOLS.sig_tol:.3e}")
     return np.linalg.inv(m)
 
 
-def signature(h, tols: Tolerances = DEFAULT_TOLS) -> tuple[int, int]:
+def signature(h) -> tuple[int, int]:
     """Counts (n_plus, n_minus) of positive/negative eigenvalues.
 
     The input must be hermitian within herm_tol; an eigenvalue with
@@ -121,11 +116,11 @@ def signature(h, tols: Tolerances = DEFAULT_TOLS) -> tuple[int, int]:
     so n_plus + n_minus always equals the dimension.
     """
     m = _require_square(as_matrix(h))
-    if max_abs(m - m.conj().T) > tols.herm_tol:
+    if max_abs(m - m.conj().T) > DEFAULT_TOLS.herm_tol:
         raise NotHermitian("signature requires a hermitian matrix")
     eigs = np.linalg.eigvalsh(m)
-    if np.any(np.abs(eigs) < tols.sig_tol):
-        raise DegenerateMetric(f"eigenvalue below zero threshold {tols.sig_tol:.3e}")
+    if np.any(np.abs(eigs) < DEFAULT_TOLS.sig_tol):
+        raise DegenerateMetric(f"eigenvalue below zero threshold {DEFAULT_TOLS.sig_tol:.3e}")
     n_plus = int(np.sum(eigs > 0))
     return n_plus, m.shape[0] - n_plus
 

@@ -21,7 +21,7 @@ from .errors import (
     Singular,
     WrongKind,
 )
-from .linalg import DEFAULT_TOLS, max_abs
+from .linalg import DEFAULT_TOLS, inverse, max_abs
 from .operators import KindedOperator, OperatorKind
 from .spaces import MetricOperator
 
@@ -131,7 +131,7 @@ def orthonormal_split(m: MetricOperator) -> tuple[Projector, Projector]:
     diag = np.diagonal(eta)
     off = eta - np.diag(diag)
     signs = np.sign(diag.real)
-    tol = m.tols.eq_tol
+    tol = DEFAULT_TOLS.eq_tol
     if max_abs(off) > tol or max_abs(diag - signs) > tol:
         raise NotOrthonormalMetric("metric is not diagonal with entries +-1")
     plus = np.diag((signs > 0).astype(complex))
@@ -151,10 +151,7 @@ def subspace_projector(m: MetricOperator, basis_columns) -> Projector:
     if v.ndim != 2 or v.shape[0] != m.dim or v.shape[1] < 1:
         raise DimensionMismatch(f"basis columns must be {m.dim} x k, got {v.shape}")
     gram = v.conj().T @ m.eta @ v
-    smin = float(np.linalg.svd(gram, compute_uv=False)[-1])
-    if smin < m.tols.sig_tol:
-        raise Singular("subspace is degenerate for this metric")
-    mat = v @ np.linalg.inv(gram) @ v.conj().T @ m.eta
+    mat = v @ inverse(gram) @ v.conj().T @ m.eta
     return Projector.from_matrix(mat)
 
 

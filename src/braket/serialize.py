@@ -14,7 +14,7 @@ import numpy as np
 
 from .dsl import Environment
 from .errors import SchemaError
-from .linalg import max_abs
+from .linalg import DEFAULT_TOLS, max_abs
 from .operators import KindedOperator, OperatorKind
 from .sl2c import CANONICAL, ORTHONORMAL, ROTATION, CoupledRep, rep_signature
 from .spaces import MetricOperator, Variance, VarVector
@@ -173,7 +173,6 @@ def rep_from_json(obj) -> CoupledRep:
     rep = CoupledRep(
         j1=j1,
         j2=j2,
-        dim=dim,
         M=mats["M"],
         N=mats["N"],
         metric=MetricOperator(metric),
@@ -182,10 +181,9 @@ def rep_from_json(obj) -> CoupledRep:
         labels=tuple(labels),
     )
     # I and K are not stored; the payload's copies must match M and N.
-    eq_tol = rep.metric.tols.eq_tol
     for name, derived in (("I", rep.I), ("K", rep.K)):
         _require(
-            all(max_abs(a - b) <= eq_tol for a, b in zip(mats[name], derived)),
+            all(max_abs(a - b) <= DEFAULT_TOLS.eq_tol for a, b in zip(mats[name], derived)),
             f"rep: {name} does not match the value derived from M and N",
         )
     if "signature" in obj:

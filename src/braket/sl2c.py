@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cg import clebsch_gordan
-from .errors import EqualWeights, WrongRepShape
+from .errors import EqualWeights, InvalidArgument, WrongRepShape
 from .linalg import kron, signature
 from .projections import Projector
 from .spaces import MetricOperator
@@ -55,13 +55,17 @@ class CoupledRep:
 
     j1: Weight
     j2: Weight
-    dim: int
     M: tuple[np.ndarray, np.ndarray, np.ndarray]
     N: tuple[np.ndarray, np.ndarray, np.ndarray]
     metric: MetricOperator
     epsilon: int
     basis: str
     labels: tuple[dict, ...]
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the carrier space, read off the metric."""
+        return self.metric.dim
 
     @property
     def is_diagonal(self) -> bool:
@@ -86,7 +90,7 @@ def default_epsilon(j1: Weight, j2: Weight) -> int:
 
 def _check_epsilon(epsilon) -> int:
     if epsilon not in (-1, 1):
-        raise ValueError(f"epsilon must be +1 or -1, got {epsilon!r}")
+        raise InvalidArgument(f"epsilon must be +1 or -1, got {epsilon!r}")
     return int(epsilon)
 
 
@@ -181,7 +185,6 @@ def _canonical(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
     return CoupledRep(
         j1=j1,
         j2=j2,
-        dim=dim,
         M=m_gens,
         N=n_gens,
         metric=MetricOperator(eta),
@@ -262,10 +265,9 @@ def _transform(rep: CoupledRep, c: np.ndarray, basis: str, labels) -> CoupledRep
     return CoupledRep(
         j1=rep.j1,
         j2=rep.j2,
-        dim=rep.dim,
         M=move(rep.M),
         N=move(rep.N),
-        metric=MetricOperator(c_adj @ rep.metric.eta @ c, rep.metric.tols),
+        metric=MetricOperator(c_adj @ rep.metric.eta @ c),
         epsilon=rep.epsilon,
         basis=basis,
         labels=tuple(labels),
@@ -311,4 +313,4 @@ def orthonormal_basis(rep: CoupledRep) -> CoupledRep:
 
 def rep_signature(rep: CoupledRep) -> tuple[int, int]:
     """Eigenvalue signature (n_plus, n_minus) of the bundle's metric."""
-    return signature(rep.metric.eta, rep.metric.tols)
+    return signature(rep.metric.eta)

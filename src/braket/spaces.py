@@ -18,11 +18,12 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     NotHermitian,
     VarianceMismatch,
     WrongVariance,
 )
-from .linalg import DEFAULT_TOLS, Tolerances, as_matrix, as_vector, inverse, max_abs
+from .linalg import DEFAULT_TOLS, as_matrix, as_vector, inverse, max_abs
 
 __all__ = [
     "Variance",
@@ -107,19 +108,18 @@ class MetricOperator:
     rejected for the same fail-fast reason.
     """
 
-    def __init__(self, eta, tols: Tolerances = DEFAULT_TOLS):
+    def __init__(self, eta):
         eta = as_matrix(eta)
         if eta.shape[0] != eta.shape[1]:
             raise DimensionMismatch(f"metric must be square, got {eta.shape}")
-        if max_abs(eta - eta.conj().T) > tols.herm_tol:
+        if max_abs(eta - eta.conj().T) > DEFAULT_TOLS.herm_tol:
             raise NotHermitian("metric matrix must be hermitian")
-        eta_inv = inverse(eta, tols)
+        eta_inv = inverse(eta)
         eta = eta.copy()
         eta.setflags(write=False)
         eta_inv.setflags(write=False)
         self.eta = eta
         self.eta_inv = eta_inv
-        self.tols = tols
 
     @property
     def dim(self) -> int:
@@ -207,4 +207,4 @@ def raise_lower_index(m: MetricOperator, comps, direction: str) -> np.ndarray:
         return m.eta @ v
     if direction == "raise":
         return m.eta_inv @ v
-    raise ValueError(f"direction must be 'lower' or 'raise', got {direction!r}")
+    raise InvalidArgument(f"direction must be 'lower' or 'raise', got {direction!r}")

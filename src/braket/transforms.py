@@ -15,15 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange
-from .linalg import (
-    DEFAULT_TOLS,
-    Tolerances,
-    as_matrix,
-    expm,
-    inverse,
-    max_abs,
-)
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument
+from .linalg import DEFAULT_TOLS, as_matrix, expm, inverse, max_abs
 from .operators import KindedOperator, OperatorKind, identity_down
 from .spaces import MetricOperator
 
@@ -46,26 +39,18 @@ __all__ = [
 class BasisChange:
     """An invertible ket-down operator matrix acting on all dual bases."""
 
-    def __init__(self, t, tols: Tolerances = DEFAULT_TOLS):
+    def __init__(self, t):
         t = as_matrix(t)
         if t.shape[0] != t.shape[1]:
             raise DimensionMismatch(f"basis change must be square, got {t.shape}")
         self.t = t.copy()
-        self.t_inv = inverse(t, tols)  # Singular if not invertible within sig_tol
+        self.t_inv = inverse(t)  # Singular if not invertible within sig_tol
         self.t.setflags(write=False)
         self.t_inv.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.t.shape[0]
-
-    @property
-    def t_adj(self) -> np.ndarray:
-        return self.t.conj().T
-
-    @property
-    def t_inv_adj(self) -> np.ndarray:
-        return self.t_inv.conj().T
 
 
 @dataclass(frozen=True)
@@ -91,8 +76,8 @@ class GaugeParams:
     def dim(self) -> int:
         return self.omega.shape[0]
 
-    def satisfies_gauge_constraint(self, tol: float = DEFAULT_TOLS.eq_tol) -> bool:
-        return max_abs(self.omega + self.omega.conj().T) <= tol
+    def satisfies_gauge_constraint(self) -> bool:
+        return max_abs(self.omega + self.omega.conj().T) <= DEFAULT_TOLS.eq_tol
 
     @classmethod
     def from_real_parameters(cls, re_anti, im_sym) -> "GaugeParams":
@@ -108,7 +93,7 @@ class GaugeParams:
 def transform_metric(bc: BasisChange, m: MetricOperator) -> MetricOperator:
     """Congruence eta' = T+ . eta . T; hermitian, invertible, same signature."""
     _match(bc, m.dim)
-    return MetricOperator(bc.t.conj().T @ m.eta @ bc.t, m.tols)
+    return MetricOperator(bc.t.conj().T @ m.eta @ bc.t)
 
 
 def transform_operator(bc: BasisChange, x: KindedOperator) -> KindedOperator:
@@ -213,7 +198,7 @@ def group_element(
     if p.dim != n:
         raise DimensionMismatch(f"omega dim {p.dim} != metric dim {n}")
     if require_gauge and not p.satisfies_gauge_constraint():
-        raise ValueError("omega violates the gauge constraint")
+        raise InvalidArgument("omega violates the gauge constraint")
     # sum_ij omega^ij (X_ij)^k_l = sum_j omega^kj eta_jl, i.e. omega . eta
     return expm(p.omega @ m.eta)
 
@@ -242,7 +227,7 @@ def orthonormalizing_change(m: MetricOperator) -> BasisChange:
     eigvals, eigvecs = np.linalg.eigh(m.eta)
     order = np.argsort(eigvals)[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-    return BasisChange(eigvecs / np.sqrt(np.abs(eigvals)), m.tols)
+    return BasisChange(eigvecs / np.sqrt(np.abs(eigvals)))
 
 
 def _match(bc: BasisChange, dim: int):

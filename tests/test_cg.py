@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from braket import CGValue, InvalidWeights, clebsch_gordan, radical_sum
+from braket import CGValue, InvalidArgument, InvalidWeights, clebsch_gordan, radical_sum
 
 
 def halves(tj):
@@ -20,11 +20,11 @@ class TestCGValueType:
         assert v.value == pytest.approx(-(0.5**0.5))
 
     def test_zero_consistency(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             CGValue(0, Fraction(1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             CGValue(1, Fraction(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             CGValue(2, Fraction(1))
 
     def test_product_exact(self):

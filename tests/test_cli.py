@@ -48,6 +48,13 @@ class TestCgCommand:
         )
         assert code == 0
         assert json.loads(out) == {"sign": 1, "squared": "1"}
+        # argparse reads a bare -1/2 as a flag, so a negative fraction takes the = form
+        code, out, _ = run_cli(
+            capsys, "cg", "--j1", "1/2", "--l1", "1/2",
+            "--j2", "1/2", "--l2=-1/2", "--s", "1", "--sigma", "0",
+        )
+        assert code == 0
+        assert json.loads(out) == {"sign": 1, "squared": "1/2"}
 
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run_cli(

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from braket import (
+    DEFAULT_TOLS,
     DegenerateMetric,
     DimensionMismatch,
     NotHermitian,
     Singular,
-    Tolerances,
     conj_transpose,
     expm,
     inverse,
@@ -152,10 +152,8 @@ class TestKron:
 
 
 def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        Tolerances(eq_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(sig_tol=-1e-9)
-    tols = Tolerances()
+    tols = DEFAULT_TOLS
     assert tols.eq_tol == 1e-10 and tols.herm_tol == 1e-10
     assert tols.sig_tol == 1e-9 and tols.sym_tol == 1e-8
+    with pytest.raises(AttributeError):
+        tols.eq_tol = 0.0

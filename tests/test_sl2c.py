@@ -3,6 +3,7 @@ import pytest
 
 from braket import (
     EqualWeights,
+    InvalidArgument,
     MetricOperator,
     Weight,
     WrongRepShape,
@@ -75,7 +76,7 @@ class TestBuild:
             build_rep(Weight(1), Weight(1))
 
     def test_bad_epsilon(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             build_rep(Weight(1), Weight(0), epsilon=2)
 
     def test_trivial_rep(self):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from braket import (
     DimensionMismatch,
+    InvalidArgument,
     MetricOperator,
     NotHermitian,
     Singular,
@@ -180,7 +181,7 @@ class TestRaiseLower:
         assert max_dev(raise_lower_index(m, raise_lower_index(m, x, "lower"), "raise"), x) < 1e-10
 
     def test_bad_direction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             raise_lower_index(DIAG_1_1, [1, 0], "sideways")
 
     def test_dimension_mismatch(self):

@@ -5,6 +5,7 @@ from braket import (
     BasisChange,
     GaugeParams,
     IndexOutOfRange,
+    InvalidArgument,
     KindedOperator,
     MetricOperator,
     OperatorKind,
@@ -240,7 +241,7 @@ class TestGroupElement:
     def test_require_gauge_flag(self, rng):
         m = random_metric(rng, 2)
         omega = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             group_element(GaugeParams(omega), m, require_gauge=True)
 
     def test_gauge_parameter_count(self):
