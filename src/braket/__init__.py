@@ -68,6 +68,7 @@ from .projections import (
     subspace_projector,
 )
 from .sl2c import (
+    Basis,
     CoupledRep,
     build_rep,
     build_rep_diag,

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt, sqrt
-from numbers import Real
 from typing import Iterable
 
 from .errors import InvalidArgument, InvalidWeights
+from .su2 import twice_half_integer
 
 __all__ = ["CGValue", "clebsch_gordan", "radical_sum"]
 
@@ -57,21 +57,6 @@ class CGValue:
 CG_ZERO = CGValue(0, Fraction(0))
 
 
-def _twice(x, name: str) -> int:
-    """Validate a half-integer argument and return twice its value."""
-    if isinstance(x, Fraction):
-        doubled = 2 * x
-        if doubled.denominator != 1:
-            raise InvalidWeights(f"{name}={x} is not a half-integer")
-        return int(doubled)
-    if isinstance(x, Real):
-        doubled = 2 * float(x)
-        if doubled != round(doubled):
-            raise InvalidWeights(f"{name}={x} is not a half-integer")
-        return int(round(doubled))
-    raise InvalidWeights(f"{name}={x!r} is not a number")
-
-
 def _validate(tj: int, tl: int, name: str):
     if tj < 0:
         raise InvalidWeights(f"{name} must be non-negative, got {Fraction(tj, 2)}")
@@ -87,9 +72,9 @@ def clebsch_gordan(j1, l1, j2, l2, s, sigma) -> CGValue:
     Out-of-range or non-half-integer labels raise InvalidWeights; a
     violated projection selection rule gives the exact zero value.
     """
-    tj1, tl1 = _twice(j1, "j1"), _twice(l1, "l1")
-    tj2, tl2 = _twice(j2, "j2"), _twice(l2, "l2")
-    ts, tsig = _twice(s, "s"), _twice(sigma, "sigma")
+    tj1, tl1 = twice_half_integer(j1, "j1"), twice_half_integer(l1, "l1")
+    tj2, tl2 = twice_half_integer(j2, "j2"), twice_half_integer(l2, "l2")
+    ts, tsig = twice_half_integer(s, "s"), twice_half_integer(sigma, "sigma")
     _validate(tj1, tl1, "j1")
     _validate(tj2, tl2, "j2")
     _validate(ts, tsig, "s")

@@ -24,15 +24,7 @@ from .serialize import (
     rep_to_json,
     vector_to_json,
 )
-from .sl2c import (
-    CANONICAL,
-    ORTHONORMAL,
-    ROTATION,
-    build_rep,
-    build_rep_diag,
-    orthonormal_basis,
-    rotation_basis,
-)
+from .sl2c import Basis, build_rep, build_rep_diag, orthonormal_basis, rotation_basis
 from .spaces import MetricOperator, VarVector
 from .su2 import Weight, su2_generators
 from .dsl import eval_source
@@ -68,9 +60,9 @@ def _cmd_rep(args) -> dict:
         rep = build_rep_diag(Weight(args.twice_j1), args.epsilon)
     else:
         rep = build_rep(Weight(args.twice_j1), Weight(args.twice_j2), args.epsilon)
-    if args.basis in (ROTATION, ORTHONORMAL):
+    if args.basis in (Basis.ROTATION, Basis.ORTHONORMAL):
         _, rep = rotation_basis(rep)
-    if args.basis == ORTHONORMAL:
+    if args.basis == Basis.ORTHONORMAL:
         rep = orthonormal_basis(rep)  # equal weights are rejected here
     return rep_to_json(rep)
 
@@ -138,8 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--twice-j2", type=int, default=None,
                    help="second weight; omit (or repeat --twice-j1) for the tensor-square bundle")
     p.add_argument("--epsilon", type=int, choices=(-1, 1), default=None)
-    p.add_argument("--basis", choices=(CANONICAL, ROTATION, ORTHONORMAL),
-                   default=CANONICAL)
+    p.add_argument("--basis", choices=[b.value for b in Basis], default=Basis.CANONICAL.value)
     p.set_defaults(func=_cmd_rep)
 
     p = sub.add_parser("signature", help="eigenvalue signature of an hermitian matrix")
@@ -176,10 +167,7 @@ def main(argv=None) -> int:
         # Only the text outlives this line, so the payload is freed before
         # printing; for large bundles that lowers peak memory.
         text = dump_json(args.func(args))
-    except BraketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BraketError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(text)

@@ -19,57 +19,65 @@ stored conjugated); the up/down character is taken from the prefix as
 written. Bindings whose declared variance is a bra are un-conjugated
 first, so the same rule applies in reverse.
 
-Juxtaposition is variance-checked left to right. A bra meeting a ket of
-the same up/down character silently inserts the metric (or its inverse):
-"bd:x kd:y" is a scalar product, "bu:x kd:y" a plain dual form. A ket
-meeting a bra builds the rank-1 operator between the right spaces, and
-operator chains must have matching kinds.
+Juxtaposition contracts like tensor indices. Every value has two slots,
+a codomain and a domain, each up, down or absent: a ket has only a
+codomain, a bra only a domain (bra-down takes ket-up and bra-up takes
+ket-down, as in dual_form), an operator both, read from its kind, and a
+scalar neither. A scalar on either side scales; a ket followed by a bra
+builds the rank-1 operator between them; otherwise the left domain must
+equal the right codomain, and the result keeps the left codomain and the
+right domain. The one exception is a bra meeting a ket of its own up/down
+character, which silently inserts the metric (down) or its inverse (up):
+"bd:x kd:y" is a scalar product, "bu:x kd:y" a plain dual form. Any other
+adjacency raises VarianceError("cannot juxtapose A with B (at position
+N)"). Sums need equal slots.
+
+An Environment is read-only: its bindings are mapping views over copies
+taken at construction, so its dimension checks hold for every lookup.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DslSyntaxError,
-    KindMismatch,
-    UnboundName,
-    UnknownToken,
-    VarianceError,
-)
+from .errors import DimensionMismatch, DslSyntaxError, UnboundName, UnknownToken, VarianceError
 from .operators import (
     KindedOperator,
     OperatorKind,
+    dirac_adjoint,
     hermitian_adjoint,
     identity_down,
     identity_up,
     metric_inv_op,
     metric_op,
 )
-from .operators import add as op_add
-from .operators import compose as op_compose
-from .operators import dirac_adjoint
-from .operators import scale as op_scale
 from .operators import trace as op_trace
-from .spaces import MetricOperator, Variance, VarVector, dual_form, relate_bra, relate_ket
+from .spaces import MetricOperator, Variance, VarVector, relate_bra, relate_ket
 
 __all__ = ["Environment", "parse", "evaluate", "eval_source"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Environment:
-    """Named vectors and operators over one metric of fixed dimension."""
+    """Named vectors and operators over one metric of fixed dimension.
+
+    Read-only: vectors and operators are mapping views over copies of the
+    given bindings, so the dimension checks below hold for every lookup.
+    """
 
     dimension: int
     metric: MetricOperator
-    vectors: dict[str, VarVector] = field(default_factory=dict)
-    operators: dict[str, KindedOperator] = field(default_factory=dict)
+    vectors: Mapping[str, VarVector] = field(default_factory=dict)
+    operators: Mapping[str, KindedOperator] = field(default_factory=dict)
 
     def __post_init__(self):
+        for attr in ("vectors", "operators"):
+            object.__setattr__(self, attr, MappingProxyType(dict(getattr(self, attr))))
         if self.metric.dim != self.dimension:
             raise DimensionMismatch(
                 f"metric dim {self.metric.dim} != environment dim {self.dimension}"
@@ -107,23 +115,19 @@ class OpRef:
 
 
 @dataclass(frozen=True)
-class Metric:
+class Const:
+    """A metric or identity operator named by one of the _CONSTS keywords."""
+
     pos: int
+    name: str
 
 
-@dataclass(frozen=True)
-class MetricInv:
-    pos: int
-
-
-@dataclass(frozen=True)
-class IdDown:
-    pos: int
-
-
-@dataclass(frozen=True)
-class IdUp:
-    pos: int
+_CONSTS = {
+    "eta": lambda env: metric_op(env.metric),
+    "etainv": lambda env: metric_inv_op(env.metric),
+    "idk": lambda env: identity_down(env.dimension),
+    "idku": lambda env: identity_up(env.dimension),
+}
 
 
 @dataclass(frozen=True)
@@ -185,8 +189,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-_KEYWORDS = {"eta", "etainv", "idk", "idku", "adj", "bar", "tr"}
 
 
 @dataclass(frozen=True)
@@ -296,14 +298,8 @@ class _Parser:
             return Bra(t.pos, name, up=prefix == "bu")
         if t.kind == "name":
             self.advance()
-            if t.text == "eta":
-                return Metric(t.pos)
-            if t.text == "etainv":
-                return MetricInv(t.pos)
-            if t.text == "idk":
-                return IdDown(t.pos)
-            if t.text == "idku":
-                return IdUp(t.pos)
+            if t.text in _CONSTS:
+                return Const(t.pos, t.text)
             if t.text in ("adj", "bar", "tr"):
                 self.expect("(")
                 inner = self.expr()
@@ -330,15 +326,51 @@ def parse(src: str):
 
 _SCALAR = (complex, float, int)
 
+# (codomain, domain) slots of each vector variance: True is up, False is
+# down, None is absent. A bra's domain is the character of the ket it
+# takes, so bra-down has an up domain.
+_VECTOR_SLOTS = {
+    Variance.KET_DOWN: (False, None),
+    Variance.KET_UP: (True, None),
+    Variance.BRA_DOWN: (None, True),
+    Variance.BRA_UP: (None, False),
+}
+_SLOT_VARIANCE = {slots: variance for variance, slots in _VECTOR_SLOTS.items()}
+
 
 def _describe(value) -> str:
     if isinstance(value, _SCALAR):
         return "scalar"
     if isinstance(value, VarVector):
-        return {"kd": "ket-down", "ku": "ket-up", "bd": "bra-down", "bu": "bra-up"}[
-            value.variance.value
-        ]
+        return value.variance.name.lower().replace("_", "-")  # e.g. "ket-down"
     return f"operator[{value.kind.value}]"
+
+
+def _slots(value) -> tuple:
+    """(codomain, domain) of a value; a scalar has neither slot."""
+    if isinstance(value, VarVector):
+        return _VECTOR_SLOTS[value.variance]
+    if isinstance(value, KindedOperator):
+        return value.kind.codomain_up, value.kind.domain_up
+    return None, None
+
+
+def _data(value):
+    """The component array, matrix or complex number carried by a value."""
+    if isinstance(value, VarVector):
+        return value.components
+    if isinstance(value, KindedOperator):
+        return value.mat
+    return complex(value)
+
+
+def _make(data, codomain, domain):
+    """Inverse of _slots and _data: the value with these data and slots."""
+    if codomain is None and domain is None:
+        return complex(data)
+    if codomain is None or domain is None:
+        return VarVector(data, _SLOT_VARIANCE[codomain, domain])
+    return KindedOperator(data, OperatorKind.from_variances(domain, codomain))
 
 
 def _lookup_components(env: Environment, name: str, as_bra: bool) -> np.ndarray:
@@ -351,70 +383,32 @@ def _lookup_components(env: Environment, name: str, as_bra: bool) -> np.ndarray:
     return comps
 
 
-def _bracket(env: Environment, b: VarVector, k: VarVector) -> complex:
-    """Bra-ket adjacency: parallel characters contract directly, equal
-    characters insert the metric (down) or its inverse (up)."""
-    if (b.variance, k.variance) == (Variance.BRA_DOWN, Variance.KET_DOWN):
-        return complex(b.components @ env.metric.eta @ k.components)
-    if (b.variance, k.variance) == (Variance.BRA_UP, Variance.KET_UP):
-        return complex(b.components @ env.metric.eta_inv @ k.components)
-    return dual_form(b, k)
-
-
 def _combine(env: Environment, left, right, pos: int):
+    """Juxtapose two values: contract the left domain with the right codomain."""
     if isinstance(left, _SCALAR) or isinstance(right, _SCALAR):
-        if isinstance(left, _SCALAR) and isinstance(right, _SCALAR):
-            return complex(left) * complex(right)
         scalar, other = (left, right) if isinstance(left, _SCALAR) else (right, left)
-        if isinstance(other, VarVector):
-            return VarVector(complex(scalar) * other.components, other.variance)
-        return op_scale(complex(scalar), other)
-
-    if isinstance(left, VarVector) and isinstance(right, VarVector):
-        if left.variance.is_bra and right.variance.is_ket:
-            return _bracket(env, left, right)
-        if left.variance.is_ket and right.variance.is_bra:
-            kind = OperatorKind.from_variances(
-                domain_up=right.variance == Variance.BRA_DOWN,
-                codomain_up=left.variance == Variance.KET_UP,
-            )
-            return KindedOperator(np.outer(left.components, right.components), kind)
+        return _make(complex(scalar) * _data(other), *_slots(other))
+    (codomain, domain), (codomain_r, domain_r) = _slots(left), _slots(right)
+    a, b = _data(left), _data(right)
+    if domain is None and codomain_r is None:  # ket then bra
+        return _make(np.outer(a, b), codomain, domain_r)
+    if codomain is None and domain_r is None and domain != codomain_r:
+        # a bra meeting a ket of its own character: insert the metric
+        a = a @ (env.metric.eta_inv if codomain_r else env.metric.eta)
+    elif domain != codomain_r:
         raise VarianceError(
             f"cannot juxtapose {_describe(left)} with {_describe(right)} "
             f"(at position {pos})"
         )
+    return _make(a @ b, codomain, domain_r)
 
-    if isinstance(left, KindedOperator) and isinstance(right, VarVector):
-        if not right.variance.is_ket:
-            raise VarianceError(
-                f"operator cannot act on {_describe(right)} (at position {pos})"
-            )
-        if left.kind.domain_up != (right.variance == Variance.KET_UP):
-            raise VarianceError(
-                f"operator[{left.kind.value}] cannot act on {_describe(right)} "
-                f"(at position {pos})"
-            )
-        variance = Variance.KET_UP if left.kind.codomain_up else Variance.KET_DOWN
-        return VarVector(left.mat @ right.components, variance)
 
-    if isinstance(left, VarVector) and isinstance(right, KindedOperator):
-        if not left.variance.is_bra:
-            raise VarianceError(
-                f"{_describe(left)} cannot absorb an operator (at position {pos})"
-            )
-        consumes_up = left.variance == Variance.BRA_DOWN
-        if right.kind.codomain_up != consumes_up:
-            raise VarianceError(
-                f"{_describe(left)} cannot absorb operator[{right.kind.value}] "
-                f"(at position {pos})"
-            )
-        variance = Variance.BRA_DOWN if right.kind.domain_up else Variance.BRA_UP
-        return VarVector(left.components @ right.mat, variance)
-
-    try:
-        return op_compose(left, right)
-    except KindMismatch as exc:
-        raise VarianceError(f"{exc} (at position {pos})") from exc
+def _sum_pair(a, b, pos: int):
+    if _slots(a) != _slots(b):
+        raise VarianceError(
+            f"cannot add {_describe(a)} and {_describe(b)} (at position {pos})"
+        )
+    return _make(_data(a) + _data(b), *_slots(a))
 
 
 def evaluate(node, env: Environment):
@@ -432,14 +426,8 @@ def evaluate(node, env: Environment):
         if op is None:
             raise UnboundName(f"operator {node.name!r} is not bound")
         return op
-    if isinstance(node, Metric):
-        return metric_op(env.metric)
-    if isinstance(node, MetricInv):
-        return metric_inv_op(env.metric)
-    if isinstance(node, IdDown):
-        return identity_down(env.dimension)
-    if isinstance(node, IdUp):
-        return identity_up(env.dimension)
+    if isinstance(node, Const):
+        return _CONSTS[node.name](env)
     if isinstance(node, Juxt):
         values = [(item, evaluate(item, env)) for item in node.items]
         result = values[0][1]
@@ -450,20 +438,16 @@ def evaluate(node, env: Environment):
         total = None
         for sign, term in node.terms:
             value = evaluate(term, env)
-            signed = _combine(env, complex(sign), value, term.pos) if sign < 0 else value
-            if total is None:
-                total = signed
-                continue
-            total = _sum_pair(total, signed, term.pos)
+            if sign < 0:
+                value = _combine(env, complex(sign), value, term.pos)
+            total = value if total is None else _sum_pair(total, value, term.pos)
         return total
     if isinstance(node, Scale):
         factor = evaluate(node.factor, env)
         operand = evaluate(node.operand, env)
-        if isinstance(factor, _SCALAR):
-            return _combine(env, factor, operand, node.pos)
-        if isinstance(operand, _SCALAR):
-            return _combine(env, operand, factor, node.pos)
-        raise VarianceError(f"'*' requires a scalar operand (at position {node.pos})")
+        if not (isinstance(factor, _SCALAR) or isinstance(operand, _SCALAR)):
+            raise VarianceError(f"'*' requires a scalar operand (at position {node.pos})")
+        return _combine(env, factor, operand, node.pos)
     if isinstance(node, Adj):
         value = evaluate(node.operand, env)
         if isinstance(value, _SCALAR):
@@ -490,24 +474,6 @@ def evaluate(node, env: Environment):
             f"(at position {node.pos})"
         )
     raise TypeError(f"not an AST node: {node!r}")
-
-
-def _sum_pair(a, b, pos: int):
-    if isinstance(a, _SCALAR) and isinstance(b, _SCALAR):
-        return complex(a) + complex(b)
-    if isinstance(a, VarVector) and isinstance(b, VarVector):
-        if a.variance != b.variance:
-            raise VarianceError(
-                f"cannot add {_describe(a)} and {_describe(b)} (at position {pos})"
-            )
-        if a.dim != b.dim:
-            raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-        return VarVector(a.components + b.components, a.variance)
-    if isinstance(a, KindedOperator) and isinstance(b, KindedOperator):
-        return op_add(a, b)
-    raise VarianceError(
-        f"cannot add {_describe(a)} and {_describe(b)} (at position {pos})"
-    )
 
 
 def eval_source(src: str, env: Environment):

@@ -16,7 +16,7 @@ from .dsl import Environment
 from .errors import SchemaError
 from .linalg import DEFAULT_TOLS, max_abs
 from .operators import KindedOperator, OperatorKind
-from .sl2c import CANONICAL, ORTHONORMAL, ROTATION, CoupledRep, rep_signature
+from .sl2c import Basis, CoupledRep, rep_signature
 from .spaces import MetricOperator, Variance, VarVector
 from .su2 import Weight
 
@@ -34,9 +34,6 @@ __all__ = [
     "load_json",
     "dump_json",
 ]
-
-_BASES = (CANONICAL, ROTATION, ORTHONORMAL)
-
 
 def _require(cond: bool, message: str):
     if not cond:
@@ -146,7 +143,10 @@ def rep_from_json(obj) -> CoupledRep:
         j2 = Weight(obj["twice_j2"])
         _require(j1 != j2, "rep: twice_j2 equal to twice_j1 must be omitted")
     _require(obj["epsilon"] in (-1, 1), "rep: epsilon must be +1 or -1")
-    _require(obj["basis"] in _BASES, f"rep: basis must be one of {_BASES}")
+    try:
+        basis = Basis(obj["basis"])
+    except ValueError:
+        raise SchemaError(f"rep: unknown basis {obj['basis']!r}") from None
     dim = obj["dim"]
     _require(isinstance(dim, int) and dim >= 1, "rep: dim must be a positive integer")
     gens = obj["generators"]
@@ -177,7 +177,7 @@ def rep_from_json(obj) -> CoupledRep:
         N=mats["N"],
         metric=MetricOperator(metric),
         epsilon=int(obj["epsilon"]),
-        basis=obj["basis"],
+        basis=basis,
         labels=tuple(labels),
     )
     # I and K are not stored; the payload's copies must match M and N.

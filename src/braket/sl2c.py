@@ -22,6 +22,7 @@ the adjoint of the change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,7 @@ from .spaces import MetricOperator
 from .su2 import Weight, su2_generators
 
 __all__ = [
+    "Basis",
     "CoupledRep",
     "default_epsilon",
     "build_rep",
@@ -44,9 +46,13 @@ __all__ = [
     "rep_signature",
 ]
 
-CANONICAL = "canonical"
-ROTATION = "rotation"
-ORTHONORMAL = "orthonormal"
+
+class Basis(str, Enum):
+    """The basis a bundle is expressed in; members compare equal to their names."""
+
+    CANONICAL = "canonical"
+    ROTATION = "rotation"
+    ORTHONORMAL = "orthonormal"
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +65,7 @@ class CoupledRep:
     N: tuple[np.ndarray, np.ndarray, np.ndarray]
     metric: MetricOperator
     epsilon: int
-    basis: str
+    basis: Basis
     labels: tuple[dict, ...]
 
     @property
@@ -189,7 +195,7 @@ def _canonical(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
         N=n_gens,
         metric=MetricOperator(eta),
         epsilon=epsilon,
-        basis=CANONICAL,
+        basis=Basis.CANONICAL,
         labels=tuple(labels),
     )
 
@@ -230,7 +236,7 @@ def chiral_projectors(rep: CoupledRep) -> tuple[Projector, Projector]:
     left = np.zeros((rep.dim, rep.dim), dtype=complex)
     left[:n, :n] = np.eye(n)
     right = np.eye(rep.dim, dtype=complex) - left
-    if rep.basis == ORTHONORMAL:
+    if rep.basis == Basis.ORTHONORMAL:
         c2 = _c2(n)
         left, right = c2 @ left @ c2, c2 @ right @ c2
     return Projector.from_matrix(left), Projector.from_matrix(right)
@@ -258,7 +264,7 @@ def _cg_block(jl: Weight, jr: Weight) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _transform(rep: CoupledRep, c: np.ndarray, basis: str, labels) -> CoupledRep:
+def _transform(rep: CoupledRep, c: np.ndarray, basis: Basis, labels) -> CoupledRep:
     """Move a bundle to the basis given by the columns of the unitary c."""
     c_adj = c.conj().T
     move = lambda mats: tuple(c_adj @ m @ c for m in mats)
@@ -282,12 +288,12 @@ def rotation_basis(rep: CoupledRep) -> tuple[np.ndarray, CoupledRep]:
     with the transformed bundle. Column labels run over total spin s
     descending, then sigma descending, block by block.
     """
-    if rep.basis != CANONICAL:
-        raise WrongRepShape(f"expected a canonical-basis bundle, got {rep.basis!r}")
+    if rep.basis != Basis.CANONICAL:
+        raise WrongRepShape(f"expected a canonical-basis bundle, got {rep.basis.value!r}")
     blocks = _blocks(rep.j1, rep.j2)
     c = _block_diag(*(_cg_block(jl, jr) for jl, jr in blocks))
     labels = [lab for jl, jr in blocks for lab in _rotation_block_labels(jl, jr)]
-    return c, _transform(rep, c, ROTATION, labels)
+    return c, _transform(rep, c, Basis.ROTATION, labels)
 
 
 def orthonormal_basis(rep: CoupledRep) -> CoupledRep:
@@ -300,15 +306,15 @@ def orthonormal_basis(rep: CoupledRep) -> CoupledRep:
     """
     if rep.is_diagonal:
         raise WrongRepShape("equal-weight bundles are orthonormal in the rotation basis")
-    if rep.basis != ROTATION:
-        raise WrongRepShape(f"expected a rotation-basis bundle, got {rep.basis!r}")
+    if rep.basis != Basis.ROTATION:
+        raise WrongRepShape(f"expected a rotation-basis bundle, got {rep.basis.value!r}")
     n = rep.dim // 2
     labels = [
         {"sign": sign, "twice_s": lab["twice_s"], "twice_sigma": lab["twice_sigma"]}
         for sign in (1, -1)
         for lab in rep.labels[:n]
     ]
-    return _transform(rep, _c2(n), ORTHONORMAL, labels)
+    return _transform(rep, _c2(n), Basis.ORTHONORMAL, labels)
 
 
 def rep_signature(rep: CoupledRep) -> tuple[int, int]:

@@ -11,12 +11,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
 from .errors import InvalidWeights
 
 __all__ = ["Weight", "Su2Irrep", "su2_generators", "ladder_plus"]
+
+
+def twice_half_integer(x, name: str) -> int:
+    """Twice a half-integer given as int, float or Fraction.
+
+    Anything else, including NaN and the infinities, raises InvalidWeights
+    naming the argument.
+    """
+    if isinstance(x, (Fraction, int)):
+        doubled = 2 * x
+        if doubled.denominator != 1:
+            raise InvalidWeights(f"{name}={x} is not a half-integer")
+        return int(doubled)
+    if isinstance(x, Real):
+        doubled = 2 * float(x)
+        if not doubled.is_integer():
+            raise InvalidWeights(f"{name}={x} is not a half-integer")
+        return int(doubled)
+    raise InvalidWeights(f"{name}={x!r} is not a number")
 
 
 @dataclass(frozen=True, order=True)
@@ -31,11 +51,8 @@ class Weight:
 
     @classmethod
     def from_j(cls, j) -> "Weight":
-        """Accept a half-integer j given as int, float or Fraction."""
-        doubled = Fraction(j) * 2
-        if doubled.denominator != 1 or doubled < 0:
-            raise InvalidWeights(f"{j} is not a non-negative half-integer")
-        return cls(int(doubled))
+        """Accept a non-negative half-integer j given as int, float or Fraction."""
+        return cls(twice_half_integer(j, "j"))
 
     @property
     def j(self) -> Fraction:

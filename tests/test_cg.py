@@ -45,6 +45,9 @@ class TestSelectionRules:
     def test_non_half_integer(self):
         with pytest.raises(InvalidWeights):
             clebsch_gordan(0.3, 0.3, 0, 0, 0.3, 0.3)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidWeights):
+                clebsch_gordan(bad, 0, 0, 0, 0, 0)
 
     def test_triangle_violation(self):
         with pytest.raises(InvalidWeights):

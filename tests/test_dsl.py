@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +254,25 @@ class TestEvalErrors:
     def test_trace_of_ket_rejected(self, env):
         with pytest.raises(VarianceError):
             eval_source("tr(kd:x)", env)
+
+
+class TestEnvironment:
+    def test_read_only(self, env):
+        # a binding added after construction would skip the dimension checks
+        with pytest.raises(TypeError):
+            env.vectors["v"] = VarVector(np.ones(3), Variance.KET_DOWN)
+        with pytest.raises(TypeError):
+            env.operators["C"] = KindedOperator(np.eye(3), OperatorKind.DOWN_DOWN)
+        for attr in ("vectors", "operators", "metric"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(env, attr, getattr(env, attr))
+
+    def test_bindings_are_copied(self):
+        vectors = {"x": VarVector(np.array([1.0, 0.0]), Variance.KET_DOWN)}
+        env = Environment(dimension=2, metric=MetricOperator(np.eye(2)), vectors=vectors)
+        vectors["v"] = VarVector(np.ones(3), Variance.KET_DOWN)
+        with pytest.raises(UnboundName):
+            eval_source("bd:v kd:x", env)
 
 
 class TestLibraryCoherence:

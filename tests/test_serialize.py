@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from braket import (
+    Basis,
     KindedOperator,
     MetricOperator,
     OperatorKind,
@@ -120,7 +121,15 @@ class TestRepSchema:
         _, rot = rotation_basis(build_rep_diag(Weight(1)))
         back = rep_from_json(json.loads(json.dumps(rep_to_json(rot))))
         assert back.basis == "rotation"
+        assert back.basis is Basis.ROTATION
         assert max_dev(back.metric.eta, rot.metric.eta) == 0
+
+    @pytest.mark.parametrize("basis", ["sideways", "ROTATION", None, ["rotation"]])
+    def test_unknown_basis(self, basis):
+        payload = rep_to_json(build_rep(Weight(1), Weight(0)))
+        payload["basis"] = basis
+        with pytest.raises(SchemaError, match="basis"):
+            rep_from_json(payload)
 
     def test_equal_weights_must_be_omitted(self):
         payload = rep_to_json(build_rep(Weight(1), Weight(0)))

@@ -22,6 +22,9 @@ class TestWeight:
             Weight.from_j(0.3)
         with pytest.raises(InvalidWeights):
             Weight.from_j(-0.5)
+        for bad in (float("nan"), float("inf"), "1/2"):
+            with pytest.raises(InvalidWeights):
+                Weight.from_j(bad)
 
     def test_dim(self):
         assert Weight(3).dim == 4
