@@ -13,6 +13,7 @@ or Fraction (0.5 and Fraction(1, 2) both denote one half).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt, sqrt
@@ -69,8 +70,10 @@ def _validate(tj: int, tl: int, name: str):
 def clebsch_gordan(j1, l1, j2, l2, s, sigma) -> CGValue:
     """Exact coefficient <j1 l1; j2 l2 | s sigma>.
 
-    Out-of-range or non-half-integer labels raise InvalidWeights; a
-    violated projection selection rule gives the exact zero value.
+    Out-of-range or non-half-integer labels raise InvalidWeights, and so
+    do labels whose largest factorial argument, j1 + j2 + s + 1, exceeds
+    sys.maxsize (the limit of math.factorial); a violated projection
+    selection rule gives the exact zero value.
     """
     tj1, tl1 = twice_half_integer(j1, "j1"), twice_half_integer(l1, "l1")
     tj2, tl2 = twice_half_integer(j2, "j2"), twice_half_integer(l2, "l2")
@@ -82,6 +85,11 @@ def clebsch_gordan(j1, l1, j2, l2, s, sigma) -> CGValue:
         raise InvalidWeights(
             f"s={Fraction(ts, 2)} outside the coupling range of "
             f"{Fraction(tj1, 2)} and {Fraction(tj2, 2)}"
+        )
+    if (tj1 + tj2 + ts) // 2 + 1 > sys.maxsize:
+        raise InvalidWeights(
+            f"j1 + j2 + s + 1 = {(tj1 + tj2 + ts) // 2 + 1} exceeds the factorial "
+            f"limit {sys.maxsize}"
         )
     if tl1 + tl2 != tsig:
         return CG_ZERO

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateMetric, DimensionMismatch, NotHermitian, Singular
 
@@ -126,10 +125,16 @@ def signature(h) -> tuple[int, int]:
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring); expm(0) is exactly I."""
+    """Matrix exponential (scaling-and-squaring); expm(0) is exactly I.
+
+    scipy is imported on first use, so importing the library does not
+    pay for it.
+    """
     m = _require_square(as_matrix(a))
     if not m.any():
         return np.eye(m.shape[0], dtype=complex)
+    import scipy.linalg
+
     return scipy.linalg.expm(m)
 
 

@@ -40,8 +40,9 @@ def _require(cond: bool, message: str):
         raise SchemaError(message)
 
 
-def _pairs(values) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in values]
+def _pairs(v: np.ndarray) -> list[list[float]]:
+    """[re, im] pairs of a 1-D complex array, as plain Python floats."""
+    return np.stack((v.real, v.imag), axis=-1).tolist()
 
 
 def _from_pairs(data, what: str) -> np.ndarray:

@@ -244,24 +244,34 @@ def chiral_projectors(rep: CoupledRep) -> tuple[Projector, Projector]:
 
 def _cg_block(jl: Weight, jr: Weight) -> np.ndarray:
     """Columns of Clebsch-Gordan coefficients carrying (jl, jr) tensor
-    labels into total-spin labels, both in descending order."""
-    rows = jl.dim * jr.dim
-    cols = []
+    labels into total-spin labels, both in descending order.
+
+    Only entries with m_l + m_r = sigma can be nonzero, so each column
+    pairs every left label with at most one right label; the rest stay
+    the exact zeros a full fill would write. The block is square: the
+    total spins hold as many states as the tensor product.
+    """
+    n = jl.dim * jr.dim
+    c = np.zeros((n, n), dtype=complex)
+    col = 0
     for ts in _spin_range(jl, jr):
         for tsig in range(ts, -ts - 2, -2):
-            col = np.zeros(rows, dtype=complex)
             for p in range(jl.dim):
-                for q in range(jr.dim):
-                    col[p * jr.dim + q] = clebsch_gordan(
-                        jl.j,
-                        Fraction(jl.twice_j - 2 * p, 2),
-                        jr.j,
-                        Fraction(jr.twice_j - 2 * q, 2),
-                        Fraction(ts, 2),
-                        Fraction(tsig, 2),
-                    ).value
-            cols.append(col)
-    return np.stack(cols, axis=1)
+                tml = jl.twice_j - 2 * p
+                tmr = tsig - tml
+                if abs(tmr) > jr.twice_j:
+                    continue
+                q = (jr.twice_j - tmr) // 2
+                c[p * jr.dim + q, col] = clebsch_gordan(
+                    jl.j,
+                    Fraction(tml, 2),
+                    jr.j,
+                    Fraction(tmr, 2),
+                    Fraction(ts, 2),
+                    Fraction(tsig, 2),
+                ).value
+            col += 1
+    return c
 
 
 def _transform(rep: CoupledRep, c: np.ndarray, basis: Basis, labels) -> CoupledRep:

@@ -49,6 +49,11 @@ class TestSelectionRules:
             with pytest.raises(InvalidWeights):
                 clebsch_gordan(bad, 0, 0, 0, 0, 0)
 
+    def test_past_factorial_limit(self):
+        # j1 + j2 + s + 1 beyond sys.maxsize is out of math.factorial's range
+        with pytest.raises(InvalidWeights, match="factorial"):
+            clebsch_gordan(10**19, 0, 10**19, 0, 0, 0)
+
     def test_triangle_violation(self):
         with pytest.raises(InvalidWeights):
             clebsch_gordan(0.5, 0.5, 0, 0, 1, 0.5)

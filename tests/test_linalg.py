@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +138,27 @@ class TestExpm:
     def test_non_square(self, rng):
         with pytest.raises(DimensionMismatch):
             expm(random_complex(rng, 2, 3))
+
+    def test_scipy_loaded_on_first_call(self):
+        # importing the library and its CLI leaves scipy unloaded; expm
+        # loads it and agrees with scipy's own exponential
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import braket, braket.cli\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported with braket'\n"
+            "a = np.array([[0.3, -1.2j], [0.5, 0.1 + 0.2j]])\n"
+            "got = braket.expm(a)\n"
+            "import scipy.linalg\n"
+            "assert np.array_equal(got, scipy.linalg.expm(a))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestKron:

@@ -33,7 +33,38 @@ from braket.serialize import (
 from conftest import max_dev, random_complex
 
 
+def per_entry_pairs(m):
+    """The per-entry encoding matrix_to_json must reproduce byte for byte."""
+    m = np.asarray(m, dtype=complex)
+    return {
+        "rows": m.shape[0],
+        "cols": m.shape[1],
+        "data": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+    }
+
+
 class TestMatrixSchema:
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.array([[-0.0, 0.0], [complex(-0.0, -0.0), complex(0.0, -0.0)]]),
+            np.array([[5e-324, -2.2250738585072014e-309j], [1e-310 + 1e-320j, 1.0]]),
+            np.array([[1e308, -1e308], [1e308j, complex(-1.7976931348623157e308, 1e-308)]]),
+            np.array([[1, -2, 0], [3, 2**52 + 1, -7]]),
+            np.array([[0.1, -1.5], [2.0 / 3.0, -0.0]], dtype=np.float32),
+            np.array([[0.1, -1.5, 1e-300]]),
+            np.array([[1 + 2j]], dtype=np.complex64),
+        ],
+        ids=["signed-zeros", "subnormals", "huge", "int", "float32", "float64", "complex64"],
+    )
+    def test_pairs_match_per_entry_encoding(self, m):
+        payload = matrix_to_json(m)
+        assert json.dumps(payload) == json.dumps(per_entry_pairs(m))
+        # plain, mutable Python lists of Python floats
+        assert type(payload["data"]) is list
+        assert all(type(pair) is list and len(pair) == 2 for pair in payload["data"])
+        assert all(type(x) is float for pair in payload["data"] for x in pair)
+
     def test_identity_payload(self):
         assert matrix_to_json(np.eye(2)) == {
             "rows": 2,

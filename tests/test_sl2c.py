@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from braket import (
     build_rep,
     build_rep_diag,
     chiral_projectors,
+    clebsch_gordan,
     default_epsilon,
     dirac_adjoint,
     is_additive,
@@ -19,7 +22,7 @@ from braket import (
     rotation_basis,
 )
 from braket.operators import KindedOperator, OperatorKind
-from braket.sl2c import _c2
+from braket.sl2c import _blocks, _c2, _cg_block
 from conftest import max_dev
 
 EPS = np.zeros((3, 3, 3))
@@ -42,6 +45,34 @@ def reps_in_every_basis():
     canonical = all_reps()
     rotated = [rotation_basis(rep)[1] for rep in canonical]
     return canonical + rotated + [orthonormal_basis(r) for r in rotated if not r.is_diagonal]
+
+
+def cg_blocks():
+    """(left, right) weights of every tensor block of all_reps(), plus those
+    of (12, 11) and the tensor square of 12."""
+    reps = all_reps() + [build_rep(Weight(12), Weight(11)), build_rep_diag(Weight(12))]
+    return [block for rep in reps for block in _blocks(rep.j1, rep.j2)]
+
+
+def full_cg_block(jl, jr):
+    """Reference fill of a CG block: every row of every column."""
+    n = jl.dim * jr.dim
+    ref = np.zeros((n, n), dtype=complex)
+    col = 0
+    for ts in range(jl.twice_j + jr.twice_j, abs(jl.twice_j - jr.twice_j) - 2, -2):
+        for tsig in range(ts, -ts - 2, -2):
+            for p in range(jl.dim):
+                for q in range(jr.dim):
+                    ref[p * jr.dim + q, col] = clebsch_gordan(
+                        jl.j,
+                        Fraction(jl.twice_j - 2 * p, 2),
+                        jr.j,
+                        Fraction(jr.twice_j - 2 * q, 2),
+                        Fraction(ts, 2),
+                        Fraction(tsig, 2),
+                    ).value
+            col += 1
+    return ref
 
 
 def pair_signature(tj1, tj2):
@@ -240,6 +271,26 @@ class TestRotationBasis:
                 c2 = _c2(rep.dim // 2)
                 assert max_dev(c2.conj().T @ c2, np.eye(rep.dim)) < 1e-12
                 assert max_dev(c2 @ c2, np.eye(rep.dim)) < 1e-12
+
+    def test_cg_block_matches_full_fill(self):
+        for jl, jr in cg_blocks():
+            got, want = _cg_block(jl, jr), full_cg_block(jl, jr)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (jl, jr)
+            assert got.tobytes() == want.tobytes(), (jl, jr)  # signed zeros too
+
+    def test_cg_block_calls_only_selection_rule_entries(self, monkeypatch):
+        calls = []
+
+        def counting(j1, l1, j2, l2, s, sigma):
+            calls.append(l1 + l2 == sigma)
+            return clebsch_gordan(j1, l1, j2, l2, s, sigma)
+
+        monkeypatch.setattr("braket.sl2c.clebsch_gordan", counting)
+        for jl, jr in cg_blocks():
+            calls.clear()
+            _cg_block(jl, jr)
+            assert calls and all(calls), (jl, jr)
 
     def test_total_spin_diagonalized(self):
         for rep in all_reps():
