@@ -16,12 +16,12 @@ from .errors import BraketError
 from .linalg import DEFAULT_TOLS, signature
 from .serialize import (
     dump_json,
+    dump_rep,
     environment_from_json,
     load_json,
     matrix_from_json,
     matrix_to_json,
     operator_to_json,
-    rep_to_json,
     vector_to_json,
 )
 from .sl2c import Basis, build_rep, build_rep_diag, orthonormal_basis, rotation_basis
@@ -55,7 +55,7 @@ def _cmd_cg(args) -> dict:
     return {"sign": value.sign, "squared": str(value.squared)}
 
 
-def _cmd_rep(args) -> dict:
+def _cmd_rep(args) -> str:
     if args.twice_j2 is None or args.twice_j2 == args.twice_j1:
         rep = build_rep_diag(Weight(args.twice_j1), args.epsilon)
     else:
@@ -64,7 +64,7 @@ def _cmd_rep(args) -> dict:
         _, rep = rotation_basis(rep)
     if args.basis == Basis.ORTHONORMAL:
         rep = orthonormal_basis(rep)  # equal weights are rejected here
-    return rep_to_json(rep)
+    return dump_rep(rep)
 
 
 def _cmd_signature(args) -> list:
@@ -164,9 +164,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        # Only the text outlives this line, so the payload is freed before
-        # printing; for large bundles that lowers peak memory.
-        text = dump_json(args.func(args))
+        # Only the text outlives this block, so the payload is freed before
+        # printing; for large bundles that lowers peak memory. `rep` returns
+        # its text, written without building the payload.
+        text = args.func(args)
+        if not isinstance(text, str):
+            text = dump_json(text)
     except (BraketError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,12 +3,16 @@ representation bundles.
 
 Matrix schema: {"rows": R, "cols": C, "data": [[re, im], ...]} with data
 row-major. Numbers round-trip losslessly (shortest-repr float printing).
-Malformed payloads raise SchemaError.
+Malformed payloads raise SchemaError; integer fields reject bools.
+
+`dump_rep(rep)` writes the text of `dump_json(rep_to_json(rep))` straight
+from the arrays, without a Python list per matrix entry.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -28,6 +32,7 @@ __all__ = [
     "operator_to_json",
     "operator_from_json",
     "rep_to_json",
+    "dump_rep",
     "rep_from_json",
     "environment_to_json",
     "environment_from_json",
@@ -40,14 +45,66 @@ def _require(cond: bool, message: str):
         raise SchemaError(message)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _pairs(v: np.ndarray) -> list[list[float]]:
     """[re, im] pairs of a 1-D complex array, as plain Python floats."""
     return np.stack((v.real, v.imag), axis=-1).tolist()
 
 
+# json.dumps spells the non-finite floats differently from float.__repr__.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(x: np.ndarray) -> list[str]:
+    """json.dumps's text of each float in the contiguous 1-D array x.
+
+    Each distinct bit pattern is formatted once (so -0.0 stays apart from
+    0.0): a bundle's matrices repeat a few thousand values over up to 10^5
+    entries, and shortest-repr formatting is the costly step.
+    """
+    keys, index = np.unique(x.view(np.int64), return_inverse=True)
+    values = keys.view(float)
+    texts = list(map(float.__repr__, values.tolist()))
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[k] = _NON_FINITE[texts[k]]
+    return list(map(texts.__getitem__, index.tolist()))
+
+
+def _pairs_text(v: np.ndarray) -> str:
+    """json.dumps(_pairs(v)) for a 1-D complex array v.
+
+    Every entry starts as the +0 pair's text; only entries with a part that
+    is non-zero or has its sign bit set are written out.
+    """
+    re, im = v.real, v.imag
+    texts = ["[0.0, 0.0]"] * v.size
+    written = np.flatnonzero((re != 0) | (im != 0) | np.signbit(re) | np.signbit(im))
+    for k, a, b in zip(written.tolist(), _float_texts(re[written]), _float_texts(im[written])):
+        texts[k] = f"[{a}, {b}]"
+    return "[" + ", ".join(texts) + "]"
+
+
 def _from_pairs(data, what: str) -> np.ndarray:
     _require(isinstance(data, list) and len(data) >= 1, f"{what}: expected a list of [re, im] pairs")
     out = np.empty(len(data), dtype=complex)
+    # Whole-list checks first; the per-entry loop below is the one that
+    # names a bad entry, so any payload failing them falls through to it.
+    if (
+        set(map(type, data)) == {list}
+        and set(map(len, data)) == {2}
+        and set(map(type, chain.from_iterable(data))) <= {int, float}
+    ):
+        try:
+            flat = np.fromiter(chain.from_iterable(data), dtype=float, count=2 * len(data))
+        except OverflowError:
+            pass
+        else:
+            # Filled part by part: re + 1j*im would turn a -0.0 real part into +0.0.
+            out.real, out.imag = flat[0::2], flat[1::2]
+            return out
     for k, pair in enumerate(data):
         _require(
             isinstance(pair, list)
@@ -55,7 +112,10 @@ def _from_pairs(data, what: str) -> np.ndarray:
             and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair),
             f"{what}: entry {k} is not a [re, im] pair",
         )
-        out[k] = complex(pair[0], pair[1])
+        try:
+            out[k] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise SchemaError(f"{what}: entry {k} does not fit a float") from None
     return out
 
 
@@ -68,13 +128,48 @@ def matrix_to_json(m) -> dict:
     }
 
 
+class _Text(str):
+    """JSON text that _dump_parts writes as it is."""
+
+
+def _matrix_text(m) -> _Text:
+    """json.dumps(matrix_to_json(m)), written without per-entry lists."""
+    m = np.asarray(m, dtype=complex)
+    rows, cols = m.shape
+    return _Text(f'{{"rows": {rows}, "cols": {cols}, "data": {_pairs_text(m.reshape(-1))}}}')
+
+
+def _dump_parts(value, parts: list):
+    """Append json.dumps(value) to parts, piece by piece, with each _Text
+    inside appended as it is, so the large matrix texts are never copied
+    into an enclosing string before the final join."""
+    if isinstance(value, _Text):
+        parts.append(value)
+    elif isinstance(value, dict) and value:
+        sep = "{"
+        for k, v in value.items():
+            parts.append(f"{sep}{json.dumps(k)}: ")
+            _dump_parts(v, parts)
+            sep = ", "
+        parts.append("}")
+    elif isinstance(value, list) and value:
+        sep = "["
+        for v in value:
+            parts.append(sep)
+            _dump_parts(v, parts)
+            sep = ", "
+        parts.append("]")
+    else:
+        parts.append(json.dumps(value))
+
+
 def matrix_from_json(obj) -> np.ndarray:
     _require(isinstance(obj, dict), "matrix: expected an object")
     for key in ("rows", "cols", "data"):
         _require(key in obj, f"matrix: missing key {key!r}")
     rows, cols = obj["rows"], obj["cols"]
     _require(
-        isinstance(rows, int) and isinstance(cols, int) and rows >= 1 and cols >= 1,
+        _is_int(rows) and _is_int(cols) and rows >= 1 and cols >= 1,
         "matrix: rows/cols must be positive integers",
     )
     flat = _from_pairs(obj["data"], "matrix data")
@@ -110,7 +205,8 @@ def operator_from_json(obj) -> KindedOperator:
     return KindedOperator(matrix_from_json(obj["matrix"]), kind)
 
 
-def rep_to_json(rep: CoupledRep) -> dict:
+def _rep_fields(rep: CoupledRep, matrix) -> dict:
+    """The bundle's payload, keys in output order, each matrix encoded by matrix."""
     out = {"twice_j1": rep.j1.twice_j}
     if not rep.is_diagonal:
         out["twice_j2"] = rep.j2.twice_j
@@ -120,9 +216,9 @@ def rep_to_json(rep: CoupledRep) -> dict:
             "epsilon": rep.epsilon,
             "basis": rep.basis,
             "dim": rep.dim,
-            "metric": matrix_to_json(rep.metric.eta),
+            "metric": matrix(rep.metric.eta),
             "generators": {
-                name: [matrix_to_json(m) for m in mats]
+                name: [matrix(m) for m in mats]
                 for name, mats in (("M", rep.M), ("N", rep.N), ("I", rep.I), ("K", rep.K))
             },
             "signature": [n_plus, n_minus],
@@ -132,24 +228,36 @@ def rep_to_json(rep: CoupledRep) -> dict:
     return out
 
 
+def rep_to_json(rep: CoupledRep) -> dict:
+    return _rep_fields(rep, matrix_to_json)
+
+
+def dump_rep(rep: CoupledRep) -> str:
+    """dump_json(rep_to_json(rep)), byte for byte, with each matrix's text
+    written straight from its array."""
+    parts = []
+    _dump_parts(_rep_fields(rep, _matrix_text), parts)
+    return "".join(parts)
+
+
 def rep_from_json(obj) -> CoupledRep:
     _require(isinstance(obj, dict), "rep: expected an object")
     for key in ("twice_j1", "epsilon", "basis", "dim", "metric", "generators", "labels"):
         _require(key in obj, f"rep: missing key {key!r}")
-    _require(isinstance(obj["twice_j1"], int), "rep: twice_j1 must be an integer")
+    _require(_is_int(obj["twice_j1"]), "rep: twice_j1 must be an integer")
     j1 = Weight(obj["twice_j1"])
     j2 = j1
     if "twice_j2" in obj:
-        _require(isinstance(obj["twice_j2"], int), "rep: twice_j2 must be an integer")
+        _require(_is_int(obj["twice_j2"]), "rep: twice_j2 must be an integer")
         j2 = Weight(obj["twice_j2"])
         _require(j1 != j2, "rep: twice_j2 equal to twice_j1 must be omitted")
-    _require(obj["epsilon"] in (-1, 1), "rep: epsilon must be +1 or -1")
+    _require(_is_int(obj["epsilon"]) and obj["epsilon"] in (-1, 1), "rep: epsilon must be +1 or -1")
     try:
         basis = Basis(obj["basis"])
     except ValueError:
         raise SchemaError(f"rep: unknown basis {obj['basis']!r}") from None
     dim = obj["dim"]
-    _require(isinstance(dim, int) and dim >= 1, "rep: dim must be a positive integer")
+    _require(_is_int(dim) and dim >= 1, "rep: dim must be a positive integer")
     gens = obj["generators"]
     _require(isinstance(gens, dict), "rep: generators must be an object")
     mats = {}
@@ -165,7 +273,7 @@ def rep_from_json(obj) -> CoupledRep:
     if "signature" in obj:
         sig = obj["signature"]
         _require(
-            isinstance(sig, list) and len(sig) == 2 and all(isinstance(s, int) for s in sig),
+            isinstance(sig, list) and len(sig) == 2 and all(map(_is_int, sig)),
             "rep: signature must be a pair of integers",
         )
     labels = obj["labels"]
@@ -206,7 +314,7 @@ def environment_from_json(obj) -> Environment:
     for key in ("dimension", "metric"):
         _require(key in obj, f"environment: missing key {key!r}")
     dim = obj["dimension"]
-    _require(isinstance(dim, int) and dim >= 1, "environment: dimension must be a positive integer")
+    _require(_is_int(dim) and dim >= 1, "environment: dimension must be a positive integer")
     vectors = obj.get("vectors", {})
     operators = obj.get("operators", {})
     _require(isinstance(vectors, dict), "environment: vectors must be an object")

@@ -26,11 +26,15 @@ def twice_half_integer(x, name: str) -> int:
     Anything else, including NaN and the infinities, raises InvalidWeights
     naming the argument.
     """
-    if isinstance(x, (Fraction, int)):
-        doubled = 2 * x
-        if doubled.denominator != 1:
-            raise InvalidWeights(f"{name}={x} is not a half-integer")
-        return int(doubled)
+    if isinstance(x, int):
+        return 2 * int(x)
+    if isinstance(x, Fraction):
+        # Fractions are stored in lowest terms, so no arithmetic is needed.
+        if x.denominator == 1:
+            return 2 * x.numerator
+        if x.denominator == 2:
+            return x.numerator
+        raise InvalidWeights(f"{name}={x} is not a half-integer")
     if isinstance(x, Real):
         doubled = 2 * float(x)
         if not doubled.is_integer():

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from braket import Weight, build_rep, build_rep_diag, orthonormal_basis, rotation_basis
 from braket.cli import main
-from braket.serialize import matrix_to_json
+from braket.serialize import dump_json, matrix_to_json, rep_to_json
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +111,23 @@ class TestRepCommand:
         assert code == 0
         assert json.loads(out)["signature"] == [3, 1]
 
+    @pytest.mark.parametrize(
+        "argv, rep",
+        [
+            (("--twice-j1", "1", "--twice-j2", "0", "--basis", "orthonormal"),
+             lambda: orthonormal_basis(rotation_basis(build_rep(Weight(1), Weight(0)))[1])),
+            (("--twice-j1", "4", "--twice-j2", "3", "--basis", "orthonormal"),
+             lambda: orthonormal_basis(rotation_basis(build_rep(Weight(4), Weight(3)))[1])),
+            (("--twice-j1", "4", "--basis", "rotation"),
+             lambda: rotation_basis(build_rep_diag(Weight(4)))[1]),
+        ],
+        ids=["1-0-orthonormal", "4-3-orthonormal", "4-rotation"],
+    )
+    def test_output_is_the_dict_encoding(self, capsys, argv, rep):
+        code, out, _ = run_cli(capsys, "rep", *argv)
+        assert code == 0
+        assert out == dump_json(rep_to_json(rep())) + "\n"
+
     def test_bad_basis_usage_error(self, capsys):
         code, _, _ = run_cli(
             capsys, "rep", "--twice-j1", "1", "--basis", "sideways"
@@ -133,6 +151,14 @@ class TestSignatureCommand:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "signature", "--matrix", str(tmp_path / "nope.json"))
         assert code == 1
+
+    def test_bool_dims_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text('{"rows": true, "cols": true, "data": [[1, 0]]}')
+        code, out, err = run_cli(capsys, "signature", "--matrix", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braket import (
     Basis,
@@ -14,10 +16,14 @@ from braket import (
     Weight,
     build_rep,
     build_rep_diag,
+    orthonormal_basis,
     rotation_basis,
 )
 from braket.dsl import Environment
 from braket.serialize import (
+    _matrix_text,
+    dump_json,
+    dump_rep,
     environment_from_json,
     environment_to_json,
     load_json,
@@ -31,6 +37,7 @@ from braket.serialize import (
     vector_to_json,
 )
 from conftest import max_dev, random_complex
+from test_sl2c import reps_in_every_basis
 
 
 def per_entry_pairs(m):
@@ -54,12 +61,17 @@ class TestMatrixSchema:
             np.array([[0.1, -1.5], [2.0 / 3.0, -0.0]], dtype=np.float32),
             np.array([[0.1, -1.5, 1e-300]]),
             np.array([[1 + 2j]], dtype=np.complex64),
+            np.array([[complex(np.nan, -0.0), complex(0.0, -np.nan)], [np.inf, -np.inf]]),
+            np.array([[complex(np.inf, np.nan), complex(-np.inf, 1.0)], [0, 1j * np.inf]]),
         ],
-        ids=["signed-zeros", "subnormals", "huge", "int", "float32", "float64", "complex64"],
+        ids=["signed-zeros", "subnormals", "huge", "int", "float32", "float64", "complex64",
+             "nan", "inf"],
     )
     def test_pairs_match_per_entry_encoding(self, m):
         payload = matrix_to_json(m)
         assert json.dumps(payload) == json.dumps(per_entry_pairs(m))
+        # the text writer's output is that of the dict encoding, byte for byte
+        assert _matrix_text(m) == json.dumps(payload)
         # plain, mutable Python lists of Python floats
         assert type(payload["data"]) is list
         assert all(type(pair) is list and len(pair) == 2 for pair in payload["data"])
@@ -95,10 +107,44 @@ class TestMatrixSchema:
             matrix_from_json({"rows": 1, "cols": 1, "data": [[1]]})
         with pytest.raises(SchemaError):
             matrix_from_json({"rows": 1, "cols": 1, "data": ["x"]})
+        with pytest.raises(SchemaError, match="entry 1 is not"):
+            matrix_from_json({"rows": 1, "cols": 2, "data": [[1, 0], [True, 0]]})
+        # an integer past the float range, as json.loads gives for 400 digits
+        with pytest.raises(SchemaError, match="entry 1 does not fit a float"):
+            matrix_from_json(load_json('{"rows": 1, "cols": 2, "data": [[1, 0], [%s, 0]]}'
+                                       % ("9" * 400)))
 
     def test_bad_dims(self):
         with pytest.raises(SchemaError):
             matrix_from_json({"rows": 0, "cols": 1, "data": []})
+        for rows, cols in ((True, True), (True, 1), (1, False), (1.0, 1)):
+            with pytest.raises(SchemaError, match="rows/cols"):
+                matrix_from_json({"rows": rows, "cols": cols, "data": [[1, 0]]})
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.data(),
+    )
+    def test_text_round_trip_bit_exact(self, rows, cols, data):
+        # signed zeros, subnormals and the ends of the float range among
+        # arbitrary finite and infinite values
+        special = st.sampled_from(
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+             1.7976931348623157e308, float("inf"), float("-inf")]
+        )
+        part = st.one_of(special, st.floats(allow_nan=False))
+        values = data.draw(st.lists(st.tuples(part, part), min_size=rows * cols,
+                                    max_size=rows * cols))
+        m = np.empty(rows * cols, dtype=complex)
+        m.real = [re for re, _ in values]
+        m.imag = [im for _, im in values]
+        m = m.reshape(rows, cols)
+        text = _matrix_text(m)
+        assert text == json.dumps(matrix_to_json(m))
+        back = matrix_from_json(load_json(text))
+        assert back.dtype == m.dtype and back.tobytes() == m.tobytes()
 
 
 class TestVectorOperatorSchema:
@@ -175,10 +221,36 @@ class TestRepSchema:
             rep_from_json(payload)
 
     def test_bad_epsilon(self):
-        payload = rep_to_json(build_rep(Weight(1), Weight(0)))
-        payload["epsilon"] = 3
-        with pytest.raises(SchemaError):
+        for epsilon in (3, True, 1.0):
+            payload = rep_to_json(build_rep(Weight(1), Weight(0)))
+            payload["epsilon"] = epsilon
+            with pytest.raises(SchemaError, match="epsilon"):
+                rep_from_json(payload)
+
+    @pytest.mark.parametrize(
+        "field, value, rep",
+        [
+            ("twice_j1", True, build_rep(Weight(1), Weight(2))),
+            ("twice_j2", False, build_rep(Weight(1), Weight(2))),
+            # in the 1-dim bundle, True equals the dimension and the signature's n_plus
+            ("dim", True, build_rep_diag(Weight(0))),
+            ("signature", [True, 0], build_rep_diag(Weight(0))),
+        ],
+        ids=["twice_j1", "twice_j2", "dim", "signature"],
+    )
+    def test_integer_fields_reject_bool(self, field, value, rep):
+        payload = rep_to_json(rep)
+        payload[field] = value
+        with pytest.raises(SchemaError, match=field):
             rep_from_json(payload)
+
+    def test_dump_rep_matches_dict_encoding(self):
+        # every shape and basis, plus a two-weight bundle whose K matrices
+        # carry -0.0 real parts in every entry
+        reps = reps_in_every_basis()
+        reps.append(orthonormal_basis(rotation_basis(build_rep(Weight(8), Weight(7)))[1]))
+        for rep in reps:
+            assert dump_rep(rep) == dump_json(rep_to_json(rep))
 
     def test_label_count_mismatch(self):
         payload = rep_to_json(build_rep(Weight(1), Weight(0)))
@@ -218,6 +290,11 @@ class TestEnvironmentSchema:
     def test_missing_metric(self):
         with pytest.raises(SchemaError):
             environment_from_json({"dimension": 2})
+
+    @pytest.mark.parametrize("dimension", [True, 0])
+    def test_bad_dimension(self, dimension):
+        with pytest.raises(SchemaError, match="dimension"):
+            environment_from_json({"dimension": dimension, "metric": matrix_to_json(np.eye(1))})
 
     def test_vectors_must_be_object(self):
         with pytest.raises(SchemaError):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ class TestWeight:
     def test_from_j(self):
         assert Weight.from_j(0.5).twice_j == 1
         assert Weight.from_j(2).twice_j == 4
+        assert Weight.from_j(Fraction(3, 2)).twice_j == 3
+        assert Weight.from_j(Fraction(4, 2)).twice_j == 4
 
     def test_rejects_invalid(self):
         with pytest.raises(InvalidWeights):
@@ -22,7 +26,7 @@ class TestWeight:
             Weight.from_j(0.3)
         with pytest.raises(InvalidWeights):
             Weight.from_j(-0.5)
-        for bad in (float("nan"), float("inf"), "1/2"):
+        for bad in (float("nan"), float("inf"), "1/2", Fraction(3, 4), Fraction(1, 3)):
             with pytest.raises(InvalidWeights):
                 Weight.from_j(bad)
 
