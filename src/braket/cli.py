@@ -24,7 +24,7 @@ from .serialize import (
     operator_to_json,
     vector_to_json,
 )
-from .sl2c import Basis, build_rep, build_rep_diag, orthonormal_basis, rotation_basis
+from .sl2c import Basis, build_rep, build_rep_diag
 from .spaces import MetricOperator, VarVector
 from .su2 import Weight, su2_generators
 from .dsl import eval_source
@@ -57,13 +57,10 @@ def _cmd_cg(args) -> dict:
 
 def _cmd_rep(args) -> str:
     if args.twice_j2 is None or args.twice_j2 == args.twice_j1:
-        rep = build_rep_diag(Weight(args.twice_j1), args.epsilon)
+        # the orthonormal basis of a tensor square is rejected here
+        rep = build_rep_diag(Weight(args.twice_j1), args.epsilon, args.basis)
     else:
-        rep = build_rep(Weight(args.twice_j1), Weight(args.twice_j2), args.epsilon)
-    if args.basis in (Basis.ROTATION, Basis.ORTHONORMAL):
-        _, rep = rotation_basis(rep)
-    if args.basis == Basis.ORTHONORMAL:
-        rep = orthonormal_basis(rep)  # equal weights are rejected here
+        rep = build_rep(Weight(args.twice_j1), Weight(args.twice_j2), args.epsilon, args.basis)
     return dump_rep(rep)
 
 

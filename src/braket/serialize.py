@@ -258,6 +258,8 @@ def rep_from_json(obj) -> CoupledRep:
         raise SchemaError(f"rep: unknown basis {obj['basis']!r}") from None
     dim = obj["dim"]
     _require(_is_int(dim) and dim >= 1, "rep: dim must be a positive integer")
+    want = j1.dim**2 if j1 == j2 else 2 * j1.dim * j2.dim
+    _require(dim == want, f"rep: dim {dim} does not match the weights, which give {want}")
     gens = obj["generators"]
     _require(isinstance(gens, dict), "rep: generators must be an object")
     mats = {}

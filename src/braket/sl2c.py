@@ -11,12 +11,17 @@ tensor square K^j x K^j with the slot-swap metric.
 Both shapes are assembled by one path over the bundle's tensor blocks:
 ((j, j),) for a tensor square, ((j1, j2), (j2, j1)) for a pair.
 
-Basis pipeline: canonical (tensor-product labels) -> rotation (total-spin
-labels via Clebsch-Gordan columns, diagonalizing I^2 and I3) ->
-orthonormal (diagonal +-1 metric; only needed when the weights differ,
-the rotation basis of an equal-weight bundle is already orthonormal).
-Both basis changes are unitary, so generators move by conjugation with
-the adjoint of the change.
+Bases: canonical (tensor-product labels), rotation (total-spin labels
+|s sigma>, diagonalizing I^2 and I3) and orthonormal (a diagonal +-1
+metric; only for differing weights, as the rotation basis of an
+equal-weight bundle is already orthonormal). The canonical bundle is
+built from Kronecker products of su(2) generators. The rotation bundle
+is built straight from the closed-form generator elements of Gel'fand,
+Minlos & Shapiro, so it holds exact zeros wherever the selection rules
+put them, and no Clebsch-Gordan coefficient is computed; it equals
+C^+ X C for the Clebsch-Gordan change C that rotation_basis returns. The
+orthonormal bundle is the rotation one conjugated by the block-mixing
+involution c2, done as sums of quadrants.
 """
 
 from __future__ import annotations
@@ -86,7 +91,9 @@ class CoupledRep:
     @property
     def K(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Boost generators K_a = -i(M_a - N_a)."""
-        return tuple(-1j * (m - n) for m, n in zip(self.M, self.N))
+        # Written as i(N - M): a product with -1j gives every zero entry a
+        # -0.0 part, which the JSON writer then has to spell out.
+        return tuple(1j * (n - m) for m, n in zip(self.M, self.N))
 
 
 def default_epsilon(j1: Weight, j2: Weight) -> int:
@@ -116,7 +123,7 @@ def _exchange(d_left: int, d_right: int) -> np.ndarray:
 
 def _block_diag(*mats: np.ndarray) -> np.ndarray:
     rows, cols = sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)
-    out = np.zeros((rows, cols), dtype=complex)
+    out = np.zeros((rows, cols), dtype=np.result_type(*mats))
     r = c = 0
     for m in mats:
         out[r : r + m.shape[0], c : c + m.shape[1]] = m
@@ -124,13 +131,20 @@ def _block_diag(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _c2(n: int) -> np.ndarray:
-    """The involution mixing two blocks of size n into (b0 +- b1)/sqrt(2).
-
-    It is real, symmetric and its own inverse.
+def _mix(x: np.ndarray) -> np.ndarray:
+    """c2 x c2 for the involution c2 = [[1, 1], [1, -1]]/sqrt(2), which mixes
+    two blocks of size n into (b0 +- b1)/sqrt(2); c2 is real, symmetric and
+    its own inverse. On the quadrants [[P, Q], [R, S]] of x this is
+    1/2 [[P+Q+R+S, P-Q+R-S], [P+Q-R-S, P-Q-R+S]], so no matmul is needed.
     """
-    eye = np.eye(n, dtype=complex)
-    return np.block([[eye, eye], [eye, -eye]]) / np.sqrt(2.0)
+    n = x.shape[0] // 2
+    top, bottom = x[:n] + x[n:], x[:n] - x[n:]
+    return 0.5 * np.block(
+        [
+            [top[:, :n] + top[:, n:], top[:, :n] - top[:, n:]],
+            [bottom[:, :n] + bottom[:, n:], bottom[:, :n] - bottom[:, n:]],
+        ]
+    )
 
 
 def _canonical_block_labels(jl: Weight, jr: Weight) -> list[dict]:
@@ -200,27 +214,135 @@ def _canonical(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
     )
 
 
-def build_rep(j1: Weight, j2: Weight, epsilon: int | None = None) -> CoupledRep:
-    """Two-weight bundle on (K^j1 x K^j2) + (K^j2 x K^j1), canonical basis.
+def _rotation_block(jl: Weight, jr: Weight) -> tuple[np.ndarray, ...]:
+    """Real (I3, I+, D3, D+) of one tensor block in its total-spin basis.
 
-    Inside each block the basis is ordered left slot major with magnetic
-    labels descending. The metric is epsilon times the off-diagonal pair
-    of slot-exchange blocks, which couples each basis vector with its
-    mirrored tensor slot in the other block.
+    I is the spin-s matrix on each total spin s. D = M - N is the vector
+    operator of Gel'fand, Minlos & Shapiro (1963) and Naimark (1964); with
+    k0 = jl - jr, c = jl + jr + 1,
+        A_s = k0 c / (s(s+1)),
+        B_s = sqrt((s^2 - k0^2)(c^2 - s^2) / (s^2 (4s^2 - 1))),
+    its elements are
+        <s sig|D3|s sig>       = sig A_s,
+        <s-1 sig|D3|s sig>     = sqrt(s^2 - sig^2) B_s, and the mirror,
+        <s sig+1|D+|s sig>     = sqrt((s - sig)(s + sig + 1)) A_s,
+        <s-1 sig+1|D+|s sig>   = sqrt((s - sig)(s - sig - 1)) B_s,
+        <s+1 sig+1|D+|s sig>   = -sqrt((s + sig + 1)(s + sig + 2)) B_{s+1}.
+    A_s is 0 when k0 = 0, where s = 0 would make it 0/0, and B_s is needed
+    only above the lowest spin |k0|, so its 0/0 at s = 1/2 = |k0| never
+    arises. Only these entries are written; every other entry is an exact
+    zero. In the basis order (s descending, then sig descending) the state
+    (s, sig) at index i has (s, sig+1) at i - 1, (s-1, sig) at i + 2s,
+    (s-1, sig+1) at i + 2s - 1 and (s+1, sig+1) at i - 2s - 3.
+    """
+    labels = _rotation_block_labels(jl, jr)
+    ts = np.array([lab["twice_s"] for lab in labels])
+    tsig = np.array([lab["twice_sigma"] for lab in labels])
+    s, sig = ts / 2.0, tsig / 2.0
+    k0, c = (jl.twice_j - jr.twice_j) / 2.0, (jl.twice_j + jr.twice_j) / 2.0 + 1.0
+    n = len(ts)
+    i = np.arange(n)
+    a = k0 * c / (s * (s + 1)) if k0 else np.zeros(n)
+
+    def b(t):
+        return np.sqrt((t * t - k0 * k0) * (c * c - t * t) / (t * t * (4 * t * t - 1)))
+
+    i3, ip, d3, dp = (np.zeros((n, n)) for _ in range(4))
+    i3[i, i] = sig
+    d3[i, i] = sig * a
+    m = tsig < ts  # sig < s
+    root = np.sqrt((s - sig) * (s + sig + 1))[m]
+    ip[i[m] - 1, i[m]] = root
+    dp[i[m] - 1, i[m]] = root * a[m]
+    low = ts > ts[-1]  # s above the lowest spin
+    m = low & (abs(tsig) < ts)
+    d3[i[m] + ts[m], i[m]] = d3[i[m], i[m] + ts[m]] = np.sqrt(s * s - sig * sig)[m] * b(s[m])
+    m = low & (tsig <= ts - 4)
+    dp[i[m] + ts[m] - 1, i[m]] = np.sqrt((s - sig) * (s - sig - 1))[m] * b(s[m])
+    m = ts < ts[0]  # s below the highest spin
+    dp[i[m] - ts[m] - 3, i[m]] = -np.sqrt((s + sig + 1) * (s + sig + 2))[m] * b(s[m] + 1)
+    return i3, ip, d3, dp
+
+
+def _rotation(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
+    """The bundle of weights (j1, j2) in the rotation basis, from the closed
+    form of each tensor block; M = (I + D)/2 and N = (I - D)/2.
+
+    The metric pairs (block 0; s, sig) with (block 1; s, sig), or each
+    state with itself in a tensor square, with weight
+    epsilon (-1)^(j1 + j2 - s).
+    """
+    blocks = _blocks(j1, j2)
+    parts = zip(*(_rotation_block(jl, jr) for jl, jr in blocks))
+    i3, ip, d3, dp = (_block_diag(*mats) for mats in parts)
+
+    def family(sign):  # M for +1, N for -1
+        x3, xp = (i3 + sign * d3) / 2, (ip + sign * dp) / 2
+        # x2 = (x+ - x-)/(2i), filled through its imaginary part so that every
+        # real part is +0.0, which the JSON writer leaves unwritten
+        x2 = np.zeros(xp.shape, dtype=complex)
+        x2.imag = (xp.T - xp) / 2
+        return ((xp + xp.T).astype(complex) / 2, x2, x3.astype(complex))
+
+    labels = [lab for jl, jr in blocks for lab in _rotation_block_labels(jl, jr)]
+    n = len(labels) // len(blocks)
+    tjsum = j1.twice_j + j2.twice_j
+    signs = [epsilon * (-1) ** ((tjsum - lab["twice_s"]) // 2) for lab in labels[:n]]
+    eta = np.zeros((len(labels), len(labels)), dtype=complex)
+    k = np.arange(n)
+    off = len(labels) - n  # 0 for a tensor square: its metric is diagonal
+    eta[k, k + off] = eta[k + off, k] = signs
+    return CoupledRep(
+        j1=j1,
+        j2=j2,
+        M=family(1),
+        N=family(-1),
+        metric=MetricOperator(eta),
+        epsilon=epsilon,
+        basis=Basis.ROTATION,
+        labels=tuple(labels),
+    )
+
+
+def _build(j1: Weight, j2: Weight, epsilon: int, basis) -> CoupledRep:
+    try:
+        basis = Basis(basis)
+    except ValueError:
+        raise InvalidArgument(f"unknown basis {basis!r}") from None
+    if basis == Basis.CANONICAL:
+        return _canonical(j1, j2, epsilon)
+    rot = _rotation(j1, j2, epsilon)
+    return rot if basis == Basis.ROTATION else orthonormal_basis(rot)
+
+
+def build_rep(
+    j1: Weight, j2: Weight, epsilon: int | None = None, basis: Basis = Basis.CANONICAL
+) -> CoupledRep:
+    """Two-weight bundle on (K^j1 x K^j2) + (K^j2 x K^j1) in the given basis.
+
+    In the canonical basis each block is ordered left slot major with
+    magnetic labels descending, and the metric is epsilon times the
+    off-diagonal pair of slot-exchange blocks, which couples each basis
+    vector with its mirrored tensor slot in the other block. The rotation
+    and orthonormal bundles are built from the closed form.
     """
     if j1 == j2:
         raise EqualWeights("equal weights form a tensor square; use build_rep_diag")
     epsilon = default_epsilon(j1, j2) if epsilon is None else _check_epsilon(epsilon)
-    return _canonical(j1, j2, epsilon)
+    return _build(j1, j2, epsilon, basis)
 
 
-def build_rep_diag(j: Weight, epsilon: int | None = None) -> CoupledRep:
-    """Equal-weight bundle on the tensor square K^j x K^j, canonical basis.
+def build_rep_diag(
+    j: Weight, epsilon: int | None = None, basis: Basis = Basis.CANONICAL
+) -> CoupledRep:
+    """Equal-weight bundle on the tensor square K^j x K^j in the given basis.
 
-    The metric is epsilon times the tensor-slot swap.
+    The canonical metric is epsilon times the tensor-slot swap. The
+    rotation basis is already orthonormal, so the orthonormal basis is
+    rejected.
     """
     epsilon = default_epsilon(j, j) if epsilon is None else _check_epsilon(epsilon)
-    return _canonical(j, j, epsilon)
+    return _build(j, j, epsilon, basis)
 
 
 def chiral_projectors(rep: CoupledRep) -> tuple[Projector, Projector]:
@@ -237,8 +359,7 @@ def chiral_projectors(rep: CoupledRep) -> tuple[Projector, Projector]:
     left[:n, :n] = np.eye(n)
     right = np.eye(rep.dim, dtype=complex) - left
     if rep.basis == Basis.ORTHONORMAL:
-        c2 = _c2(n)
-        left, right = c2 @ left @ c2, c2 @ right @ c2
+        left, right = _mix(left), _mix(right)
     return Projector.from_matrix(left), Projector.from_matrix(right)
 
 
@@ -274,36 +395,20 @@ def _cg_block(jl: Weight, jr: Weight) -> np.ndarray:
     return c
 
 
-def _transform(rep: CoupledRep, c: np.ndarray, basis: Basis, labels) -> CoupledRep:
-    """Move a bundle to the basis given by the columns of the unitary c."""
-    c_adj = c.conj().T
-    move = lambda mats: tuple(c_adj @ m @ c for m in mats)
-    return CoupledRep(
-        j1=rep.j1,
-        j2=rep.j2,
-        M=move(rep.M),
-        N=move(rep.N),
-        metric=MetricOperator(c_adj @ rep.metric.eta @ c),
-        epsilon=rep.epsilon,
-        basis=basis,
-        labels=tuple(labels),
-    )
-
-
 def rotation_basis(rep: CoupledRep) -> tuple[np.ndarray, CoupledRep]:
     """Change a canonical bundle to the basis diagonalizing I^2 and I3.
 
-    Returns the basis-change matrix (columns are the new basis vectors in
-    canonical components, built from Clebsch-Gordan coefficients) together
-    with the transformed bundle. Column labels run over total spin s
-    descending, then sigma descending, block by block.
+    Returns the basis-change matrix C (columns are the new basis vectors
+    in canonical components, built from Clebsch-Gordan coefficients)
+    together with the rotation-basis bundle, which is built from the
+    closed form and equals C^+ X C for every matrix X of the bundle. Labels
+    run over total spin s descending, then sigma descending, block by
+    block.
     """
     if rep.basis != Basis.CANONICAL:
         raise WrongRepShape(f"expected a canonical-basis bundle, got {rep.basis.value!r}")
-    blocks = _blocks(rep.j1, rep.j2)
-    c = _block_diag(*(_cg_block(jl, jr) for jl, jr in blocks))
-    labels = [lab for jl, jr in blocks for lab in _rotation_block_labels(jl, jr)]
-    return c, _transform(rep, c, Basis.ROTATION, labels)
+    c = _block_diag(*(_cg_block(jl, jr) for jl, jr in _blocks(rep.j1, rep.j2)))
+    return c, _rotation(rep.j1, rep.j2, rep.epsilon)
 
 
 def orthonormal_basis(rep: CoupledRep) -> CoupledRep:
@@ -324,7 +429,16 @@ def orthonormal_basis(rep: CoupledRep) -> CoupledRep:
         for sign in (1, -1)
         for lab in rep.labels[:n]
     ]
-    return _transform(rep, _c2(n), Basis.ORTHONORMAL, labels)
+    return CoupledRep(
+        j1=rep.j1,
+        j2=rep.j2,
+        M=tuple(map(_mix, rep.M)),
+        N=tuple(map(_mix, rep.N)),
+        metric=MetricOperator(_mix(rep.metric.eta)),
+        epsilon=rep.epsilon,
+        basis=Basis.ORTHONORMAL,
+        labels=tuple(labels),
+    )
 
 
 def rep_signature(rep: CoupledRep) -> tuple[int, int]:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -245,12 +246,23 @@ class TestRepSchema:
             rep_from_json(payload)
 
     def test_dump_rep_matches_dict_encoding(self):
-        # every shape and basis, plus a two-weight bundle whose K matrices
-        # carry -0.0 real parts in every entry
+        # every shape and basis, a dim-144 orthonormal bundle, and that
+        # bundle negated, whose M, N and I carry -0.0 in every zero entry
         reps = reps_in_every_basis()
-        reps.append(orthonormal_basis(rotation_basis(build_rep(Weight(8), Weight(7)))[1]))
+        orth = orthonormal_basis(rotation_basis(build_rep(Weight(8), Weight(7)))[1])
+        negated = replace(orth, M=tuple(-m for m in orth.M), N=tuple(-n for n in orth.N))
+        assert all(np.signbit(m.real).sum() > m.size // 2 for m in negated.I)
+        reps += [orth, negated]
         for rep in reps:
             assert dump_rep(rep) == dump_json(rep_to_json(rep))
+
+    @pytest.mark.parametrize("weights", [{"twice_j2": 0}, {"twice_j1": 5, "twice_j2": 3}])
+    def test_weights_contradicting_dim(self, weights):
+        # a (1/2, 1) payload of dim 12 that claims the weights (1/2, 0) or (5/2, 3/2)
+        payload = rep_to_json(build_rep(Weight(1), Weight(2)))
+        payload.update(weights)
+        with pytest.raises(SchemaError, match="dim"):
+            rep_from_json(payload)
 
     def test_label_count_mismatch(self):
         payload = rep_to_json(build_rep(Weight(1), Weight(0)))

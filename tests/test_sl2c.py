@@ -2,8 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from braket import (
+    DEFAULT_TOLS,
+    Basis,
     EqualWeights,
     InvalidArgument,
     MetricOperator,
@@ -20,9 +24,11 @@ from braket import (
     orthonormal_basis,
     rep_signature,
     rotation_basis,
+    su2_generators,
 )
+from braket import cli
 from braket.operators import KindedOperator, OperatorKind
-from braket.sl2c import _blocks, _c2, _cg_block
+from braket.sl2c import _block_diag, _blocks, _cg_block, _exchange, _mix
 from conftest import max_dev
 
 EPS = np.zeros((3, 3, 3))
@@ -263,14 +269,18 @@ class TestRotationBasis:
             rotation_basis(rot)
 
     def test_change_is_orthogonal(self):
-        # basis changes conjugate by the adjoint, which needs C+ C = 1
+        # basis changes conjugate by the adjoint, which needs C+ C = 1; the
+        # orthonormal change c2 is its own inverse, and _mix conjugates by it
         for rep in all_reps() + [build_rep(Weight(8), Weight(7))]:
-            c, _ = rotation_basis(rep)
+            c, rot = rotation_basis(rep)
             assert max_dev(c.conj().T @ c, np.eye(rep.dim)) < 1e-12
             if not rep.is_diagonal:
-                c2 = _c2(rep.dim // 2)
+                eye = np.eye(rep.dim // 2)
+                c2 = np.block([[eye, eye], [eye, -eye]]) / np.sqrt(2.0)
                 assert max_dev(c2.conj().T @ c2, np.eye(rep.dim)) < 1e-12
                 assert max_dev(c2 @ c2, np.eye(rep.dim)) < 1e-12
+                for x in rep.M + rep.N + rot.M + rot.N + (rep.metric.eta, rot.metric.eta):
+                    assert max_dev(_mix(x), c2 @ x @ c2) < 1e-12
 
     def test_cg_block_matches_full_fill(self):
         for jl, jr in cg_blocks():
@@ -314,6 +324,149 @@ class TestRotationBasis:
         rep = build_rep(Weight(3), Weight(1))
         _, rot = rotation_basis(rep)
         assert rep_signature(rot) == rep_signature(rep)
+
+
+# The rep-ladder shapes of the benchmark (twice-j1, twice-j2), equal entries
+# for the tensor square, plus the dim-1200 pair (24, 23).
+LADDER_SHAPES = [(1, 0), (4, 3), (8, 7), (12, 11), (12, 12), (24, 23)]
+
+
+def closed_form(tj1, tj2, basis=Basis.ROTATION, epsilon=None):
+    if tj1 == tj2:
+        return build_rep_diag(Weight(tj1), epsilon, basis)
+    return build_rep(Weight(tj1), Weight(tj2), epsilon, basis)
+
+
+def cg_rotated(tj1, tj2, epsilon):
+    """M, N and the metric of the canonical (tj1, tj2) bundle moved to
+    total-spin labels by the Clebsch-Gordan columns C: the rotation bundle
+    by the CG path. C is block diagonal and real, so each tensor block
+    (jl, jr) gives C^T (J (x) 1) C for M and C^T (1 (x) J) C for N, and the
+    metric pairs the blocks by C0^T (epsilon S) C1, S the slot exchange.
+    The canonical bundle is never built: its metric check is cubic."""
+    blocks = _blocks(Weight(tj1), Weight(tj2))
+    cs = [_cg_block(jl, jr).real for jl, jr in blocks]
+
+    def conj(c, x):  # C^T x C in real arithmetic, skipping a zero part
+        out = np.zeros(x.shape, dtype=complex)
+        for part in ("real", "imag"):
+            if np.any(getattr(x, part)):
+                setattr(out, part, c.T @ getattr(x, part) @ c)
+        return out
+
+    def moved(generator):
+        return [
+            _block_diag(*(conj(c, generator(jl, jr, a)) for (jl, jr), c in zip(blocks, cs)))
+            for a in range(3)
+        ]
+
+    m = moved(lambda jl, jr, a: np.kron(su2_generators(jl).J[a], np.eye(jr.dim)))
+    n = moved(lambda jl, jr, a: np.kron(np.eye(jl.dim), su2_generators(jr).J[a]))
+    pair = epsilon * cs[0].T @ _exchange(tj1 + 1, tj2 + 1).real @ cs[-1]
+    if len(blocks) == 1:
+        eta = pair
+    else:
+        zero = np.zeros_like(pair)
+        eta = np.block([[zero, pair], [pair.T, zero]])
+    return m + n + [eta]
+
+
+def assert_matches_cg_oracle(tj1, tj2):
+    rot = closed_form(tj1, tj2)
+    assert rot.basis == Basis.ROTATION
+    for got, want in zip(rot.M + rot.N + (rot.metric.eta,), cg_rotated(tj1, tj2, rot.epsilon)):
+        assert max_dev(got, want) < DEFAULT_TOLS.eq_tol, (tj1, tj2)
+    return rot
+
+
+def pattern_mask(rot):
+    """True where a rotation-basis generator may be non-zero: same tensor
+    block, and s and sigma each differing by at most one."""
+    lab = lambda key: np.array([x[key] for x in rot.labels])
+    block, ts, tsig = lab("twice_jl"), lab("twice_s"), lab("twice_sigma")
+    near = lambda v: np.abs(v[:, None] - v[None, :]) <= 2
+    return (block[:, None] == block[None, :]) & near(ts) & near(tsig)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("tj1, tj2", LADDER_SHAPES)
+    def test_matches_cg_oracle(self, tj1, tj2):
+        assert_matches_cg_oracle(tj1, tj2)
+
+    def test_matches_the_cg_path_in_every_basis(self):
+        # rotation_basis still returns C; C^+ X C of the canonical bundle is
+        # its closed-form bundle, and the orthonormal one is mixed from it
+        for rep in all_reps():
+            c, rot = rotation_basis(rep)
+            moved = [c.conj().T @ x @ c for x in rep.M + rep.N + (rep.metric.eta,)]
+            for got, want in zip(rot.M + rot.N + (rot.metric.eta,), moved):
+                assert max_dev(got, want) < DEFAULT_TOLS.eq_tol
+            built = closed_form(rep.j1.twice_j, rep.j2.twice_j, epsilon=rep.epsilon)
+            assert built.labels == rot.labels
+            if not rep.is_diagonal:
+                orth = closed_form(rep.j1.twice_j, rep.j2.twice_j, Basis.ORTHONORMAL)
+                assert orth.basis == Basis.ORTHONORMAL
+                assert orth.labels == orthonormal_basis(rot).labels
+                for got, x in zip(orth.M + orth.N + (orth.metric.eta,), moved):
+                    assert max_dev(got, _mix(x)) < DEFAULT_TOLS.eq_tol
+
+    def test_flipped_epsilon(self):
+        for tj1, tj2 in ((2, 1), (3, 3)):
+            rot = closed_form(tj1, tj2)
+            flipped = closed_form(tj1, tj2, epsilon=-rot.epsilon)
+            assert np.array_equal(flipped.metric.eta, -rot.metric.eta)
+            assert max_dev(flipped.metric.eta, cg_rotated(tj1, tj2, -rot.epsilon)[-1]) < 1e-12
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(tj1=st.integers(0, 20), tj2=st.integers(0, 20))
+    def test_random_shapes(self, tj1, tj2):
+        dim = (tj1 + 1) ** 2 if tj1 == tj2 else 2 * (tj1 + 1) * (tj2 + 1)
+        assume(dim <= 400)
+        rot = assert_matches_cg_oracle(tj1, tj2)
+        i1, i2, i3 = rot.I
+        assert max_dev(i1 @ i2 - i2 @ i1, 1j * i3) < DEFAULT_TOLS.eq_tol
+        want = diag_signature(tj1) if tj1 == tj2 else pair_signature(tj1, tj2)
+        assert rep_signature(rot) == want
+
+    @pytest.mark.parametrize("tj1, tj2", LADDER_SHAPES[:-1] + [(5, 2), (6, 0), (3, 3)])
+    def test_exact_zeros(self, tj1, tj2):
+        rot = closed_form(tj1, tj2)
+        outside = ~pattern_mask(rot)
+        for x in rot.M + rot.N + rot.I + rot.K:
+            assert not np.any(x[outside])
+        if tj1 != tj2:
+            eta = orthonormal_basis(rot).metric.eta
+            assert np.array_equal(eta, np.diag(np.diagonal(eta)))
+            assert set(np.diagonal(eta).tolist()) == {1, -1}
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--twice-j1", "4", "--twice-j2", "3", "--basis", "orthonormal"),
+            ("--twice-j1", "4", "--twice-j2", "3", "--basis", "rotation"),
+            ("--twice-j1", "4", "--basis", "rotation"),
+        ],
+    )
+    def test_cli_makes_no_cg_calls(self, monkeypatch, capsys, flags):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return clebsch_gordan(*args)
+
+        monkeypatch.setattr("braket.sl2c.clebsch_gordan", counting)
+        monkeypatch.setattr("braket.cg.clebsch_gordan", counting)
+        assert cli.main(["rep", *flags]) == 0
+        assert capsys.readouterr().out
+        assert calls == []
+
+    def test_unknown_basis(self):
+        with pytest.raises(InvalidArgument, match="basis"):
+            build_rep(Weight(1), Weight(0), basis="spherical")
+
+    def test_orthonormal_rejected_for_tensor_square(self):
+        with pytest.raises(WrongRepShape):
+            build_rep_diag(Weight(2), basis=Basis.ORTHONORMAL)
 
 
 class TestOrthonormalBasis:
