@@ -5,6 +5,10 @@ Matrix schema: {"rows": R, "cols": C, "data": [[re, im], ...]} with data
 row-major. Numbers round-trip losslessly (shortest-repr float printing).
 Malformed payloads raise SchemaError; integer fields reject bools.
 
+A bundle payload is fixed by its weights, epsilon and basis: rep_from_json
+rebuilds the bundle from them through sl2c and checks every other field
+against it, so the loader constructs no bundle of its own.
+
 `dump_rep(rep)` writes the text of `dump_json(rep_to_json(rep))` straight
 from the arrays, without a Python list per matrix entry.
 """
@@ -20,7 +24,7 @@ from .dsl import Environment
 from .errors import SchemaError
 from .linalg import DEFAULT_TOLS, max_abs
 from .operators import KindedOperator, OperatorKind
-from .sl2c import Basis, CoupledRep, rep_signature
+from .sl2c import Basis, CoupledRep, build_rep, build_rep_diag, rep_signature
 from .spaces import MetricOperator, Variance, VarVector
 from .su2 import Weight
 
@@ -241,62 +245,60 @@ def dump_rep(rep: CoupledRep) -> str:
 
 
 def rep_from_json(obj) -> CoupledRep:
+    """The bundle a payload names by its weights, epsilon and basis.
+
+    After the schema checks, every payload matrix is parsed and its shape
+    checked before the bundle is built, so a small payload cannot make the
+    loader build a large bundle. The built bundle is returned once the
+    payload's matrices (within eq_tol), labels and signature match it.
+    """
     _require(isinstance(obj, dict), "rep: expected an object")
     for key in ("twice_j1", "epsilon", "basis", "dim", "metric", "generators", "labels"):
         _require(key in obj, f"rep: missing key {key!r}")
-    _require(_is_int(obj["twice_j1"]), "rep: twice_j1 must be an integer")
+    for key in ("twice_j1", "twice_j2"):
+        twice_j = obj.get(key, 0)
+        _require(_is_int(twice_j) and twice_j >= 0, f"rep: {key} must be a non-negative integer")
     j1 = Weight(obj["twice_j1"])
-    j2 = j1
-    if "twice_j2" in obj:
-        _require(_is_int(obj["twice_j2"]), "rep: twice_j2 must be an integer")
-        j2 = Weight(obj["twice_j2"])
-        _require(j1 != j2, "rep: twice_j2 equal to twice_j1 must be omitted")
-    _require(_is_int(obj["epsilon"]) and obj["epsilon"] in (-1, 1), "rep: epsilon must be +1 or -1")
+    j2 = Weight(obj.get("twice_j2", obj["twice_j1"]))
+    _require("twice_j2" not in obj or j1 != j2, "rep: twice_j2 equal to twice_j1 must be omitted")
+    epsilon = obj["epsilon"]
+    _require(_is_int(epsilon) and epsilon in (-1, 1), "rep: epsilon must be +1 or -1")
     try:
         basis = Basis(obj["basis"])
     except ValueError:
         raise SchemaError(f"rep: unknown basis {obj['basis']!r}") from None
+    _require(
+        j1 != j2 or basis != Basis.ORTHONORMAL, "rep: a tensor square has no orthonormal basis"
+    )
     dim = obj["dim"]
     _require(_is_int(dim) and dim >= 1, "rep: dim must be a positive integer")
     want = j1.dim**2 if j1 == j2 else 2 * j1.dim * j2.dim
     _require(dim == want, f"rep: dim {dim} does not match the weights, which give {want}")
-    gens = obj["generators"]
-    _require(isinstance(gens, dict), "rep: generators must be an object")
-    mats = {}
-    for name in ("M", "N", "I", "K"):
-        _require(name in gens, f"rep: missing generator family {name!r}")
-        family = gens[name]
-        _require(isinstance(family, list) and len(family) == 3, f"rep: {name} needs 3 matrices")
-        mats[name] = tuple(matrix_from_json(m) for m in family)
-        for m in mats[name]:
-            _require(m.shape == (dim, dim), f"rep: {name} matrix shape != dim")
-    metric = matrix_from_json(obj["metric"])
-    _require(metric.shape == (dim, dim), "rep: metric shape != dim")
     if "signature" in obj:
         sig = obj["signature"]
         _require(
             isinstance(sig, list) and len(sig) == 2 and all(map(_is_int, sig)),
             "rep: signature must be a pair of integers",
         )
-    labels = obj["labels"]
-    _require(isinstance(labels, list) and len(labels) == dim, "rep: need one label per dimension")
-    _require(all(isinstance(lab, dict) for lab in labels), "rep: labels must be objects")
-    rep = CoupledRep(
-        j1=j1,
-        j2=j2,
-        M=mats["M"],
-        N=mats["N"],
-        metric=MetricOperator(metric),
-        epsilon=int(obj["epsilon"]),
-        basis=basis,
-        labels=tuple(labels),
-    )
-    # I and K are not stored; the payload's copies must match M and N.
-    for name, derived in (("I", rep.I), ("K", rep.K)):
+    gens = obj["generators"]
+    _require(isinstance(gens, dict), "rep: generators must be an object")
+    metric = matrix_from_json(obj["metric"])
+    _require(metric.shape == (dim, dim), "rep: metric shape != dim")
+    mats = {"metric": (metric,)}
+    for name in ("M", "N", "I", "K"):
+        _require(name in gens, f"rep: missing generator family {name!r}")
+        family = gens[name]
+        _require(isinstance(family, list) and len(family) == 3, f"rep: {name} needs 3 matrices")
+        mats[name] = tuple(matrix_from_json(m) for m in family)
+        _require(all(m.shape == (dim, dim) for m in mats[name]), f"rep: {name} matrix shape != dim")
+    rep = build_rep_diag(j1, epsilon, basis) if j1 == j2 else build_rep(j1, j2, epsilon, basis)
+    built = {"metric": (rep.metric.eta,), "M": rep.M, "N": rep.N, "I": rep.I, "K": rep.K}
+    for name, family in mats.items():
         _require(
-            all(max_abs(a - b) <= DEFAULT_TOLS.eq_tol for a, b in zip(mats[name], derived)),
-            f"rep: {name} does not match the value derived from M and N",
+            all(max_abs(a - b) <= DEFAULT_TOLS.eq_tol for a, b in zip(family, built[name])),
+            f"rep: {name} does not match the bundle of these weights, epsilon and basis",
         )
+    _require(obj["labels"] == list(rep.labels), "rep: labels do not match the bundle")
     if "signature" in obj:
         _require(tuple(sig) == rep_signature(rep), "rep: signature does not match the metric")
     return rep

@@ -138,13 +138,8 @@ def _mix(x: np.ndarray) -> np.ndarray:
     1/2 [[P+Q+R+S, P-Q+R-S], [P+Q-R-S, P-Q-R+S]], so no matmul is needed.
     """
     n = x.shape[0] // 2
-    top, bottom = x[:n] + x[n:], x[:n] - x[n:]
-    return 0.5 * np.block(
-        [
-            [top[:, :n] + top[:, n:], top[:, :n] - top[:, n:]],
-            [bottom[:, :n] + bottom[:, n:], bottom[:, :n] - bottom[:, n:]],
-        ]
-    )
+    rows = np.concatenate((x[:n] + x[n:], x[:n] - x[n:]))
+    return 0.5 * np.concatenate((rows[:, :n] + rows[:, n:], rows[:, :n] - rows[:, n:]), axis=1)
 
 
 def _canonical_block_labels(jl: Weight, jr: Weight) -> list[dict]:

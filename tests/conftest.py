@@ -1,12 +1,17 @@
 """Shared helpers: seeded random generators for matrices, metrics and
-semi-hermitian data."""
+semi-hermitian data, and one derandomized hypothesis profile so that every
+property test draws the same examples on every run."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from braket import MetricOperator, subspace_projector
+
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def max_dev(a, b) -> float:

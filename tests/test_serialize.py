@@ -20,6 +20,7 @@ from braket import (
     orthonormal_basis,
     rotation_basis,
 )
+from braket import serialize
 from braket.dsl import Environment
 from braket.serialize import (
     _matrix_text,
@@ -170,6 +171,12 @@ class TestVectorOperatorSchema:
             operator_from_json({"kind": "zz", "matrix": matrix_to_json(np.eye(2))})
 
 
+def doubled(rep):
+    """rep with M and N doubled. I = M + N and K = i(N - M) still hold, but
+    [M1, M2] - iM3 no longer vanishes (residual 1.0 for the (1/2, 0) bundle)."""
+    return replace(rep, M=tuple(2 * m for m in rep.M), N=tuple(2 * n for n in rep.N))
+
+
 class TestRepSchema:
     def test_round_trip_fundamental(self):
         rep = build_rep(Weight(1), Weight(0))
@@ -236,8 +243,9 @@ class TestRepSchema:
             # in the 1-dim bundle, True equals the dimension and the signature's n_plus
             ("dim", True, build_rep_diag(Weight(0))),
             ("signature", [True, 0], build_rep_diag(Weight(0))),
+            ("twice_j1", -3, build_rep(Weight(1), Weight(2))),
         ],
-        ids=["twice_j1", "twice_j2", "dim", "signature"],
+        ids=["twice_j1", "twice_j2", "dim", "signature", "twice_j1-negative"],
     )
     def test_integer_fields_reject_bool(self, field, value, rep):
         payload = rep_to_json(rep)
@@ -257,12 +265,17 @@ class TestRepSchema:
             assert dump_rep(rep) == dump_json(rep_to_json(rep))
 
     @pytest.mark.parametrize("weights", [{"twice_j2": 0}, {"twice_j1": 5, "twice_j2": 3}])
-    def test_weights_contradicting_dim(self, weights):
-        # a (1/2, 1) payload of dim 12 that claims the weights (1/2, 0) or (5/2, 3/2)
+    def test_weights_contradicting_dim(self, weights, monkeypatch):
+        # a (1/2, 1) payload of dim 12 that claims the weights (1/2, 0) or (5/2, 3/2);
+        # it is rejected before any bundle is built
+        calls = []
+        for name in ("build_rep", "build_rep_diag"):
+            monkeypatch.setattr(serialize, name, lambda *args, name=name: calls.append(name))
         payload = rep_to_json(build_rep(Weight(1), Weight(2)))
         payload.update(weights)
         with pytest.raises(SchemaError, match="dim"):
             rep_from_json(payload)
+        assert calls == []
 
     def test_label_count_mismatch(self):
         payload = rep_to_json(build_rep(Weight(1), Weight(0)))
@@ -275,6 +288,53 @@ class TestRepSchema:
         payload["signature"] = [3, 1]
         with pytest.raises(SchemaError, match="signature"):
             rep_from_json(payload)
+
+    @pytest.mark.parametrize(
+        "rep, edit, match",
+        [
+            (build_rep(Weight(1), Weight(0), basis="orthonormal"),
+             lambda p: p.update(labels=[{"x": 1}] * 4), "labels"),
+            (build_rep(Weight(1), Weight(0)), lambda p: p.update(basis="orthonormal"), "metric"),
+            # rejected as a schema error before any bundle is built
+            (build_rep_diag(Weight(1), basis="rotation"), lambda p: p.update(basis="orthonormal"),
+             "orthonormal"),
+            (build_rep(Weight(1), Weight(0)), lambda p: p.update(epsilon=-p["epsilon"]), "metric"),
+            (doubled(build_rep(Weight(1), Weight(0))), lambda p: None, "M"),
+            (build_rep(Weight(1), Weight(0)),
+             lambda p: p["metric"].update(data=[[0.0, 0.0]] * 16), "metric"),
+        ],
+        ids=["foreign-labels", "canonical-as-orthonormal", "square-as-orthonormal",
+             "flipped-epsilon", "doubled-M-N", "zero-metric"],
+    )
+    def test_payload_contradicting_its_bundle(self, rep, edit, match):
+        # none of these payloads is the bundle of its weights, epsilon and basis
+        payload = rep_to_json(rep)
+        edit(payload)
+        with pytest.raises(SchemaError, match=match):
+            rep_from_json(payload)
+
+    def test_round_trip_every_basis_bit_equal(self):
+        reps = reps_in_every_basis()
+        reps += [build_rep(Weight(4), Weight(3), -1, basis) for basis in Basis]
+        for rep in reps:
+            back = rep_from_json(load_json(dump_rep(rep)))
+            assert (back.j1, back.j2, back.epsilon, back.basis) == (
+                rep.j1, rep.j2, rep.epsilon, rep.basis)
+            assert back.labels == rep.labels
+            for mine, theirs in zip((rep.metric.eta,) + rep.M + rep.N + rep.I + rep.K,
+                                    (back.metric.eta,) + back.M + back.N + back.I + back.K):
+                assert mine.tobytes() == theirs.tobytes()
+
+    def test_perturbed_payload_loads(self):
+        # payloads written before the closed-form build differ by up to 3.6e-15
+        rep = build_rep(Weight(4), Weight(3), basis="orthonormal")
+        payload = rep_to_json(rep)
+        matrices = [payload["metric"]] + [m for family in payload["generators"].values()
+                                          for m in family]
+        for m in matrices:
+            m["data"] = [[re + 1e-13, im - 1e-13] for re, im in m["data"]]
+        back = rep_from_json(payload)
+        assert all((a == b).all() for a, b in zip(back.M + back.N, rep.M + rep.N))
 
     @pytest.mark.parametrize("family", ["I", "K"])
     def test_tampered_derived_generator(self, family):
