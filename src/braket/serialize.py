@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .dsl import Environment
-from .errors import SchemaError
+from .errors import DimensionMismatch, InvalidArgument, NotHermitian, SchemaError, Singular
 from .linalg import DEFAULT_TOLS, max_abs
 from .operators import KindedOperator, OperatorKind
 from .sl2c import Basis, CoupledRep, build_rep, build_rep_diag, rep_signature
@@ -61,6 +61,9 @@ def _pairs(v: np.ndarray) -> list[list[float]]:
 # json.dumps spells the non-finite floats differently from float.__repr__.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# The text of a +0 pair with its separator, repeated once per zero entry.
+_ZERO_PAIR = "[0.0, 0.0], "
+
 
 def _float_texts(x: np.ndarray) -> list[str]:
     """json.dumps's text of each float in the contiguous 1-D array x.
@@ -78,17 +81,22 @@ def _float_texts(x: np.ndarray) -> list[str]:
 
 
 def _pairs_text(v: np.ndarray) -> str:
-    """json.dumps(_pairs(v)) for a 1-D complex array v.
+    """json.dumps(_pairs(v)) for a non-empty 1-D complex array v.
 
-    Every entry starts as the +0 pair's text; only entries with a part that
-    is non-zero or has its sign bit set are written out.
+    Only entries with a part that is non-zero or has its sign bit set are
+    formatted; each run of +0 pairs between them is written as one
+    repeated string.
     """
     re, im = v.real, v.imag
-    texts = ["[0.0, 0.0]"] * v.size
     written = np.flatnonzero((re != 0) | (im != 0) | np.signbit(re) | np.signbit(im))
-    for k, a, b in zip(written.tolist(), _float_texts(re[written]), _float_texts(im[written])):
-        texts[k] = f"[{a}, {b}]"
-    return "[" + ", ".join(texts) + "]"
+    # the zeros before each written entry, then those after the last one
+    gaps = np.diff(written, prepend=-1, append=v.size) - 1
+    parts = []
+    for gap, a, b in zip(gaps.tolist(), _float_texts(re[written]), _float_texts(im[written])):
+        parts.append(_ZERO_PAIR * gap)
+        parts.append(f"[{a}, {b}], ")
+    parts.append(_ZERO_PAIR * int(gaps[-1]))
+    return "[" + "".join(parts)[:-2] + "]"
 
 
 def _from_pairs(data, what: str) -> np.ndarray:
@@ -323,12 +331,17 @@ def environment_from_json(obj) -> Environment:
     operators = obj.get("operators", {})
     _require(isinstance(vectors, dict), "environment: vectors must be an object")
     _require(isinstance(operators, dict), "environment: operators must be an object")
-    return Environment(
-        dimension=dim,
-        metric=MetricOperator(matrix_from_json(obj["metric"])),
-        vectors={name: vector_from_json(v) for name, v in vectors.items()},
-        operators={name: operator_from_json(x) for name, x in operators.items()},
-    )
+    eta = matrix_from_json(obj["metric"])
+    vectors = {name: vector_from_json(v) for name, v in vectors.items()}
+    operators = {name: operator_from_json(x) for name, x in operators.items()}
+    # MetricOperator and Environment reject a bad metric and a size that
+    # contradicts the dimension; in a payload, either is a schema fault
+    try:
+        return Environment(
+            dimension=dim, metric=MetricOperator(eta), vectors=vectors, operators=operators
+        )
+    except (DimensionMismatch, InvalidArgument, NotHermitian, Singular) as exc:
+        raise SchemaError(f"environment: {exc}") from exc
 
 
 def dump_json(payload) -> str:

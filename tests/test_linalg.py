@@ -6,11 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braket import (
     DEFAULT_TOLS,
     DegenerateMetric,
     DimensionMismatch,
+    InvalidArgument,
     NotHermitian,
     Singular,
     conj_transpose,
@@ -20,6 +23,7 @@ from braket import (
     matmul,
     signature,
 )
+from braket.linalg import _monomial
 from conftest import max_dev, random_complex, random_invertible, random_hermitian_invertible
 
 
@@ -83,6 +87,21 @@ class TestInverse:
         a = random_invertible(rng, 4)
         assert max_dev(matmul(a, inverse(a)), np.eye(4)) < 1e-10
 
+    def test_nan_rejected(self):
+        with pytest.raises(InvalidArgument):
+            inverse([[np.nan]])
+
+    def test_infinity_rejected(self):
+        # numpy alone inverts this to diag(1, 0)
+        with pytest.raises(InvalidArgument):
+            inverse(np.diag([1.0, np.inf]))
+
+    def test_signed_permutation(self):
+        # a monomial matrix: 1/vals at the transposed positions
+        a = np.array([[0, 2j, 0], [0, 0, -4], [0.5, 0, 0]])
+        want = [[0, 0, 2], [-0.5j, 0, 0], [0, -0.25, 0]]
+        assert max_dev(inverse(a), want) == 0
+
 
 class TestSignature:
     def test_diag_read_off(self):
@@ -103,6 +122,20 @@ class TestSignature:
         with pytest.raises(DegenerateMetric):
             signature(np.diag([1.0, 0.0]))
 
+    def test_nan_rejected(self):
+        # NaN is neither above nor below zero, so eigvalsh alone counts it as negative
+        with pytest.raises(InvalidArgument):
+            signature([[np.nan]])
+
+    def test_three_cycle_is_degenerate(self):
+        # monomial and hermitian within herm_tol, but no pairing of indices:
+        # its entries are below sig_tol, and eigvalsh finds it degenerate
+        a = np.zeros((3, 3))
+        a[0, 1] = a[1, 2] = a[2, 0] = 1e-11
+        assert _monomial(a.astype(complex)) is not None
+        with pytest.raises(DegenerateMetric):
+            signature(a)
+
     def test_congruence_invariance(self, rng):
         # Sylvester's law of inertia, dimensions up to 6
         for n in range(2, 7):
@@ -111,6 +144,87 @@ class TestSignature:
             for _ in range(10):
                 t = random_invertible(rng, n)
                 assert signature(t.conj().T @ h @ t) == expected
+
+
+# Magnitudes on both sides of sig_tol (1e-9), none within a factor 2 of it.
+_ABOVE_SIG_TOL = [2.5e-9, 0.3, 1.0, 7.0]
+_BELOW_SIG_TOL = [1e-12, 4e-10]
+
+
+@st.composite
+def hermitian_monomials(draw, min_dim=1):
+    """A random involutive permutation filled with real fixed points and
+    complex 2-cycle values paired with their conjugates."""
+    n = draw(st.integers(min_dim, 64))
+    perm = draw(st.permutations(range(n)))
+    n_pairs = draw(st.integers(0, n // 2))
+    mags = draw(st.lists(st.sampled_from(_ABOVE_SIG_TOL), min_size=n, max_size=n))
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        mags[k] = draw(st.sampled_from(_BELOW_SIG_TOL))
+    phases = draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n))
+    m = np.zeros((n, n), dtype=complex)
+    for k in range(n_pairs):
+        p, q = perm[2 * k], perm[2 * k + 1]
+        m[p, q] = mags[k] * complex(math.cos(phases[k]), math.sin(phases[k]))
+        m[q, p] = m[p, q].conjugate()
+    for k in range(2 * n_pairs, n):
+        m[perm[k], perm[k]] = math.copysign(mags[k], phases[k])
+    return m
+
+
+def _relative_dev(got, want) -> float:
+    """Deviation relative to the largest entry: the inverse of a 2.5e-9
+    entry is 4e8, where one ulp is already above eq_tol."""
+    return max_dev(got, want) / max(1.0, float(np.max(np.abs(want))))
+
+
+def _check_inverse(m):
+    """inverse agrees with numpy's, raising Singular exactly when the
+    smallest singular value is below sig_tol."""
+    if np.linalg.svd(m, compute_uv=False)[-1] < DEFAULT_TOLS.sig_tol:
+        with pytest.raises(Singular):
+            inverse(m)
+    else:
+        assert _relative_dev(inverse(m), np.linalg.inv(m)) <= DEFAULT_TOLS.eq_tol
+
+
+def _check_signature(m):
+    """signature agrees with the eigvalsh count, or raises DegenerateMetric
+    where eigvalsh finds an eigenvalue below sig_tol."""
+    eigs = np.linalg.eigvalsh(m)
+    if np.any(np.abs(eigs) < DEFAULT_TOLS.sig_tol):
+        with pytest.raises(DegenerateMetric):
+            signature(m)
+    else:
+        n_plus = int(np.sum(eigs > 0))
+        assert signature(m) == (n_plus, m.shape[0] - n_plus)
+
+
+class TestMonomialRoute:
+    @settings(max_examples=60, deadline=None)
+    @given(hermitian_monomials())
+    def test_inverse(self, m):
+        assert _monomial(m) is not None
+        _check_inverse(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hermitian_monomials())
+    def test_signature(self, m):
+        assert _monomial(m) is not None
+        _check_signature(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hermitian_monomials(min_dim=2), st.data())
+    def test_extra_entry_takes_general_path(self, m, data):
+        # one more non-zero (with its mirror, to stay hermitian) breaks the
+        # one-per-row pattern; the results are those of the dense route
+        zeros = np.argwhere(m == 0)
+        i, j = zeros[data.draw(st.integers(0, len(zeros) - 1))]
+        m[i, j] = data.draw(st.sampled_from(_ABOVE_SIG_TOL + _BELOW_SIG_TOL))
+        m[j, i] = m[i, j]
+        assert _monomial(m) is None
+        _check_inverse(m)
+        _check_signature(m)
 
 
 class TestExpm:

@@ -22,8 +22,11 @@ from braket import (
 )
 from braket import serialize
 from braket.dsl import Environment
+from braket.linalg import inverse
 from braket.serialize import (
     _matrix_text,
+    _pairs,
+    _pairs_text,
     dump_json,
     dump_rep,
     environment_from_json,
@@ -78,6 +81,23 @@ class TestMatrixSchema:
         assert type(payload["data"]) is list
         assert all(type(pair) is list and len(pair) == 2 for pair in payload["data"])
         assert all(type(x) is float for pair in payload["data"] for x in pair)
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            np.zeros(7, dtype=complex),
+            np.array([0j]),
+            np.array([2.5 - 1j]),
+            np.array([1j, 0, 0, 0]),
+            np.array([0, 0, 0, -3.0]),
+            np.array([1, 2j, -3, 4 + 5j]),
+            np.array([0, complex(-0.0, 0), complex(-0.0, -0.0), 0, 0, complex(0, -0.0), 0]),
+        ],
+        ids=["all-zeros", "size-1-zero", "size-1", "first-only", "last-only", "no-zeros",
+             "negative-zeros"],
+    )
+    def test_zero_runs_match_dict_encoding(self, v):
+        assert _pairs_text(v) == json.dumps(_pairs(v))
 
     def test_identity_payload(self):
         assert matrix_to_json(np.eye(2)) == {
@@ -368,8 +388,53 @@ class TestEnvironmentSchema:
         with pytest.raises(SchemaError, match="dimension"):
             environment_from_json({"dimension": dimension, "metric": matrix_to_json(np.eye(1))})
 
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            ({"dimension": 2, "metric": matrix_to_json(np.eye(3))}, "metric dim 3"),
+            ({"dimension": 2, "metric": matrix_to_json(np.eye(2)),
+              "vectors": {"x": {"variance": "kd", "components": [[1, 0]] * 3}}},
+             "vector 'x' has dim 3"),
+            ({"dimension": 2, "metric": matrix_to_json(np.eye(2)),
+              "operators": {"A": {"kind": "dd", "matrix": matrix_to_json(np.eye(3))}}},
+             "operator 'A' has dim 3"),
+            ({"dimension": 2, "metric": matrix_to_json(np.zeros((2, 2)))}, "singular value"),
+            ({"dimension": 2, "metric": matrix_to_json([[1, 1], [0, 1]])}, "hermitian"),
+            ({"dimension": 1, "metric": {"rows": 1, "cols": 1, "data": [[float("nan"), 0]]}},
+             "NaN"),
+        ],
+        ids=["metric-size", "vector-size", "operator-size", "zero-metric", "non-hermitian",
+             "nan-metric"],
+    )
+    def test_malformed_is_schema_error(self, payload, match):
+        # MetricOperator and Environment find each fault; the loader
+        # reports it as a SchemaError with their message
+        with pytest.raises(SchemaError, match=match):
+            environment_from_json(payload)
+
     def test_vectors_must_be_object(self):
         with pytest.raises(SchemaError):
             environment_from_json(
                 {"dimension": 1, "metric": matrix_to_json(np.eye(1)), "vectors": []}
             )
+
+
+def _no_dense_lapack(*args, **kwargs):
+    raise AssertionError("dense LAPACK call on the bundle path")
+
+
+class TestNoDenseLapack:
+    def test_rep_path(self, monkeypatch):
+        # every bundle metric is monomial, so building, writing and loading
+        # a bundle needs no SVD, dense inverse or eigendecomposition
+        for name in ("svd", "inv", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, _no_dense_lapack)
+        with pytest.raises(AssertionError, match="dense LAPACK"):
+            inverse([[1, 2], [3, 4]])
+        for basis in Basis:
+            dump_rep(build_rep(Weight(12), Weight(11), basis=basis))
+        dump_rep(build_rep_diag(Weight(12), basis="rotation"))
+        rep = build_rep(Weight(4), Weight(3), basis="orthonormal")
+        assert rep.dim == 40
+        back = rep_from_json(load_json(dump_rep(rep)))
+        assert back.metric.eta.tobytes() == rep.metric.eta.tobytes()

@@ -48,6 +48,11 @@ class TestMetricOperator:
         with pytest.raises(DimensionMismatch):
             MetricOperator(np.ones((2, 3)))
 
+    def test_rejects_nan(self):
+        # numpy's SVD alone raises LinAlgError, which is no BraketError
+        with pytest.raises(InvalidArgument):
+            MetricOperator([[np.nan]])
+
     def test_caches_inverse(self, rng):
         m = random_metric(rng, 3)
         assert max_dev(m.eta @ m.eta_inv, np.eye(3)) < 1e-10
