@@ -1,35 +1,21 @@
 """Command-line interface.
 
 Every subcommand prints one JSON payload to stdout. Exit codes: 0 on
-success, 1 on a domain error (reported to stderr), 2 on a usage error.
+success, 1 on a domain error or an I/O failure, such as a reader closing
+stdout early (reported to stderr), 2 on a usage error.
+
+Each subcommand imports what it runs, so a command loads only its own
+part of the library; `rep` writes its payload a matrix at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
-from pathlib import Path
 
-from .cg import clebsch_gordan
 from .errors import BraketError
-from .linalg import DEFAULT_TOLS, signature
-from .serialize import (
-    dump_json,
-    dump_rep,
-    environment_from_json,
-    load_json,
-    matrix_from_json,
-    matrix_to_json,
-    operator_to_json,
-    vector_to_json,
-)
-from .sl2c import Basis, build_rep, build_rep_diag
-from .spaces import MetricOperator, VarVector
-from .su2 import Weight, su2_generators
-from .dsl import eval_source
-from .operators import KindedOperator, OperatorKind
-from .transforms import BasisChange, symmetry_deviation, transform_metric, transform_operator
 
 __all__ = ["main"]
 
@@ -41,35 +27,59 @@ def _half_integer(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
 
 
+def _load_json(path: str):
+    from .serialize import load_json
+
+    with open(path) as f:
+        return load_json(f.read())
+
+
 def _load_matrix(path: str):
-    return matrix_from_json(load_json(Path(path).read_text()))
+    from .serialize import matrix_from_json
+
+    return matrix_from_json(_load_json(path))
 
 
 def _cmd_su2(args) -> dict:
+    from .serialize import matrix_to_json
+    from .su2 import Weight, su2_generators
+
     irrep = su2_generators(Weight(args.twice_j))
     return {"twice_j": args.twice_j, "J": [matrix_to_json(m) for m in irrep.J]}
 
 
 def _cmd_cg(args) -> dict:
+    from .cg import clebsch_gordan
+
     value = clebsch_gordan(args.j1, args.l1, args.j2, args.l2, args.s, args.sigma)
     return {"sign": value.sign, "squared": str(value.squared)}
 
 
-def _cmd_rep(args) -> str:
+def _cmd_rep(args) -> Iterator[str]:
+    from .serialize import _rep_chunks
+    from .sl2c import build_rep, build_rep_diag
+    from .su2 import Weight
+
     if args.twice_j2 is None or args.twice_j2 == args.twice_j1:
         # the orthonormal basis of a tensor square is rejected here
         rep = build_rep_diag(Weight(args.twice_j1), args.epsilon, args.basis)
     else:
         rep = build_rep(Weight(args.twice_j1), Weight(args.twice_j2), args.epsilon, args.basis)
-    return dump_rep(rep)
+    return _rep_chunks(rep)
 
 
 def _cmd_signature(args) -> list:
+    from .linalg import signature
+
     n_plus, n_minus = signature(_load_matrix(args.matrix))
     return [n_plus, n_minus]
 
 
 def _cmd_check_symmetry(args) -> dict:
+    from .linalg import DEFAULT_TOLS
+    from .spaces import MetricOperator
+    from .transforms import symmetry_deviation
+
     u = _load_matrix(args.matrix)
     metric = MetricOperator(_load_matrix(args.metric))
     deviation = symmetry_deviation(u, metric)
@@ -77,7 +87,12 @@ def _cmd_check_symmetry(args) -> dict:
 
 
 def _cmd_eval(args) -> dict:
-    env = environment_from_json(load_json(Path(args.env).read_text()))
+    from .dsl import eval_source
+    from .operators import KindedOperator
+    from .serialize import environment_from_json, operator_to_json, vector_to_json
+    from .spaces import VarVector
+
+    env = environment_from_json(_load_json(args.env))
     result = eval_source(args.expr, env)
     if isinstance(result, VarVector):
         payload = vector_to_json(result)
@@ -92,6 +107,11 @@ def _cmd_eval(args) -> dict:
 
 
 def _cmd_transform(args) -> dict:
+    from .operators import KindedOperator, OperatorKind
+    from .serialize import matrix_to_json
+    from .spaces import MetricOperator
+    from .transforms import BasisChange, transform_metric, transform_operator
+
     mat = _load_matrix(args.matrix)
     metric = MetricOperator(_load_matrix(args.metric))
     change = BasisChange(_load_matrix(args.t))
@@ -105,6 +125,9 @@ def _cmd_transform(args) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .operators import OperatorKind
+    from .sl2c import Basis
+
     parser = argparse.ArgumentParser(
         prog="braket",
         description="Bra-ket calculus over indefinite metrics: su(2) and "
@@ -161,16 +184,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        # Only the text outlives this block, so the payload is freed before
-        # printing; for large bundles that lowers peak memory. `rep` returns
-        # its text, written without building the payload.
-        text = args.func(args)
-        if not isinstance(text, str):
-            text = dump_json(text)
+        out = args.func(args)
+        if isinstance(out, (dict, list)):
+            from .serialize import dump_json
+
+            out = [dump_json(out)]
+        # `rep` yields its text in pieces, after every check has run, so a
+        # failing command writes nothing to stdout
+        sys.stdout.writelines(out)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
     except (BraketError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(text)
     return 0
 
 

@@ -9,9 +9,16 @@ here is a pure function; inputs are never mutated.
 inverse and signature first look at the input's non-zeros. A monomial
 matrix (exactly one non-zero in every row and every column, such as
 every bundle metric: a signed permutation, or diag(+-1) in the
-orthonormal basis) is inverted and its signature read off in O(d^2),
-with no SVD, dense inverse or eigendecomposition; every other matrix
-takes the dense LAPACK route. Both reject NaN and infinite entries.
+orthonormal basis) is tested for hermiticity, inverted and its signature
+read off from its d non-zeros, with no SVD, dense inverse or
+eigendecomposition; every other matrix takes the dense LAPACK route.
+Both reject NaN and infinite entries.
+
+A sparse matrix is held as its entries: (index, values), the ascending
+flat indices i * cols + j and the complex values there. The entries of a
+dense matrix are all that are not +0 (a -0.0 part is kept), so that a
+writer spelling out the entries and +0 everywhere else reproduces the
+dense text.
 """
 
 from __future__ import annotations
@@ -108,22 +115,108 @@ def _finite_square(a) -> np.ndarray:
     return m
 
 
+def _written(values: np.ndarray) -> np.ndarray:
+    """True where a float or complex value is not +0, the one value whose
+    bits are all clear."""
+    bits = np.ascontiguousarray(values).view(np.int64)
+    return bits.reshape(values.size, values.itemsize // 8).any(axis=1)
+
+
+def _entries(m) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of a dense matrix: every one that is not +0."""
+    flat = np.ascontiguousarray(m, dtype=complex).reshape(-1)
+    index = np.flatnonzero(_written(flat))
+    return index, flat[index]
+
+
+def _dense(dim: int, entries) -> np.ndarray:
+    """The dim x dim matrix with these entries and +0 elsewhere."""
+    index, values = entries
+    out = np.zeros(dim * dim, dtype=complex)
+    out[index] = values
+    return out.reshape(dim, dim)
+
+
+def _monomial_of(dim: int, index: np.ndarray, values: np.ndarray):
+    """(cols, vals) of the dim x dim matrix whose non-zeros are these
+    entries, when it is monomial (row i holds its one non-zero vals[i] at
+    column cols[i], and every column is hit once); otherwise None."""
+    if index.size != dim:
+        return None
+    rows, cols = np.divmod(index, dim)
+    if not np.array_equal(rows, np.arange(dim)):
+        return None
+    hit = np.zeros(dim, dtype=bool)
+    hit[cols] = True
+    if not hit.all():
+        return None
+    return cols, values
+
+
 def _monomial(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(cols, vals) with vals[i] = m[i, cols[i]] the only non-zero of row i
     and of column cols[i], or None when m is not monomial."""
     n = m.shape[0]
-    nz = m != 0
-    if np.count_nonzero(nz) != n:
+    if np.count_nonzero(m) != n:
         return None
-    # row-major order, so one non-zero per row iff rows = 0..n-1
-    rows, cols = np.divmod(np.flatnonzero(nz), n)
-    if not np.array_equal(rows, np.arange(n)):
-        return None
-    hit = np.zeros(n, dtype=bool)
-    hit[cols] = True
-    if not hit.all():
-        return None
-    return cols, m[rows, cols]
+    index = np.flatnonzero(m)
+    return _monomial_of(n, index, m.reshape(-1)[index])
+
+
+def _monomial_herm_dev(cols: np.ndarray, vals: np.ndarray) -> float:
+    """max_abs(m - m^H) of a monomial m, from its (cols, vals) in O(d).
+
+    Entry (i, cols[i]) faces the conjugate of (cols[i], i), which is
+    vals[cols[i]] when cols[cols[i]] == i and zero otherwise; every other
+    entry of m - m^H is zero or the negated conjugate of one of these.
+    """
+    mirrored = cols[cols] == np.arange(cols.size)
+    return max_abs(vals - np.where(mirrored, vals[cols].conj(), 0))
+
+
+def _require_nonsingular(svals: np.ndarray):
+    smin = float(np.min(svals))
+    if smin < DEFAULT_TOLS.sig_tol:
+        raise Singular(f"smallest singular value {smin:.3e} below {DEFAULT_TOLS.sig_tol:.3e}")
+
+
+def _check_monomial_metric(cols: np.ndarray, vals: np.ndarray):
+    """The checks a metric passes, on a monomial's (cols, vals): hermitian,
+    finite and non-singular, in that order, as on the dense route."""
+    if _monomial_herm_dev(cols, vals) > DEFAULT_TOLS.herm_tol:
+        raise NotHermitian("metric matrix must be hermitian")
+    if not np.isfinite(vals).all():
+        raise InvalidArgument("matrix has a NaN or infinite entry")
+    # the singular values of a monomial matrix are the magnitudes of its non-zeros
+    _require_nonsingular(np.abs(vals))
+
+
+def _monomial_inverse(cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    out = np.zeros((cols.size, cols.size), dtype=complex)
+    out[cols, np.arange(cols.size)] = 1 / vals
+    return out
+
+
+def _monomial_signature(cols: np.ndarray, vals: np.ndarray) -> tuple[int, int]:
+    """signature of a hermitian monomial matrix.
+
+    It pairs each index with itself or with one partner, so a diagonal
+    entry is an eigenvalue and each off-diagonal pair gives one +|c| and
+    one -|c|, c read from the lower triangle as eigvalsh does. A cycle of
+    three or more indices has no mirrored entries, so its entries are
+    within herm_tol < sig_tol of zero, and the one in the lower triangle
+    marks the matrix degenerate, as eigvalsh would.
+    """
+    i = np.arange(cols.size)
+    pairs = np.abs(vals[cols < i])
+    return _count_signs(np.concatenate((vals[cols == i].real, pairs, -pairs)))
+
+
+def _count_signs(eigs: np.ndarray) -> tuple[int, int]:
+    if np.any(np.abs(eigs) < DEFAULT_TOLS.sig_tol):
+        raise DegenerateMetric(f"eigenvalue below zero threshold {DEFAULT_TOLS.sig_tol:.3e}")
+    n_plus = int(np.sum(eigs > 0))
+    return n_plus, eigs.size - n_plus
 
 
 def inverse(a) -> np.ndarray:
@@ -136,16 +229,11 @@ def inverse(a) -> np.ndarray:
     """
     m = _finite_square(a)
     mono = _monomial(m)
-    svals = np.linalg.svd(m, compute_uv=False) if mono is None else np.abs(mono[1])
-    smin = float(np.min(svals))
-    if smin < DEFAULT_TOLS.sig_tol:
-        raise Singular(f"smallest singular value {smin:.3e} below {DEFAULT_TOLS.sig_tol:.3e}")
     if mono is None:
+        _require_nonsingular(np.linalg.svd(m, compute_uv=False))
         return np.linalg.inv(m)
-    cols, vals = mono
-    out = np.zeros(m.shape, dtype=complex)
-    out[cols, np.arange(m.shape[0])] = 1 / vals
-    return out
+    _require_nonsingular(np.abs(mono[1]))
+    return _monomial_inverse(*mono)
 
 
 def signature(h) -> tuple[int, int]:
@@ -153,32 +241,17 @@ def signature(h) -> tuple[int, int]:
 
     The input must have finite entries and be hermitian within herm_tol;
     an eigenvalue with magnitude below sig_tol makes the matrix degenerate
-    and is rejected, so n_plus + n_minus always equals the dimension.
-
-    A hermitian monomial matrix pairs each index with itself or with one
-    partner, so it needs no eigendecomposition: a diagonal entry is an
-    eigenvalue, and each off-diagonal pair gives one +|c| and one -|c|,
-    c read from the lower triangle as eigvalsh does.
+    and is rejected, so n_plus + n_minus always equals the dimension. A
+    monomial matrix is checked and counted from its non-zeros alone.
     """
     m = _finite_square(h)
-    if max_abs(m - m.conj().T) > DEFAULT_TOLS.herm_tol:
-        raise NotHermitian("signature requires a hermitian matrix")
     mono = _monomial(m)
-    n = m.shape[0]
+    dev = max_abs(m - m.conj().T) if mono is None else _monomial_herm_dev(*mono)
+    if dev > DEFAULT_TOLS.herm_tol:
+        raise NotHermitian("signature requires a hermitian matrix")
     if mono is None:
-        eigs = np.linalg.eigvalsh(m)
-    else:
-        # A cycle of three or more indices has no mirrored entries, so its
-        # entries are within herm_tol < sig_tol of zero, and the one in the
-        # lower triangle marks the matrix degenerate, as eigvalsh would.
-        cols, vals = mono
-        i = np.arange(n)
-        pairs = np.abs(vals[cols < i])
-        eigs = np.concatenate((vals[cols == i].real, pairs, -pairs))
-    if np.any(np.abs(eigs) < DEFAULT_TOLS.sig_tol):
-        raise DegenerateMetric(f"eigenvalue below zero threshold {DEFAULT_TOLS.sig_tol:.3e}")
-    n_plus = int(np.sum(eigs > 0))
-    return n_plus, n - n_plus
+        return _count_signs(np.linalg.eigvalsh(m))
+    return _monomial_signature(*mono)
 
 
 def expm(a) -> np.ndarray:

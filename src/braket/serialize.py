@@ -9,24 +9,31 @@ A bundle payload is fixed by its weights, epsilon and basis: rep_from_json
 rebuilds the bundle from them through sl2c and checks every other field
 against it, so the loader constructs no bundle of its own.
 
-`dump_rep(rep)` writes the text of `dump_json(rep_to_json(rep))` straight
-from the arrays, without a Python list per matrix entry.
+`dump_rep(rep)` is the text of `dump_json(rep_to_json(rep))`, made by one
+writer that yields it a matrix at a time, straight from the bundle's
+entries (see linalg): each run of +0 entries between them is written as
+one repeated string, and no dense matrix or Python list per entry is
+made. The `braket rep` command writes these pieces as they come.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dsl import Environment
 from .errors import DimensionMismatch, InvalidArgument, NotHermitian, SchemaError, Singular
 from .linalg import DEFAULT_TOLS, max_abs
-from .operators import KindedOperator, OperatorKind
 from .sl2c import Basis, CoupledRep, build_rep, build_rep_diag, rep_signature
 from .spaces import MetricOperator, Variance, VarVector
 from .su2 import Weight
+
+if TYPE_CHECKING:
+    from .dsl import Environment
+    from .operators import KindedOperator
 
 __all__ = [
     "matrix_to_json",
@@ -66,7 +73,7 @@ _ZERO_PAIR = "[0.0, 0.0], "
 
 
 def _float_texts(x: np.ndarray) -> list[str]:
-    """json.dumps's text of each float in the contiguous 1-D array x.
+    """json.dumps's text of each float in the 1-D array x.
 
     Each distinct bit pattern is formatted once (so -0.0 stays apart from
     0.0): a bundle's matrices repeat a few thousand values over up to 10^5
@@ -80,23 +87,25 @@ def _float_texts(x: np.ndarray) -> list[str]:
     return list(map(texts.__getitem__, index.tolist()))
 
 
-def _pairs_text(v: np.ndarray) -> str:
-    """json.dumps(_pairs(v)) for a non-empty 1-D complex array v.
-
-    Only entries with a part that is non-zero or has its sign bit set are
-    formatted; each run of +0 pairs between them is written as one
-    repeated string.
-    """
-    re, im = v.real, v.imag
-    written = np.flatnonzero((re != 0) | (im != 0) | np.signbit(re) | np.signbit(im))
-    # the zeros before each written entry, then those after the last one
-    gaps = np.diff(written, prepend=-1, append=v.size) - 1
-    parts = []
-    for gap, a, b in zip(gaps.tolist(), _float_texts(re[written]), _float_texts(im[written])):
-        parts.append(_ZERO_PAIR * gap)
+def _matrix_text(rows: int, cols: int, entries) -> str:
+    """json.dumps(matrix_to_json(m)) of the rows x cols matrix m with these
+    entries and +0 elsewhere; only the entries are formatted."""
+    index, values = entries
+    # the zeros before each entry, then those after the last one
+    gaps = np.diff(index, prepend=-1, append=rows * cols) - 1
+    runs = {}  # a bundle's gaps take a few dozen lengths, each run is made once
+    parts = [f'{{"rows": {rows}, "cols": {cols}, "data": [']
+    for gap, a, b in zip(gaps.tolist(), _float_texts(values.real), _float_texts(values.imag)):
+        run = runs.get(gap)
+        if run is None:
+            run = runs[gap] = _ZERO_PAIR * gap
+        parts.append(run)
         parts.append(f"[{a}, {b}], ")
-    parts.append(_ZERO_PAIR * int(gaps[-1]))
-    return "[" + "".join(parts)[:-2] + "]"
+    if gaps[-1]:
+        parts.append(_ZERO_PAIR * int(gaps[-1]))
+    parts[-1] = parts[-1][:-2]  # the separator after the last pair
+    parts.append("]}")
+    return "".join(parts)
 
 
 def _from_pairs(data, what: str) -> np.ndarray:
@@ -140,41 +149,6 @@ def matrix_to_json(m) -> dict:
     }
 
 
-class _Text(str):
-    """JSON text that _dump_parts writes as it is."""
-
-
-def _matrix_text(m) -> _Text:
-    """json.dumps(matrix_to_json(m)), written without per-entry lists."""
-    m = np.asarray(m, dtype=complex)
-    rows, cols = m.shape
-    return _Text(f'{{"rows": {rows}, "cols": {cols}, "data": {_pairs_text(m.reshape(-1))}}}')
-
-
-def _dump_parts(value, parts: list):
-    """Append json.dumps(value) to parts, piece by piece, with each _Text
-    inside appended as it is, so the large matrix texts are never copied
-    into an enclosing string before the final join."""
-    if isinstance(value, _Text):
-        parts.append(value)
-    elif isinstance(value, dict) and value:
-        sep = "{"
-        for k, v in value.items():
-            parts.append(f"{sep}{json.dumps(k)}: ")
-            _dump_parts(v, parts)
-            sep = ", "
-        parts.append("}")
-    elif isinstance(value, list) and value:
-        sep = "["
-        for v in value:
-            parts.append(sep)
-            _dump_parts(v, parts)
-            sep = ", "
-        parts.append("]")
-    else:
-        parts.append(json.dumps(value))
-
-
 def matrix_from_json(obj) -> np.ndarray:
     _require(isinstance(obj, dict), "matrix: expected an object")
     for key in ("rows", "cols", "data"):
@@ -208,6 +182,8 @@ def operator_to_json(x: KindedOperator) -> dict:
 
 
 def operator_from_json(obj) -> KindedOperator:
+    from .operators import KindedOperator, OperatorKind
+
     _require(isinstance(obj, dict), "operator: expected an object")
     _require("kind" in obj and "matrix" in obj, "operator: missing keys")
     try:
@@ -217,8 +193,9 @@ def operator_from_json(obj) -> KindedOperator:
     return KindedOperator(matrix_from_json(obj["matrix"]), kind)
 
 
-def _rep_fields(rep: CoupledRep, matrix) -> dict:
-    """The bundle's payload, keys in output order, each matrix encoded by matrix."""
+def _rep_fields(rep: CoupledRep, metric, generators: dict) -> dict:
+    """The bundle's payload, keys in output order, with the given encoded
+    metric and generator families."""
     out = {"twice_j1": rep.j1.twice_j}
     if not rep.is_diagonal:
         out["twice_j2"] = rep.j2.twice_j
@@ -228,11 +205,8 @@ def _rep_fields(rep: CoupledRep, matrix) -> dict:
             "epsilon": rep.epsilon,
             "basis": rep.basis,
             "dim": rep.dim,
-            "metric": matrix(rep.metric.eta),
-            "generators": {
-                name: [matrix(m) for m in mats]
-                for name, mats in (("M", rep.M), ("N", rep.N), ("I", rep.I), ("K", rep.K))
-            },
+            "metric": metric,
+            "generators": generators,
             "signature": [n_plus, n_minus],
             "labels": [dict(lab) for lab in rep.labels],
         }
@@ -241,15 +215,35 @@ def _rep_fields(rep: CoupledRep, matrix) -> dict:
 
 
 def rep_to_json(rep: CoupledRep) -> dict:
-    return _rep_fields(rep, matrix_to_json)
+    generators = {name: [matrix_to_json(m) for m in getattr(rep, name)] for name in "MNIK"}
+    return _rep_fields(rep, matrix_to_json(rep.metric.eta), generators)
+
+
+# Stands for a matrix in the payload's frame; json.dumps writes it as "\u0000".
+_SLOT = "\0"
+
+
+def _rep_chunks(rep: CoupledRep) -> Iterator[str]:
+    """The text of dump_json(rep_to_json(rep)), one matrix at a time.
+
+    The frame around the matrices, signature included, is made before
+    the first piece is yielded, so a bundle that fails a check yields
+    nothing.
+    """
+    families = rep._families
+    frame = dump_json(_rep_fields(rep, _SLOT, {name: [_SLOT] * 3 for name in families}))
+    pieces = iter(frame.split(json.dumps(_SLOT)))
+    yield next(pieces)
+    matrices = [rep.metric._entries] + [e for family in families.values() for e in family]
+    for entries, piece in zip(matrices, pieces, strict=True):
+        yield _matrix_text(rep.dim, rep.dim, entries)
+        yield piece
 
 
 def dump_rep(rep: CoupledRep) -> str:
-    """dump_json(rep_to_json(rep)), byte for byte, with each matrix's text
-    written straight from its array."""
-    parts = []
-    _dump_parts(_rep_fields(rep, _matrix_text), parts)
-    return "".join(parts)
+    """dump_json(rep_to_json(rep)), byte for byte, written straight from
+    the bundle's entries."""
+    return "".join(_rep_chunks(rep))
 
 
 def rep_from_json(obj) -> CoupledRep:
@@ -322,6 +316,8 @@ def environment_to_json(env: Environment) -> dict:
 
 
 def environment_from_json(obj) -> Environment:
+    from .dsl import Environment
+
     _require(isinstance(obj, dict), "environment: expected an object")
     for key in ("dimension", "metric"):
         _require(key in obj, f"environment: missing key {key!r}")

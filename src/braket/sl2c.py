@@ -22,20 +22,26 @@ put them, and no Clebsch-Gordan coefficient is computed; it equals
 C^+ X C for the Clebsch-Gordan change C that rotation_basis returns. The
 orthonormal bundle is the rotation one conjugated by the block-mixing
 involution c2, done as sums of quadrants.
+
+A bundle holds each generator as its entries (see linalg): the rotation
+and orthonormal ones hold a few per column, as the selection rules allow
+only Delta s, Delta sigma in {0, +-1}, and their metric one per row. Every
+entry is computed by the same float operations as on the dense matrices,
+so the dense M, N, I and K made on access, and the JSON text, are those
+of the dense computation to the last bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .cg import clebsch_gordan
 from .errors import EqualWeights, InvalidArgument, WrongRepShape
-from .linalg import kron, signature
-from .projections import Projector
+from .linalg import _dense, _entries, _monomial_signature, _written, kron, signature
 from .spaces import MetricOperator
 from .su2 import Weight, su2_generators
 
@@ -60,18 +66,29 @@ class Basis(str, Enum):
     ORTHONORMAL = "orthonormal"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CoupledRep:
-    """A full representation bundle in one fixed basis."""
+    """A full representation bundle in one fixed basis.
+
+    M and N are given as three square matrices each, dense or as entries
+    (see linalg), and held as entries. The public M, N, I and K are dense
+    arrays made on first access; I and K are derived from M and N.
+    """
 
     j1: Weight
     j2: Weight
-    M: tuple[np.ndarray, np.ndarray, np.ndarray]
-    N: tuple[np.ndarray, np.ndarray, np.ndarray]
     metric: MetricOperator
     epsilon: int
     basis: Basis
     labels: tuple[dict, ...]
+    _mn: tuple = field(init=False, repr=False)  # entries of M1, M2, M3, N1, N2, N3
+
+    def __init__(self, j1, j2, M, N, metric, epsilon, basis, labels):
+        mn = tuple(_entries(x) if isinstance(x, np.ndarray) else x for x in (*M, *N))
+        fields = dict(j1=j1, j2=j2, metric=metric, epsilon=epsilon, basis=basis,
+                      labels=labels, _mn=mn)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -83,17 +100,83 @@ class CoupledRep:
         """Equal-weight bundles live on a single tensor square."""
         return self.j1 == self.j2
 
-    @property
+    @cached_property
+    def _families(self) -> dict[str, tuple]:
+        """Entries of M, N, I and K, in payload order; I and K are taken on
+        the union of M's and N's positions."""
+        m, n = self._mn[:3], self._mn[3:]
+        return {
+            "M": m,
+            "N": n,
+            "I": tuple(_combine(a, b, np.add) for a, b in zip(m, n)),
+            # Written as i(N - M): a product with -1j gives every zero entry
+            # a -0.0 part, which the JSON writer then has to spell out.
+            "K": tuple(_combine(a, b, lambda x, y: 1j * (y - x)) for a, b in zip(m, n)),
+        }
+
+    def _dense_family(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        out = tuple(_dense(self.dim, e) for e in self._families[name])
+        for x in out:
+            x.setflags(write=False)
+        return out
+
+    @cached_property
+    def M(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Generators M_a acting on the left tensor slot."""
+        return self._dense_family("M")
+
+    @cached_property
+    def N(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Generators N_a acting on the right tensor slot."""
+        return self._dense_family("N")
+
+    @cached_property
     def I(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rotation generators I_a = M_a + N_a."""
-        return tuple(m + n for m, n in zip(self.M, self.N))
+        return self._dense_family("I")
 
-    @property
+    @cached_property
     def K(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Boost generators K_a = -i(M_a - N_a)."""
-        # Written as i(N - M): a product with -1j gives every zero entry a
-        # -0.0 part, which the JSON writer then has to spell out.
-        return tuple(1j * (n - m) for m, n in zip(self.M, self.N))
+        return self._dense_family("K")
+
+
+def _sorted(index: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries from distinct flat indices in any order."""
+    order = np.argsort(index, kind="stable")
+    return index[order], values[order]
+
+
+def _pruned(index: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries whose value is not +0."""
+    keep = _written(values)
+    return index[keep], values[keep]
+
+
+def _union(*indices: np.ndarray) -> np.ndarray:
+    """Ascending distinct flat indices of all the arrays (np.union1d would
+    load numpy.ma)."""
+    u = np.sort(np.concatenate(indices))
+    keep = np.ones(u.size, dtype=bool)
+    keep[1:] = u[1:] != u[:-1]
+    return u[keep]
+
+
+def _on(positions: np.ndarray, entries) -> np.ndarray:
+    """The values of entries at positions, an ascending superset of their
+    indices, with +0 at the others."""
+    index, values = entries
+    out = np.zeros(positions.size, dtype=values.dtype)
+    out[np.searchsorted(positions, index)] = values
+    return out
+
+
+def _combine(a, b, op):
+    """Entries of the elementwise op(A, B) of the matrices with entries a
+    and b, computed on the union of their positions; op(+0, +0) is +0, as
+    it is for every op used here, so every other entry is +0 as densely."""
+    u = _union(a[0], b[0])
+    return _pruned(u, op(_on(u, a), _on(u, b)))
 
 
 def default_epsilon(j1: Weight, j2: Weight) -> int:
@@ -114,21 +197,10 @@ def _blocks(j1: Weight, j2: Weight) -> tuple[tuple[Weight, Weight], ...]:
 
 def _exchange(d_left: int, d_right: int) -> np.ndarray:
     """Permutation sending y (x) x to x (x) y for x in C^d_left, y in C^d_right."""
+    p, q = np.divmod(np.arange(d_left * d_right), d_right)
     s = np.zeros((d_left * d_right, d_right * d_left), dtype=complex)
-    for p in range(d_left):
-        for q in range(d_right):
-            s[p * d_right + q, q * d_left + p] = 1.0
+    s[p * d_right + q, q * d_left + p] = 1.0
     return s
-
-
-def _block_diag(*mats: np.ndarray) -> np.ndarray:
-    rows, cols = sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)
-    out = np.zeros((rows, cols), dtype=np.result_type(*mats))
-    r = c = 0
-    for m in mats:
-        out[r : r + m.shape[0], c : c + m.shape[1]] = m
-        r, c = r + m.shape[0], c + m.shape[1]
-    return out
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -140,6 +212,45 @@ def _mix(x: np.ndarray) -> np.ndarray:
     n = x.shape[0] // 2
     rows = np.concatenate((x[:n] + x[n:], x[:n] - x[n:]))
     return 0.5 * np.concatenate((rows[:, :n] + rows[:, n:], rows[:, :n] - rows[:, n:]), axis=1)
+
+
+def _mix_entries(dim: int, entries):
+    """Entries of _mix(X) from the entries of X.
+
+    Each entry of a quadrant of X lands at its place in all four
+    quadrants; every value is made from the four quadrants' values there
+    by _mix's own operations, so it is _mix's value to the last bit.
+    """
+    index, values = entries
+    n = dim // 2
+    rows, cols = np.divmod(index, dim)
+    local = (rows % n) * n + cols % n
+    at = _union(local)
+    # the four quadrants' values at each place, +0 where a quadrant has none
+    p, q, r, s = quadrants = np.zeros((4, at.size), dtype=values.dtype)
+    quadrants[2 * (rows >= n) + (cols >= n), np.searchsorted(at, local)] = values
+    top, bottom = (p + r, q + s), (p - r, q - s)
+    mixed = (
+        0.5 * (top[0] + top[1]),
+        0.5 * (top[0] - top[1]),
+        0.5 * (bottom[0] + bottom[1]),
+        0.5 * (bottom[0] - bottom[1]),
+    )
+    lr, lc = np.divmod(at, n)
+    places = (lr * dim + lc, lr * dim + lc + n, (lr + n) * dim + lc, (lr + n) * dim + lc + n)
+    return _pruned(*_sorted(np.concatenate(places), np.concatenate(mixed)))
+
+
+def _block_diag_entries(mats) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of the block-diagonal matrix of these dense square blocks."""
+    dim = sum(len(m) for m in mats)
+    parts, offset = [], 0
+    for m in mats:
+        index, values = _entries(m)
+        rows, cols = np.divmod(index, len(m))
+        parts.append(((rows + offset) * dim + cols + offset, values))
+        offset += len(m)
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _canonical_block_labels(jl: Weight, jr: Weight) -> list[dict]:
@@ -180,15 +291,17 @@ def _canonical(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
     gens = {w: su2_generators(w).J for block in blocks for w in block}
     eye = {w: np.eye(w.dim, dtype=complex) for w in gens}
     m_gens = tuple(
-        _block_diag(*(kron(gens[jl][a], eye[jr]) for jl, jr in blocks)) for a in range(3)
+        _block_diag_entries([kron(gens[jl][a], eye[jr]) for jl, jr in blocks]) for a in range(3)
     )
     n_gens = tuple(
-        _block_diag(*(kron(eye[jl], gens[jr][a]) for jl, jr in blocks)) for a in range(3)
+        _block_diag_entries([kron(eye[jl], gens[jr][a]) for jl, jr in blocks]) for a in range(3)
     )
 
     # epsilon times the exchange pairing the first block with the last. For
     # a tensor square they are one block, the exchange is symmetric and the
-    # second assignment stands.
+    # second assignment stands. It is built dense: with epsilon = -1 the
+    # product gives the zeros of the upper block a -0.0 part, which the
+    # JSON text spells out.
     dim = sum(jl.dim * jr.dim for jl, jr in blocks)
     swap = _exchange(j1.dim, j2.dim)
     n = swap.shape[0]
@@ -209,8 +322,10 @@ def _canonical(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
     )
 
 
-def _rotation_block(jl: Weight, jr: Weight) -> tuple[np.ndarray, ...]:
-    """Real (I3, I+, D3, D+) of one tensor block in its total-spin basis.
+def _rotation_block(jl: Weight, jr: Weight, offset: int) -> tuple[tuple, ...]:
+    """Real (I3, I+, D3, D+) of one tensor block in its total-spin basis,
+    each as the (rows, cols, values) of its entries, the block starting at
+    index offset.
 
     I is the spin-s matrix on each total spin s. D = M - N is the vector
     operator of Gel'fand, Minlos & Shapiro (1963) and Naimark (1964); with
@@ -236,27 +351,32 @@ def _rotation_block(jl: Weight, jr: Weight) -> tuple[np.ndarray, ...]:
     s, sig = ts / 2.0, tsig / 2.0
     k0, c = (jl.twice_j - jr.twice_j) / 2.0, (jl.twice_j + jr.twice_j) / 2.0 + 1.0
     n = len(ts)
-    i = np.arange(n)
+    i = np.arange(n) + offset
     a = k0 * c / (s * (s + 1)) if k0 else np.zeros(n)
 
     def b(t):
         return np.sqrt((t * t - k0 * k0) * (c * c - t * t) / (t * t * (4 * t * t - 1)))
 
-    i3, ip, d3, dp = (np.zeros((n, n)) for _ in range(4))
-    i3[i, i] = sig
-    d3[i, i] = sig * a
+    i3 = (i, i, sig)
+    d3 = [(i, i, sig * a)]
     m = tsig < ts  # sig < s
     root = np.sqrt((s - sig) * (s + sig + 1))[m]
-    ip[i[m] - 1, i[m]] = root
-    dp[i[m] - 1, i[m]] = root * a[m]
+    ip = (i[m] - 1, i[m], root)
+    dp = [(i[m] - 1, i[m], root * a[m])]
     low = ts > ts[-1]  # s above the lowest spin
     m = low & (abs(tsig) < ts)
-    d3[i[m] + ts[m], i[m]] = d3[i[m], i[m] + ts[m]] = np.sqrt(s * s - sig * sig)[m] * b(s[m])
+    mirrored = np.sqrt(s * s - sig * sig)[m] * b(s[m])
+    d3 += [(i[m] + ts[m], i[m], mirrored), (i[m], i[m] + ts[m], mirrored)]
     m = low & (tsig <= ts - 4)
-    dp[i[m] + ts[m] - 1, i[m]] = np.sqrt((s - sig) * (s - sig - 1))[m] * b(s[m])
+    dp.append((i[m] + ts[m] - 1, i[m], np.sqrt((s - sig) * (s - sig - 1))[m] * b(s[m])))
     m = ts < ts[0]  # s below the highest spin
-    dp[i[m] - ts[m] - 3, i[m]] = -np.sqrt((s + sig + 1) * (s + sig + 2))[m] * b(s[m] + 1)
-    return i3, ip, d3, dp
+    dp.append((i[m] - ts[m] - 3, i[m], -np.sqrt((s + sig + 1) * (s + sig + 2))[m] * b(s[m] + 1)))
+    return i3, ip, _joined(d3), _joined(dp)
+
+
+def _joined(parts) -> tuple:
+    """One (rows, cols, values) from several."""
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _rotation(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
@@ -268,35 +388,53 @@ def _rotation(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
     epsilon (-1)^(j1 + j2 - s).
     """
     blocks = _blocks(j1, j2)
-    parts = zip(*(_rotation_block(jl, jr) for jl, jr in blocks))
-    i3, ip, d3, dp = (_block_diag(*mats) for mats in parts)
+    labels = [lab for jl, jr in blocks for lab in _rotation_block_labels(jl, jr)]
+    dim = len(labels)
+    n = dim // len(blocks)
+    parts = zip(*(_rotation_block(jl, jr, k * n) for k, (jl, jr) in enumerate(blocks)))
+    i3, ip, d3, dp = (
+        _sorted(rows * dim + cols, values) for rows, cols, values in map(_joined, parts)
+    )
 
     def family(sign):  # M for +1, N for -1
-        x3, xp = (i3 + sign * d3) / 2, (ip + sign * dp) / 2
+        def half(x, y):
+            return (x + sign * y) / 2
+
+        xp = _combine(ip, dp, half)
+        rows, cols = np.divmod(xp[0], dim)
+        xt = _sorted(cols * dim + rows, xp[1])  # the transpose of x+
         # x2 = (x+ - x-)/(2i), filled through its imaginary part so that every
         # real part is +0.0, which the JSON writer leaves unwritten
-        x2 = np.zeros(xp.shape, dtype=complex)
-        x2.imag = (xp.T - xp) / 2
-        return ((xp + xp.T).astype(complex) / 2, x2, x3.astype(complex))
+        x2 = _combine(xp, xt, _imaginary_half_difference)
+        return (
+            _combine(xp, xt, lambda x, t: (x + t).astype(complex) / 2),
+            x2,
+            _combine(i3, d3, lambda x, y: half(x, y).astype(complex)),
+        )
 
-    labels = [lab for jl, jr in blocks for lab in _rotation_block_labels(jl, jr)]
-    n = len(labels) // len(blocks)
     tjsum = j1.twice_j + j2.twice_j
     signs = [epsilon * (-1) ** ((tjsum - lab["twice_s"]) // 2) for lab in labels[:n]]
-    eta = np.zeros((len(labels), len(labels)), dtype=complex)
     k = np.arange(n)
-    off = len(labels) - n  # 0 for a tensor square: its metric is diagonal
-    eta[k, k + off] = eta[k + off, k] = signs
+    off = dim - n  # 0 for a tensor square: its metric is diagonal
+    pairs = (k * dim + k + off, np.asarray(signs, dtype=complex))
+    if off:
+        pairs = _joined([pairs, ((k + off) * dim + k, pairs[1])])
     return CoupledRep(
         j1=j1,
         j2=j2,
         M=family(1),
         N=family(-1),
-        metric=MetricOperator(eta),
+        metric=MetricOperator._from_entries(dim, pairs),
         epsilon=epsilon,
         basis=Basis.ROTATION,
         labels=tuple(labels),
     )
+
+
+def _imaginary_half_difference(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    out = np.zeros(x.size, dtype=complex)
+    out.imag = (t - x) / 2
+    return out
 
 
 def _build(j1: Weight, j2: Weight, epsilon: int, basis) -> CoupledRep:
@@ -347,6 +485,8 @@ def chiral_projectors(rep: CoupledRep) -> tuple[Projector, Projector]:
     exchanges them under Dirac conjugation, which is exactly why the
     bundle has no common invariant subspace of generators and metric.
     """
+    from .projections import Projector
+
     if rep.is_diagonal:
         raise WrongRepShape("equal-weight bundles have no chiral split")
     n = rep.dim // 2
@@ -367,6 +507,8 @@ def _cg_block(jl: Weight, jr: Weight) -> np.ndarray:
     the exact zeros a full fill would write. The block is square: the
     total spins hold as many states as the tensor product.
     """
+    from .cg import clebsch_gordan
+
     n = jl.dim * jr.dim
     c = np.zeros((n, n), dtype=complex)
     col = 0
@@ -402,7 +544,8 @@ def rotation_basis(rep: CoupledRep) -> tuple[np.ndarray, CoupledRep]:
     """
     if rep.basis != Basis.CANONICAL:
         raise WrongRepShape(f"expected a canonical-basis bundle, got {rep.basis.value!r}")
-    c = _block_diag(*(_cg_block(jl, jr) for jl, jr in _blocks(rep.j1, rep.j2)))
+    blocks = [_cg_block(jl, jr) for jl, jr in _blocks(rep.j1, rep.j2)]
+    c = _dense(rep.dim, _block_diag_entries(blocks))
     return c, _rotation(rep.j1, rep.j2, rep.epsilon)
 
 
@@ -424,12 +567,13 @@ def orthonormal_basis(rep: CoupledRep) -> CoupledRep:
         for sign in (1, -1)
         for lab in rep.labels[:n]
     ]
+    mixed = [_mix_entries(rep.dim, e) for e in rep._mn]
     return CoupledRep(
         j1=rep.j1,
         j2=rep.j2,
-        M=tuple(map(_mix, rep.M)),
-        N=tuple(map(_mix, rep.N)),
-        metric=MetricOperator(_mix(rep.metric.eta)),
+        M=mixed[:3],
+        N=mixed[3:],
+        metric=MetricOperator._from_entries(rep.dim, _mix_entries(rep.dim, rep.metric._entries)),
         epsilon=rep.epsilon,
         basis=Basis.ORTHONORMAL,
         labels=tuple(labels),
@@ -437,5 +581,7 @@ def orthonormal_basis(rep: CoupledRep) -> CoupledRep:
 
 
 def rep_signature(rep: CoupledRep) -> tuple[int, int]:
-    """Eigenvalue signature (n_plus, n_minus) of the bundle's metric."""
-    return signature(rep.metric.eta)
+    """Eigenvalue signature (n_plus, n_minus) of the bundle's metric, read
+    off its non-zeros when it is monomial, as every built bundle's is."""
+    mono = rep.metric._mono
+    return signature(rep.metric.eta) if mono is None else _monomial_signature(*mono)

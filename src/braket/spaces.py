@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,18 @@ from .errors import (
     VarianceMismatch,
     WrongVariance,
 )
-from .linalg import DEFAULT_TOLS, as_matrix, as_vector, inverse, max_abs
+from .linalg import (
+    DEFAULT_TOLS,
+    _check_monomial_metric,
+    _dense,
+    _entries,
+    _monomial_inverse,
+    _monomial_of,
+    as_matrix,
+    as_vector,
+    inverse,
+    max_abs,
+)
 
 __all__ = [
     "Variance",
@@ -106,27 +118,57 @@ class MetricOperator:
     forms hermitian, so non-hermitian candidates are rejected at
     construction rather than at use sites. Singular candidates are
     rejected for the same fail-fast reason.
+
+    The matrix is held as its entries (see linalg). A monomial metric,
+    as every bundle metric is, is checked on its d non-zeros, and eta and
+    eta_inv are made dense on first access.
     """
 
     def __init__(self, eta):
         eta = as_matrix(eta)
         if eta.shape[0] != eta.shape[1]:
             raise DimensionMismatch(f"metric must be square, got {eta.shape}")
-        if max_abs(eta - eta.conj().T) > DEFAULT_TOLS.herm_tol:
-            raise NotHermitian("metric matrix must be hermitian")
-        eta_inv = inverse(eta)
-        eta = eta.copy()
-        eta.setflags(write=False)
-        eta_inv.setflags(write=False)
-        self.eta = eta
-        self.eta_inv = eta_inv
+        self._adopt(eta.shape[0], _entries(eta))
 
-    @property
-    def dim(self) -> int:
-        return self.eta.shape[0]
+    @classmethod
+    def _from_entries(cls, dim: int, entries) -> "MetricOperator":
+        """The metric with these entries and +0 elsewhere, checked as the
+        constructor checks a dense matrix."""
+        self = cls.__new__(cls)
+        self._adopt(dim, entries)
+        return self
+
+    def _adopt(self, dim: int, entries):
+        index, values = entries
+        nonzero = values != 0
+        mono = _monomial_of(dim, index[nonzero], values[nonzero])
+        if mono is None:
+            eta = _read_only(_dense(dim, entries))
+            if max_abs(eta - eta.conj().T) > DEFAULT_TOLS.herm_tol:
+                raise NotHermitian("metric matrix must be hermitian")
+            self.eta_inv = _read_only(inverse(eta))
+            self.eta = eta
+        else:
+            _check_monomial_metric(*mono)
+        self.dim = dim
+        self._entries = entries
+        self._mono = mono
+
+    @cached_property
+    def eta(self) -> np.ndarray:
+        return _read_only(_dense(self.dim, self._entries))
+
+    @cached_property
+    def eta_inv(self) -> np.ndarray:
+        return _read_only(_monomial_inverse(*self._mono))
 
     def __repr__(self):
         return f"MetricOperator(dim={self.dim})"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def relate_bra(v: VarVector) -> VarVector:

@@ -1,4 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +13,11 @@ import pytest
 from braket import Weight, build_rep, build_rep_diag, orthonormal_basis, rotation_basis
 from braket.cli import main
 from braket.serialize import dump_json, matrix_to_json, rep_to_json
+
+
+# the dim-312 orthonormal rung of the benchmark and the size of its JSON text
+TOP_RUNG = ("--twice-j1", "12", "--twice-j2", "11", "--basis", "orthonormal")
+TOP_RUNG_TEXT_SIZE = 15_439_616
 
 
 def run_cli(capsys, *argv):
@@ -98,11 +110,12 @@ class TestRepCommand:
         assert payload["signature"] == [2, 2]
 
     def test_orthonormal_rejected_for_tensor_square(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "rep", "--twice-j1", "1", "--basis", "orthonormal"
         )
         assert code == 1
         assert "rotation" in err
+        assert out == ""
 
     def test_epsilon_override(self, capsys):
         code, out, _ = run_cli(
@@ -127,6 +140,56 @@ class TestRepCommand:
         code, out, _ = run_cli(capsys, "rep", *argv)
         assert code == 0
         assert out == dump_json(rep_to_json(rep())) + "\n"
+
+    def test_top_rung_is_written_a_matrix_at_a_time(self, monkeypatch):
+        # the dim-312 payload is 15.4 MB of text; no dense matrix and no
+        # whole-payload string is made on the way to stdout
+        def no_dense(*args):
+            raise AssertionError("dense matrix made on the rep path")
+
+        class Discard(io.TextIOBase):
+            written = 0
+
+            def write(self, text):
+                self.written += len(text)
+                return len(text)
+
+        sink = Discard()
+        with contextlib.redirect_stdout(sink):  # imports what `rep` runs
+            assert main(["rep", "--twice-j1", "1", "--twice-j2", "0", "--basis", "orthonormal"]) == 0
+        sink.written = 0
+        for module in ("braket.sl2c", "braket.spaces"):
+            monkeypatch.setattr(f"{module}._dense", no_dense)
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["rep", *TOP_RUNG])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.written == TOP_RUNG_TEXT_SIZE + 1
+        assert peak < TOP_RUNG_TEXT_SIZE / 2
+
+    def test_reader_closing_stdout_early(self):
+        # one error line and exit status 1, not a traceback
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "braket.cli", "rep", *TOP_RUNG],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.read(64).startswith(b'{"twice_j1": 12, "twice_j2": 11')
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 1
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
     def test_bad_basis_usage_error(self, capsys):
         code, _, _ = run_cli(

@@ -14,6 +14,7 @@ from braket import (
     DegenerateMetric,
     DimensionMismatch,
     InvalidArgument,
+    MetricOperator,
     NotHermitian,
     Singular,
     conj_transpose,
@@ -200,6 +201,23 @@ def _check_signature(m):
         assert signature(m) == (n_plus, m.shape[0] - n_plus)
 
 
+def _check_hermiticity(m):
+    """signature and MetricOperator raise NotHermitian exactly where the
+    dense deviation max_abs(m - m^H) exceeds herm_tol."""
+    assert _monomial(m) is not None
+    dense = float(np.max(np.abs(m - m.conj().T))) > DEFAULT_TOLS.herm_tol
+    for route in (signature, MetricOperator):
+        try:
+            route(m)
+        except NotHermitian:
+            raised = True
+        except (DegenerateMetric, Singular):
+            raised = False
+        else:
+            raised = False
+        assert raised == dense, route
+
+
 class TestMonomialRoute:
     @settings(max_examples=60, deadline=None)
     @given(hermitian_monomials())
@@ -212,6 +230,26 @@ class TestMonomialRoute:
     def test_signature(self, m):
         assert _monomial(m) is not None
         _check_signature(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hermitian_monomials(), st.data())
+    def test_hermiticity_of_perturbed_partner(self, m, data):
+        # one non-zero moved off its partner's conjugate, by a step on
+        # either side of herm_tol
+        i, j = data.draw(st.sampled_from(np.argwhere(m != 0).tolist()))
+        step = data.draw(st.sampled_from([0.4, 0.9, 1.1, 3.0])) * DEFAULT_TOLS.herm_tol
+        m[i, j] += step * np.exp(1j * data.draw(st.floats(-math.pi, math.pi)))
+        _check_hermiticity(m)
+
+    @settings(max_examples=30, deadline=None)
+    @given(hermitian_monomials(), st.lists(st.sampled_from([4e-11, 9e-11, 1.1e-10, 5e-10, 1.0]),
+                                           min_size=3, max_size=3))
+    def test_hermiticity_of_three_cycle(self, m, cycle):
+        # a 3-cycle has no mirrored entries, so each entry is its own deviation
+        n = m.shape[0]
+        m = np.pad(m, (0, 3))
+        m[n, n + 1], m[n + 1, n + 2], m[n + 2, n] = cycle
+        _check_hermiticity(m)
 
     @settings(max_examples=60, deadline=None)
     @given(hermitian_monomials(min_dim=2), st.data())

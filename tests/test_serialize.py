@@ -22,11 +22,9 @@ from braket import (
 )
 from braket import serialize
 from braket.dsl import Environment
-from braket.linalg import inverse
+from braket.linalg import _entries, inverse
 from braket.serialize import (
     _matrix_text,
-    _pairs,
-    _pairs_text,
     dump_json,
     dump_rep,
     environment_from_json,
@@ -76,7 +74,7 @@ class TestMatrixSchema:
         payload = matrix_to_json(m)
         assert json.dumps(payload) == json.dumps(per_entry_pairs(m))
         # the text writer's output is that of the dict encoding, byte for byte
-        assert _matrix_text(m) == json.dumps(payload)
+        assert _matrix_text(*m.shape, _entries(m)) == json.dumps(payload)
         # plain, mutable Python lists of Python floats
         assert type(payload["data"]) is list
         assert all(type(pair) is list and len(pair) == 2 for pair in payload["data"])
@@ -97,7 +95,8 @@ class TestMatrixSchema:
              "negative-zeros"],
     )
     def test_zero_runs_match_dict_encoding(self, v):
-        assert _pairs_text(v) == json.dumps(_pairs(v))
+        row = v.reshape(1, -1)
+        assert _matrix_text(*row.shape, _entries(row)) == json.dumps(matrix_to_json(row))
 
     def test_identity_payload(self):
         assert matrix_to_json(np.eye(2)) == {
@@ -163,7 +162,7 @@ class TestMatrixSchema:
         m.real = [re for re, _ in values]
         m.imag = [im for _, im in values]
         m = m.reshape(rows, cols)
-        text = _matrix_text(m)
+        text = _matrix_text(rows, cols, _entries(m))
         assert text == json.dumps(matrix_to_json(m))
         back = matrix_from_json(load_json(text))
         assert back.dtype == m.dtype and back.tobytes() == m.tobytes()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from braket import (
     DEFAULT_TOLS,
@@ -28,7 +29,7 @@ from braket import (
 )
 from braket import cli
 from braket.operators import KindedOperator, OperatorKind
-from braket.sl2c import _block_diag, _blocks, _cg_block, _exchange, _mix
+from braket.sl2c import _blocks, _cg_block, _exchange, _mix, _rotation_block
 from conftest import max_dev
 
 EPS = np.zeros((3, 3, 3))
@@ -296,7 +297,8 @@ class TestRotationBasis:
             calls.append(l1 + l2 == sigma)
             return clebsch_gordan(j1, l1, j2, l2, s, sigma)
 
-        monkeypatch.setattr("braket.sl2c.clebsch_gordan", counting)
+        # _cg_block looks clebsch_gordan up in braket.cg on each call
+        monkeypatch.setattr("braket.cg.clebsch_gordan", counting)
         for jl, jr in cg_blocks():
             calls.clear()
             _cg_block(jl, jr)
@@ -356,7 +358,7 @@ def cg_rotated(tj1, tj2, epsilon):
 
     def moved(generator):
         return [
-            _block_diag(*(conj(c, generator(jl, jr, a)) for (jl, jr), c in zip(blocks, cs)))
+            block_diag(*(conj(c, generator(jl, jr, a)) for (jl, jr), c in zip(blocks, cs)))
             for a in range(3)
         ]
 
@@ -388,6 +390,42 @@ def pattern_mask(rot):
     return (block[:, None] == block[None, :]) & near(ts) & near(tsig)
 
 
+def dense_closed_form(tj1, tj2, epsilon):
+    """M, N, I, K and the metric of the rotation bundle, and those of the
+    orthonormal one for a pair, by the dense arithmetic the bundle's
+    entries reproduce: the block matrices filled densely, the families
+    formed from whole arrays, and the orthonormal bundle by _mix."""
+    blocks = _blocks(Weight(tj1), Weight(tj2))
+    n = (tj1 + 1) * (tj2 + 1)
+    dim = n * len(blocks)
+    i3, ip, d3, dp = (np.zeros((dim, dim)) for _ in range(4))
+    for k, (jl, jr) in enumerate(blocks):
+        for x, (rows, cols, values) in zip((i3, ip, d3, dp), _rotation_block(jl, jr, k * n)):
+            x[rows, cols] = values
+
+    def family(sign):
+        x3, xp = (i3 + sign * d3) / 2, (ip + sign * dp) / 2
+        x2 = np.zeros(xp.shape, dtype=complex)
+        x2.imag = (xp.T - xp) / 2
+        return ((xp + xp.T).astype(complex) / 2, x2, x3.astype(complex))
+
+    def bundle(m, nn, eta):
+        i = [a + b for a, b in zip(m, nn)]
+        k = [1j * (b - a) for a, b in zip(m, nn)]
+        return [*m, *nn, *i, *k, eta]
+
+    m, nn = family(1), family(-1)
+    rot = closed_form(tj1, tj2, epsilon=epsilon)
+    signs = [epsilon * (-1) ** ((tj1 + tj2 - lab["twice_s"]) // 2) for lab in rot.labels[:n]]
+    eta = np.zeros((dim, dim), dtype=complex)
+    idx = np.arange(n)
+    eta[idx, idx + dim - n] = eta[idx + dim - n, idx] = signs
+    want = [bundle(m, nn, eta)]
+    if len(blocks) == 2:
+        want.append(bundle([_mix(x) for x in m], [_mix(x) for x in nn], _mix(eta)))
+    return want
+
+
 class TestClosedForm:
     @pytest.mark.parametrize("tj1, tj2", LADDER_SHAPES)
     def test_matches_cg_oracle(self, tj1, tj2):
@@ -409,6 +447,19 @@ class TestClosedForm:
                 assert orth.labels == orthonormal_basis(rot).labels
                 for got, x in zip(orth.M + orth.N + (orth.metric.eta,), moved):
                     assert max_dev(got, _mix(x)) < DEFAULT_TOLS.eq_tol
+
+    @pytest.mark.parametrize(
+        "tj1, tj2, epsilon",
+        [(1, 0, 1), (4, 3, -1), (5, 2, 1), (8, 7, 1), (6, 1, -1), (12, 12, 1), (7, 7, -1), (0, 0, 1)],
+    )
+    def test_entries_match_dense_arithmetic_bitwise(self, tj1, tj2, epsilon):
+        # the bundle holds entries; every dense matrix made from them is the
+        # dense computation's, signed zeros included
+        bases = [Basis.ROTATION] + ([Basis.ORTHONORMAL] if tj1 != tj2 else [])
+        for basis, want in zip(bases, dense_closed_form(tj1, tj2, epsilon)):
+            rep = closed_form(tj1, tj2, basis, epsilon)
+            got = [*rep.M, *rep.N, *rep.I, *rep.K, rep.metric.eta]
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want], basis
 
     def test_flipped_epsilon(self):
         for tj1, tj2 in ((2, 1), (3, 3)):
@@ -454,7 +505,6 @@ class TestClosedForm:
             calls.append(args)
             return clebsch_gordan(*args)
 
-        monkeypatch.setattr("braket.sl2c.clebsch_gordan", counting)
         monkeypatch.setattr("braket.cg.clebsch_gordan", counting)
         assert cli.main(["rep", *flags]) == 0
         assert capsys.readouterr().out
