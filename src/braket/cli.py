@@ -125,8 +125,8 @@ def _cmd_transform(args) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from .operators import OperatorKind
     from .sl2c import Basis
+    from .spaces import OperatorKind
 
     parser = argparse.ArgumentParser(
         prog="braket",

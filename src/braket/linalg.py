@@ -14,20 +14,24 @@ read off from its d non-zeros, with no SVD, dense inverse or
 eigendecomposition; every other matrix takes the dense LAPACK route.
 Both reject NaN and infinite entries.
 
-A sparse matrix is held as its entries: (index, values), the ascending
-flat indices i * cols + j and the complex values there. The entries of a
-dense matrix are all that are not +0 (a -0.0 part is kept), so that a
-writer spelling out the entries and +0 everywhere else reproduces the
-dense text.
+The numpy-free helpers behind the monomial route, and DEFAULT_TOLS, live
+in entries; _entries and _dense here convert between a dense matrix and
+its entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateMetric, DimensionMismatch, InvalidArgument, NotHermitian, Singular
+from .entries import (
+    DEFAULT_TOLS,
+    _count_signs,
+    _monomial_herm_dev,
+    _monomial_of,
+    _monomial_signature,
+    _require_nonsingular,
+)
+from .errors import DimensionMismatch, InvalidArgument, NotHermitian
 
 __all__ = [
     "DEFAULT_TOLS",
@@ -41,25 +45,6 @@ __all__ = [
     "expm",
     "kron",
 ]
-
-
-@dataclass(frozen=True)
-class _Tolerances:
-    """The library's fixed numeric thresholds.
-
-    eq_tol   entrywise equality of matrices and scalars
-    herm_tol allowed deviation from hermiticity
-    sig_tol  eigenvalue / pivot zero threshold
-    sym_tol  metric preservation after an exponential map
-    """
-
-    eq_tol: float = 1e-10
-    herm_tol: float = 1e-10
-    sig_tol: float = 1e-9
-    sym_tol: float = 1e-8
-
-
-DEFAULT_TOLS = _Tolerances()
 
 
 def as_matrix(a) -> np.ndarray:
@@ -115,18 +100,12 @@ def _finite_square(a) -> np.ndarray:
     return m
 
 
-def _written(values: np.ndarray) -> np.ndarray:
-    """True where a float or complex value is not +0, the one value whose
-    bits are all clear."""
-    bits = np.ascontiguousarray(values).view(np.int64)
-    return bits.reshape(values.size, values.itemsize // 8).any(axis=1)
-
-
-def _entries(m) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of a dense matrix: every one that is not +0."""
+def _entries(m) -> tuple[list, list]:
+    """The entries (see entries) of a dense matrix: every one that is not
+    +0, the one value whose bits are all clear."""
     flat = np.ascontiguousarray(m, dtype=complex).reshape(-1)
-    index = np.flatnonzero(_written(flat))
-    return index, flat[index]
+    index = np.flatnonzero(flat.view(np.int64).reshape(flat.size, 2).any(axis=1))
+    return index.tolist(), flat[index].tolist()
 
 
 def _dense(dim: int, entries) -> np.ndarray:
@@ -137,86 +116,20 @@ def _dense(dim: int, entries) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
-def _monomial_of(dim: int, index: np.ndarray, values: np.ndarray):
-    """(cols, vals) of the dim x dim matrix whose non-zeros are these
-    entries, when it is monomial (row i holds its one non-zero vals[i] at
-    column cols[i], and every column is hit once); otherwise None."""
-    if index.size != dim:
-        return None
-    rows, cols = np.divmod(index, dim)
-    if not np.array_equal(rows, np.arange(dim)):
-        return None
-    hit = np.zeros(dim, dtype=bool)
-    hit[cols] = True
-    if not hit.all():
-        return None
-    return cols, values
-
-
-def _monomial(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _monomial(m: np.ndarray) -> tuple[list, list] | None:
     """(cols, vals) with vals[i] = m[i, cols[i]] the only non-zero of row i
     and of column cols[i], or None when m is not monomial."""
     n = m.shape[0]
     if np.count_nonzero(m) != n:
         return None
     index = np.flatnonzero(m)
-    return _monomial_of(n, index, m.reshape(-1)[index])
+    return _monomial_of(n, index.tolist(), m.reshape(-1)[index].tolist())
 
 
-def _monomial_herm_dev(cols: np.ndarray, vals: np.ndarray) -> float:
-    """max_abs(m - m^H) of a monomial m, from its (cols, vals) in O(d).
-
-    Entry (i, cols[i]) faces the conjugate of (cols[i], i), which is
-    vals[cols[i]] when cols[cols[i]] == i and zero otherwise; every other
-    entry of m - m^H is zero or the negated conjugate of one of these.
-    """
-    mirrored = cols[cols] == np.arange(cols.size)
-    return max_abs(vals - np.where(mirrored, vals[cols].conj(), 0))
-
-
-def _require_nonsingular(svals: np.ndarray):
-    smin = float(np.min(svals))
-    if smin < DEFAULT_TOLS.sig_tol:
-        raise Singular(f"smallest singular value {smin:.3e} below {DEFAULT_TOLS.sig_tol:.3e}")
-
-
-def _check_monomial_metric(cols: np.ndarray, vals: np.ndarray):
-    """The checks a metric passes, on a monomial's (cols, vals): hermitian,
-    finite and non-singular, in that order, as on the dense route."""
-    if _monomial_herm_dev(cols, vals) > DEFAULT_TOLS.herm_tol:
-        raise NotHermitian("metric matrix must be hermitian")
-    if not np.isfinite(vals).all():
-        raise InvalidArgument("matrix has a NaN or infinite entry")
-    # the singular values of a monomial matrix are the magnitudes of its non-zeros
-    _require_nonsingular(np.abs(vals))
-
-
-def _monomial_inverse(cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    out = np.zeros((cols.size, cols.size), dtype=complex)
-    out[cols, np.arange(cols.size)] = 1 / vals
+def _monomial_inverse(cols: list, vals: list) -> np.ndarray:
+    out = np.zeros((len(cols), len(cols)), dtype=complex)
+    out[cols, np.arange(len(cols))] = 1 / np.array(vals, dtype=complex)
     return out
-
-
-def _monomial_signature(cols: np.ndarray, vals: np.ndarray) -> tuple[int, int]:
-    """signature of a hermitian monomial matrix.
-
-    It pairs each index with itself or with one partner, so a diagonal
-    entry is an eigenvalue and each off-diagonal pair gives one +|c| and
-    one -|c|, c read from the lower triangle as eigvalsh does. A cycle of
-    three or more indices has no mirrored entries, so its entries are
-    within herm_tol < sig_tol of zero, and the one in the lower triangle
-    marks the matrix degenerate, as eigvalsh would.
-    """
-    i = np.arange(cols.size)
-    pairs = np.abs(vals[cols < i])
-    return _count_signs(np.concatenate((vals[cols == i].real, pairs, -pairs)))
-
-
-def _count_signs(eigs: np.ndarray) -> tuple[int, int]:
-    if np.any(np.abs(eigs) < DEFAULT_TOLS.sig_tol):
-        raise DegenerateMetric(f"eigenvalue below zero threshold {DEFAULT_TOLS.sig_tol:.3e}")
-    n_plus = int(np.sum(eigs > 0))
-    return n_plus, eigs.size - n_plus
 
 
 def inverse(a) -> np.ndarray:
@@ -230,9 +143,9 @@ def inverse(a) -> np.ndarray:
     m = _finite_square(a)
     mono = _monomial(m)
     if mono is None:
-        _require_nonsingular(np.linalg.svd(m, compute_uv=False))
+        _require_nonsingular(np.linalg.svd(m, compute_uv=False).tolist())
         return np.linalg.inv(m)
-    _require_nonsingular(np.abs(mono[1]))
+    _require_nonsingular(map(abs, mono[1]))
     return _monomial_inverse(*mono)
 
 
@@ -250,7 +163,7 @@ def signature(h) -> tuple[int, int]:
     if dev > DEFAULT_TOLS.herm_tol:
         raise NotHermitian("signature requires a hermitian matrix")
     if mono is None:
-        return _count_signs(np.linalg.eigvalsh(m))
+        return _count_signs(np.linalg.eigvalsh(m).tolist())
     return _monomial_signature(*mono)
 
 

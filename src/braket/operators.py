@@ -5,19 +5,19 @@ matrix is tagged with one of four kinds, named by domain and codomain
 variance: dd (ket-down to ket-down), uu, du (ket-down to ket-up, the kind
 of the metric) and ud (the kind of the inverse metric). The tag gates
 composition, sums, adjoints and traces, which is exactly the discipline
-that keeps indefinite-metric calculations honest.
+that keeps indefinite-metric calculations honest. OperatorKind is defined in
+spaces, beside Variance, so that reading a kind loads no numpy.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, KindMismatch, WrongKind
 from .linalg import as_matrix, max_abs
-from .spaces import MetricOperator
+from .spaces import MetricOperator, OperatorKind
 
 __all__ = [
     "OperatorKind",
@@ -35,46 +35,6 @@ __all__ = [
     "is_semi_hermitian",
     "trace",
 ]
-
-
-class OperatorKind(enum.Enum):
-    """Variance signature of an operator: (domain, codomain)."""
-
-    DOWN_DOWN = "dd"
-    UP_UP = "uu"
-    DOWN_UP = "du"
-    UP_DOWN = "ud"
-
-    @property
-    def domain_up(self) -> bool:
-        return self in (OperatorKind.UP_UP, OperatorKind.UP_DOWN)
-
-    @property
-    def codomain_up(self) -> bool:
-        return self in (OperatorKind.UP_UP, OperatorKind.DOWN_UP)
-
-    @staticmethod
-    def from_variances(domain_up: bool, codomain_up: bool) -> "OperatorKind":
-        return {
-            (False, False): OperatorKind.DOWN_DOWN,
-            (True, True): OperatorKind.UP_UP,
-            (False, True): OperatorKind.DOWN_UP,
-            (True, False): OperatorKind.UP_DOWN,
-        }[(domain_up, codomain_up)]
-
-    @property
-    def adjoint_kind(self) -> "OperatorKind":
-        """Kind of the hermitian adjoint: dd and uu swap, cross kinds stay."""
-        return {
-            OperatorKind.DOWN_DOWN: OperatorKind.UP_UP,
-            OperatorKind.UP_UP: OperatorKind.DOWN_DOWN,
-            OperatorKind.DOWN_UP: OperatorKind.DOWN_UP,
-            OperatorKind.UP_DOWN: OperatorKind.UP_DOWN,
-        }[self]
-
-    @property
-    def is_endomorphism(self) -> bool:
-        return self in (OperatorKind.DOWN_DOWN, OperatorKind.UP_UP)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,13 +7,18 @@ Malformed payloads raise SchemaError; integer fields reject bools.
 
 A bundle payload is fixed by its weights, epsilon and basis: rep_from_json
 rebuilds the bundle from them through sl2c and checks every other field
-against it, so the loader constructs no bundle of its own.
+against it, comparing each payload matrix with the rebuilt bundle's
+entries, so the loader constructs no bundle of its own and makes no
+dense matrix of the rebuilt one.
 
 `dump_rep(rep)` is the text of `dump_json(rep_to_json(rep))`, made by one
 writer that yields it a matrix at a time, straight from the bundle's
-entries (see linalg): each run of +0 entries between them is written as
+entries (see entries): each run of +0 entries between them is written as
 one repeated string, and no dense matrix or Python list per entry is
-made. The `braket rep` command writes these pieces as they come.
+made. The `braket rep` command writes these pieces as they come. The
+writer and dump_json are pure Python; the functions that make or read
+dense arrays (the matrix, vector and operator codecs, rep_to_json and
+rep_from_json) import numpy when called.
 """
 
 from __future__ import annotations
@@ -21,12 +26,11 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from itertools import chain
+from math import copysign
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .entries import DEFAULT_TOLS
 from .errors import DimensionMismatch, InvalidArgument, NotHermitian, SchemaError, Singular
-from .linalg import DEFAULT_TOLS, max_abs
 from .sl2c import Basis, CoupledRep, build_rep, build_rep_diag, rep_signature
 from .spaces import MetricOperator, Variance, VarVector
 from .su2 import Weight
@@ -62,6 +66,8 @@ def _is_int(x) -> bool:
 
 def _pairs(v: np.ndarray) -> list[list[float]]:
     """[re, im] pairs of a 1-D complex array, as plain Python floats."""
+    import numpy as np
+
     return np.stack((v.real, v.imag), axis=-1).tolist()
 
 
@@ -72,43 +78,48 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _ZERO_PAIR = "[0.0, 0.0], "
 
 
-def _float_texts(x: np.ndarray) -> list[str]:
-    """json.dumps's text of each float in the 1-D array x.
-
-    Each distinct bit pattern is formatted once (so -0.0 stays apart from
-    0.0): a bundle's matrices repeat a few thousand values over up to 10^5
-    entries, and shortest-repr formatting is the costly step.
-    """
-    keys, index = np.unique(x.view(np.int64), return_inverse=True)
-    values = keys.view(float)
-    texts = list(map(float.__repr__, values.tolist()))
-    for k in np.flatnonzero(~np.isfinite(values)).tolist():
-        texts[k] = _NON_FINITE[texts[k]]
-    return list(map(texts.__getitem__, index.tolist()))
-
-
 def _matrix_text(rows: int, cols: int, entries) -> str:
     """json.dumps(matrix_to_json(m)) of the rows x cols matrix m with these
-    entries and +0 elsewhere; only the entries are formatted."""
-    index, values = entries
-    # the zeros before each entry, then those after the last one
-    gaps = np.diff(index, prepend=-1, append=rows * cols) - 1
-    runs = {}  # a bundle's gaps take a few dozen lengths, each run is made once
+    entries and +0 elsewhere; only the entries are formatted.
+
+    A bundle's matrices repeat a few thousand values over up to 10^5
+    entries, and shortest-repr formatting is the costly step, so each
+    distinct non-zero float is formatted once; the zeros, which compare
+    equal whatever their sign, are spelled by it. A bundle's gaps take a
+    few dozen lengths, and each run of +0 pairs is made once.
+    """
+    texts, runs = {}, {}
+
+    def text(x: float) -> str:
+        if not x:
+            return "-0.0" if copysign(1.0, x) < 0 else "0.0"
+        t = texts.get(x)
+        if t is None:
+            t = float.__repr__(x)
+            t = texts[x] = _NON_FINITE.get(t, t)
+        return t
+
     parts = [f'{{"rows": {rows}, "cols": {cols}, "data": [']
-    for gap, a, b in zip(gaps.tolist(), _float_texts(values.real), _float_texts(values.imag)):
-        run = runs.get(gap)
-        if run is None:
-            run = runs[gap] = _ZERO_PAIR * gap
-        parts.append(run)
-        parts.append(f"[{a}, {b}], ")
-    if gaps[-1]:
-        parts.append(_ZERO_PAIR * int(gaps[-1]))
+    last = -1
+    for k, z in zip(*entries):
+        gap = k - last - 1
+        if gap:
+            run = runs.get(gap)
+            if run is None:
+                run = runs[gap] = _ZERO_PAIR * gap
+            parts.append(run)
+        parts.append(f"[{text(z.real)}, {text(z.imag)}], ")
+        last = k
+    if rows * cols - last - 1:
+        parts.append(_ZERO_PAIR * (rows * cols - last - 1))
     parts[-1] = parts[-1][:-2]  # the separator after the last pair
     parts.append("]}")
     return "".join(parts)
 
 
 def _from_pairs(data, what: str) -> np.ndarray:
+    import numpy as np
+
     _require(isinstance(data, list) and len(data) >= 1, f"{what}: expected a list of [re, im] pairs")
     out = np.empty(len(data), dtype=complex)
     # Whole-list checks first; the per-entry loop below is the one that
@@ -141,6 +152,8 @@ def _from_pairs(data, what: str) -> np.ndarray:
 
 
 def matrix_to_json(m) -> dict:
+    import numpy as np
+
     m = np.asarray(m, dtype=complex)
     return {
         "rows": int(m.shape[0]),
@@ -294,16 +307,27 @@ def rep_from_json(obj) -> CoupledRep:
         mats[name] = tuple(matrix_from_json(m) for m in family)
         _require(all(m.shape == (dim, dim) for m in mats[name]), f"rep: {name} matrix shape != dim")
     rep = build_rep_diag(j1, epsilon, basis) if j1 == j2 else build_rep(j1, j2, epsilon, basis)
-    built = {"metric": (rep.metric.eta,), "M": rep.M, "N": rep.N, "I": rep.I, "K": rep.K}
+    built = {"metric": (rep.metric._entries,), **rep._families}
     for name, family in mats.items():
         _require(
-            all(max_abs(a - b) <= DEFAULT_TOLS.eq_tol for a, b in zip(family, built[name])),
+            all(_deviation(a, e) <= DEFAULT_TOLS.eq_tol for a, e in zip(family, built[name])),
             f"rep: {name} does not match the bundle of these weights, epsilon and basis",
         )
     _require(obj["labels"] == list(rep.labels), "rep: labels do not match the bundle")
     if "signature" in obj:
         _require(tuple(sig) == rep_signature(rep), "rep: signature does not match the metric")
     return rep
+
+
+def _deviation(m: np.ndarray, entries) -> float:
+    """max_abs(m - b) for the matrix b with these entries and +0 elsewhere,
+    made by subtracting the values at their indices, so b is never made."""
+    from .linalg import max_abs
+
+    index, values = entries
+    diff = m.reshape(-1).copy()
+    diff[index] -= values
+    return max_abs(diff)
 
 
 def environment_to_json(env: Environment) -> dict:

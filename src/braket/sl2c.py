@@ -23,12 +23,17 @@ C^+ X C for the Clebsch-Gordan change C that rotation_basis returns. The
 orthonormal bundle is the rotation one conjugated by the block-mixing
 involution c2, done as sums of quadrants.
 
-A bundle holds each generator as its entries (see linalg): the rotation
+A bundle holds each generator as its entries (see entries): the rotation
 and orthonormal ones hold a few per column, as the selection rules allow
 only Delta s, Delta sigma in {0, +-1}, and their metric one per row. Every
-entry is computed by the same float operations as on the dense matrices,
-so the dense M, N, I and K made on access, and the JSON text, are those
-of the dense computation to the last bit.
+bundle is built, checked and written in pure Python, so `braket rep`
+loads no numpy; numpy is imported by the functions that make or read
+dense arrays (M, N, I and K on access, _cg_block, rotation_basis,
+chiral_projectors). Every entry is computed by the float operations of
+the dense numpy computation, numpy's complex products and divisions
+written out in full, so the dense M, N, I and K made on access, and the
+JSON text, are those of the dense computation to the last bit, signed
+zeros included.
 """
 
 from __future__ import annotations
@@ -37,13 +42,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import sqrt
 
-import numpy as np
-
+from .entries import _combine, _halved, _monomial_signature, _pair, _product, _written
 from .errors import EqualWeights, InvalidArgument, WrongRepShape
-from .linalg import _dense, _entries, _monomial_signature, _written, kron, signature
 from .spaces import MetricOperator
-from .su2 import Weight, su2_generators
+from .su2 import Weight, _generator_entries
 
 __all__ = [
     "Basis",
@@ -70,9 +74,10 @@ class Basis(str, Enum):
 class CoupledRep:
     """A full representation bundle in one fixed basis.
 
-    M and N are given as three square matrices each, dense or as entries
-    (see linalg), and held as entries. The public M, N, I and K are dense
-    arrays made on first access; I and K are derived from M and N.
+    M and N are given as three square matrices each, as entries (an
+    (index, values) tuple, see entries) or dense, and held as entries.
+    The public M, N, I and K are dense arrays made on first access, which
+    is when numpy is loaded; I and K are derived from M and N.
     """
 
     j1: Weight
@@ -84,7 +89,7 @@ class CoupledRep:
     _mn: tuple = field(init=False, repr=False)  # entries of M1, M2, M3, N1, N2, N3
 
     def __init__(self, j1, j2, M, N, metric, epsilon, basis, labels):
-        mn = tuple(_entries(x) if isinstance(x, np.ndarray) else x for x in (*M, *N))
+        mn = tuple(x if isinstance(x, tuple) else _dense_entries(x) for x in (*M, *N))
         fields = dict(j1=j1, j2=j2, metric=metric, epsilon=epsilon, basis=basis,
                       labels=labels, _mn=mn)
         for name, value in fields.items():
@@ -105,16 +110,19 @@ class CoupledRep:
         """Entries of M, N, I and K, in payload order; I and K are taken on
         the union of M's and N's positions."""
         m, n = self._mn[:3], self._mn[3:]
+        pairs = [(dict(zip(*a)), dict(zip(*b))) for a, b in zip(m, n)]
         return {
             "M": m,
             "N": n,
-            "I": tuple(_combine(a, b, np.add) for a, b in zip(m, n)),
+            "I": tuple(_combine(a, b, lambda x, y: x + y) for a, b in pairs),
             # Written as i(N - M): a product with -1j gives every zero entry
             # a -0.0 part, which the JSON writer then has to spell out.
-            "K": tuple(_combine(a, b, lambda x, y: 1j * (y - x)) for a, b in zip(m, n)),
+            "K": tuple(_combine(a, b, lambda x, y: _product(1j, y - x)) for a, b in pairs),
         }
 
     def _dense_family(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        from .linalg import _dense
+
         out = tuple(_dense(self.dim, e) for e in self._families[name])
         for x in out:
             x.setflags(write=False)
@@ -141,42 +149,11 @@ class CoupledRep:
         return self._dense_family("K")
 
 
-def _sorted(index: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entries from distinct flat indices in any order."""
-    order = np.argsort(index, kind="stable")
-    return index[order], values[order]
+def _dense_entries(x) -> tuple[list, list]:
+    """The entries of a dense matrix given to CoupledRep; loads numpy."""
+    from .linalg import _entries
 
-
-def _pruned(index: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The entries whose value is not +0."""
-    keep = _written(values)
-    return index[keep], values[keep]
-
-
-def _union(*indices: np.ndarray) -> np.ndarray:
-    """Ascending distinct flat indices of all the arrays (np.union1d would
-    load numpy.ma)."""
-    u = np.sort(np.concatenate(indices))
-    keep = np.ones(u.size, dtype=bool)
-    keep[1:] = u[1:] != u[:-1]
-    return u[keep]
-
-
-def _on(positions: np.ndarray, entries) -> np.ndarray:
-    """The values of entries at positions, an ascending superset of their
-    indices, with +0 at the others."""
-    index, values = entries
-    out = np.zeros(positions.size, dtype=values.dtype)
-    out[np.searchsorted(positions, index)] = values
-    return out
-
-
-def _combine(a, b, op):
-    """Entries of the elementwise op(A, B) of the matrices with entries a
-    and b, computed on the union of their positions; op(+0, +0) is +0, as
-    it is for every op used here, so every other entry is +0 as densely."""
-    u = _union(a[0], b[0])
-    return _pruned(u, op(_on(u, a), _on(u, b)))
+    return _entries(x)
 
 
 def default_epsilon(j1: Weight, j2: Weight) -> int:
@@ -195,62 +172,42 @@ def _blocks(j1: Weight, j2: Weight) -> tuple[tuple[Weight, Weight], ...]:
     return ((j1, j1),) if j1 == j2 else ((j1, j2), (j2, j1))
 
 
-def _exchange(d_left: int, d_right: int) -> np.ndarray:
-    """Permutation sending y (x) x to x (x) y for x in C^d_left, y in C^d_right."""
-    p, q = np.divmod(np.arange(d_left * d_right), d_right)
-    s = np.zeros((d_left * d_right, d_right * d_left), dtype=complex)
-    s[p * d_right + q, q * d_left + p] = 1.0
-    return s
-
-
 def _mix(x: np.ndarray) -> np.ndarray:
     """c2 x c2 for the involution c2 = [[1, 1], [1, -1]]/sqrt(2), which mixes
     two blocks of size n into (b0 +- b1)/sqrt(2); c2 is real, symmetric and
     its own inverse. On the quadrants [[P, Q], [R, S]] of x this is
     1/2 [[P+Q+R+S, P-Q+R-S], [P+Q-R-S, P-Q-R+S]], so no matmul is needed.
     """
+    import numpy as np
+
     n = x.shape[0] // 2
     rows = np.concatenate((x[:n] + x[n:], x[:n] - x[n:]))
     return 0.5 * np.concatenate((rows[:, :n] + rows[:, n:], rows[:, :n] - rows[:, n:]), axis=1)
 
 
-def _mix_entries(dim: int, entries):
+def _mix_entries(dim: int, entries) -> tuple[list, list]:
     """Entries of _mix(X) from the entries of X.
 
     Each entry of a quadrant of X lands at its place in all four
     quadrants; every value is made from the four quadrants' values there
-    by _mix's own operations, so it is _mix's value to the last bit.
+    by _mix's own complex operations, so it is _mix's value to the last
+    bit.
     """
-    index, values = entries
     n = dim // 2
-    rows, cols = np.divmod(index, dim)
-    local = (rows % n) * n + cols % n
-    at = _union(local)
-    # the four quadrants' values at each place, +0 where a quadrant has none
-    p, q, r, s = quadrants = np.zeros((4, at.size), dtype=values.dtype)
-    quadrants[2 * (rows >= n) + (cols >= n), np.searchsorted(at, local)] = values
-    top, bottom = (p + r, q + s), (p - r, q - s)
-    mixed = (
-        0.5 * (top[0] + top[1]),
-        0.5 * (top[0] - top[1]),
-        0.5 * (bottom[0] + bottom[1]),
-        0.5 * (bottom[0] - bottom[1]),
-    )
-    lr, lc = np.divmod(at, n)
-    places = (lr * dim + lc, lr * dim + lc + n, (lr + n) * dim + lc, (lr + n) * dim + lc + n)
-    return _pruned(*_sorted(np.concatenate(places), np.concatenate(mixed)))
-
-
-def _block_diag_entries(mats) -> tuple[np.ndarray, np.ndarray]:
-    """Entries of the block-diagonal matrix of these dense square blocks."""
-    dim = sum(len(m) for m in mats)
-    parts, offset = [], 0
-    for m in mats:
-        index, values = _entries(m)
-        rows, cols = np.divmod(index, len(m))
-        parts.append(((rows + offset) * dim + cols + offset, values))
-        offset += len(m)
-    return tuple(map(np.concatenate, zip(*parts)))
+    places = {}  # local place -> the values of quadrants P, Q, R, S there
+    for k, value in zip(*entries):
+        row, col = divmod(k, dim)
+        quadrants = places.setdefault((row % n) * n + col % n, [0j, 0j, 0j, 0j])
+        quadrants[2 * (row >= n) + (col >= n)] = value
+    out = {}
+    for local, (p, q, r, s) in places.items():
+        at = (local // n) * dim + local % n
+        top, bottom = (p + r, q + s), (p - r, q - s)
+        out[at] = _product(0.5, top[0] + top[1])
+        out[at + n] = _product(0.5, top[0] - top[1])
+        out[at + n * dim] = _product(0.5, bottom[0] + bottom[1])
+        out[at + n * dim + n] = _product(0.5, bottom[0] - bottom[1])
+    return _pair(out)
 
 
 def _canonical_block_labels(jl: Weight, jr: Weight) -> list[dict]:
@@ -286,28 +243,30 @@ def _rotation_block_labels(jl: Weight, jr: Weight) -> list[dict]:
 
 def _canonical(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
     """The bundle of weights (j1, j2) in the canonical basis; in every
-    tensor block M acts on the left slot and N on the right one."""
-    blocks = _blocks(j1, j2)
-    gens = {w: su2_generators(w).J for block in blocks for w in block}
-    eye = {w: np.eye(w.dim, dtype=complex) for w in gens}
-    m_gens = tuple(
-        _block_diag_entries([kron(gens[jl][a], eye[jr]) for jl, jr in blocks]) for a in range(3)
-    )
-    n_gens = tuple(
-        _block_diag_entries([kron(eye[jl], gens[jr][a]) for jl, jr in blocks]) for a in range(3)
-    )
+    tensor block M acts on the left slot and N on the right one.
 
-    # epsilon times the exchange pairing the first block with the last. For
-    # a tensor square they are one block, the exchange is symmetric and the
-    # second assignment stands. It is built dense: with epsilon = -1 the
-    # product gives the zeros of the upper block a -0.0 part, which the
-    # JSON text spells out.
+    Each value is the one numpy's kron and complex products give on the
+    dense matrices, so the signed zeros they make are entries too.
+    """
+    blocks = _blocks(j1, j2)
+    gens = {w: _generator_entries(w) for block in blocks for w in block}
     dim = sum(jl.dim * jr.dim for jl, jr in blocks)
-    swap = _exchange(j1.dim, j2.dim)
-    n = swap.shape[0]
-    eta = np.zeros((dim, dim), dtype=complex)
-    eta[dim - n :, :n] = epsilon * swap.conj().T
-    eta[:n, dim - n :] = epsilon * swap
+    m_gens = tuple(_slot_generator(blocks, gens, a, 0, dim) for a in range(3))
+    n_gens = tuple(_slot_generator(blocks, gens, a, 1, dim) for a in range(3))
+
+    # epsilon times the exchange S (y (x) x -> x (x) y) pairing the first
+    # block with the last, S^H below and S above; for a tensor square they
+    # are one block and S stands. With epsilon = -1 the zeros of S times
+    # epsilon have a -0.0 part, so all of that block is entries.
+    n = j1.dim * j2.dim
+    perm = [q * j1.dim + p for p, q in (divmod(r, j2.dim) for r in range(n))]  # S[r, perm[r]] = 1
+    eta = {}
+    if dim != n:
+        inv = [0] * n
+        for r, c in enumerate(perm):
+            inv[c] = r
+        _place(eta, dim, dim - n, 0, inv, epsilon, -0.0)
+    _place(eta, dim, 0, dim - n, perm, epsilon, 0.0)
 
     labels = [lab for jl, jr in blocks for lab in _canonical_block_labels(jl, jr)]
     return CoupledRep(
@@ -315,17 +274,59 @@ def _canonical(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
         j2=j2,
         M=m_gens,
         N=n_gens,
-        metric=MetricOperator(eta),
+        metric=MetricOperator._from_entries(dim, _pair(eta)),
         epsilon=epsilon,
         basis=Basis.CANONICAL,
         labels=tuple(labels),
     )
 
 
-def _rotation_block(jl: Weight, jr: Weight, offset: int) -> tuple[tuple, ...]:
+def _slot_generator(blocks, gens: dict, a: int, slot: int, dim: int) -> tuple[list, list]:
+    """Entries of generator a on tensor slot 0 (M) or 1 (N) of every block:
+    kron(J_a, 1) or kron(1, J_a), block diagonal.
+
+    A +0 entry of J_a times either entry of the identity is +0, so only
+    J_a's entries are visited; each times the identity's (1, 0) lands on
+    the diagonal, and times its (0, 0) everywhere else in its slot, where
+    it is not +0 only when its real part is negative.
+    """
+    out, offset = {}, 0
+    for block in blocks:
+        w, e = block[slot], block[1 - slot].dim  # the generator's weight, the identity's size
+        d = w.dim
+        for k, v in zip(*gens[w][a]):
+            p, pp = divmod(k, d)
+            one, zero = _product(v, 1.0), _product(v, 0.0)
+            for q in range(e):
+                for qq in range(e) if _written(zero) else (q,):
+                    if slot == 0:
+                        row, col = p * e + q, pp * e + qq
+                    else:
+                        row, col = q * d + p, qq * d + pp
+                    out[(offset + row) * dim + offset + col] = one if q == qq else zero
+        offset += d * e
+    return _pair(out)
+
+
+def _place(eta: dict, dim: int, row0: int, col0: int, cols: list, epsilon: int, imag: float):
+    """Put epsilon times the block with (1, imag) at (r, cols[r]) and
+    (0, imag) elsewhere at (row0, col0); imag is -0.0 for a conjugated
+    exchange. The zeros are written only when the product is not +0."""
+    one = _product(float(epsilon), complex(1.0, imag))
+    zero = _product(float(epsilon), complex(0.0, imag))
+    n = len(cols)
+    for r, c in enumerate(cols):
+        base = (row0 + r) * dim + col0
+        if _written(zero):
+            for cc in range(n):
+                eta[base + cc] = zero
+        eta[base + c] = one
+
+
+def _rotation_block(jl: Weight, jr: Weight, offset: int, dim: int) -> tuple[dict, ...]:
     """Real (I3, I+, D3, D+) of one tensor block in its total-spin basis,
-    each as the (rows, cols, values) of its entries, the block starting at
-    index offset.
+    each as {flat index: float} in a dim x dim matrix, the block starting
+    at index offset; a +0 value may be among them.
 
     I is the spin-s matrix on each total spin s. D = M - N is the vector
     operator of Gel'fand, Minlos & Shapiro (1963) and Naimark (1964); with
@@ -345,38 +346,36 @@ def _rotation_block(jl: Weight, jr: Weight, offset: int) -> tuple[tuple, ...]:
     (s, sig) at index i has (s, sig+1) at i - 1, (s-1, sig) at i + 2s,
     (s-1, sig+1) at i + 2s - 1 and (s+1, sig+1) at i - 2s - 3.
     """
-    labels = _rotation_block_labels(jl, jr)
-    ts = np.array([lab["twice_s"] for lab in labels])
-    tsig = np.array([lab["twice_sigma"] for lab in labels])
-    s, sig = ts / 2.0, tsig / 2.0
+    spins = _spin_range(jl, jr)
     k0, c = (jl.twice_j - jr.twice_j) / 2.0, (jl.twice_j + jr.twice_j) / 2.0 + 1.0
-    n = len(ts)
-    i = np.arange(n) + offset
-    a = k0 * c / (s * (s + 1)) if k0 else np.zeros(n)
 
     def b(t):
-        return np.sqrt((t * t - k0 * k0) * (c * c - t * t) / (t * t * (4 * t * t - 1)))
+        return sqrt((t * t - k0 * k0) * (c * c - t * t) / (t * t * (4 * t * t - 1)))
 
-    i3 = (i, i, sig)
-    d3 = [(i, i, sig * a)]
-    m = tsig < ts  # sig < s
-    root = np.sqrt((s - sig) * (s + sig + 1))[m]
-    ip = (i[m] - 1, i[m], root)
-    dp = [(i[m] - 1, i[m], root * a[m])]
-    low = ts > ts[-1]  # s above the lowest spin
-    m = low & (abs(tsig) < ts)
-    mirrored = np.sqrt(s * s - sig * sig)[m] * b(s[m])
-    d3 += [(i[m] + ts[m], i[m], mirrored), (i[m], i[m] + ts[m], mirrored)]
-    m = low & (tsig <= ts - 4)
-    dp.append((i[m] + ts[m] - 1, i[m], np.sqrt((s - sig) * (s - sig - 1))[m] * b(s[m])))
-    m = ts < ts[0]  # s below the highest spin
-    dp.append((i[m] - ts[m] - 3, i[m], -np.sqrt((s + sig + 1) * (s + sig + 2))[m] * b(s[m] + 1)))
-    return i3, ip, _joined(d3), _joined(dp)
-
-
-def _joined(parts) -> tuple:
-    """One (rows, cols, values) from several."""
-    return tuple(map(np.concatenate, zip(*parts)))
+    i3, ip, d3, dp = {}, {}, {}, {}
+    i = offset
+    for ts in spins:
+        s = ts / 2.0
+        a = k0 * c / (s * (s + 1)) if k0 else 0.0
+        b_s = b(s) if ts > spins[-1] else None  # s above the lowest spin
+        b_up = b(s + 1) if ts < spins[0] else None  # s below the highest spin
+        for tsig in range(ts, -ts - 2, -2):
+            sig = tsig / 2.0
+            at = i * dim + i
+            i3[at] = sig
+            d3[at] = sig * a
+            if tsig < ts:
+                root = sqrt((s - sig) * (s + sig + 1))
+                ip[at - dim] = root
+                dp[at - dim] = root * a
+            if b_s is not None and abs(tsig) < ts:
+                d3[at + ts * dim] = d3[at + ts] = sqrt(s * s - sig * sig) * b_s
+            if b_s is not None and tsig <= ts - 4:
+                dp[at + (ts - 1) * dim] = sqrt((s - sig) * (s - sig - 1)) * b_s
+            if b_up is not None:
+                dp[at - (ts + 3) * dim] = -sqrt((s + sig + 1) * (s + sig + 2)) * b_up
+            i += 1
+    return i3, ip, d3, dp
 
 
 def _rotation(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
@@ -391,50 +390,41 @@ def _rotation(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
     labels = [lab for jl, jr in blocks for lab in _rotation_block_labels(jl, jr)]
     dim = len(labels)
     n = dim // len(blocks)
-    parts = zip(*(_rotation_block(jl, jr, k * n) for k, (jl, jr) in enumerate(blocks)))
-    i3, ip, d3, dp = (
-        _sorted(rows * dim + cols, values) for rows, cols, values in map(_joined, parts)
-    )
+    i3, ip, d3, dp = {}, {}, {}, {}
+    for k, (jl, jr) in enumerate(blocks):
+        for whole, part in zip((i3, ip, d3, dp), _rotation_block(jl, jr, k * n, dim)):
+            whole.update(part)
 
     def family(sign):  # M for +1, N for -1
         def half(x, y):
             return (x + sign * y) / 2
 
-        xp = _combine(ip, dp, half)
-        rows, cols = np.divmod(xp[0], dim)
-        xt = _sorted(cols * dim + rows, xp[1])  # the transpose of x+
-        # x2 = (x+ - x-)/(2i), filled through its imaginary part so that every
-        # real part is +0.0, which the JSON writer leaves unwritten
-        x2 = _combine(xp, xt, _imaginary_half_difference)
+        xp = dict(zip(*_combine(ip, dp, half, 0.0)))
+        xt = {(k % dim) * dim + k // dim: v for k, v in xp.items()}  # the transpose of x+
         return (
-            _combine(xp, xt, lambda x, t: (x + t).astype(complex) / 2),
-            x2,
-            _combine(i3, d3, lambda x, y: half(x, y).astype(complex)),
+            _combine(xp, xt, lambda x, t: _halved(complex(x + t)), 0.0),
+            # x2 = (x+ - x-)/(2i), filled through its imaginary part so that
+            # every real part is +0.0, which the JSON writer leaves unwritten
+            _combine(xp, xt, lambda x, t: complex(0.0, (t - x) / 2), 0.0),
+            _combine(i3, d3, lambda x, y: complex(half(x, y)), 0.0),
         )
 
     tjsum = j1.twice_j + j2.twice_j
-    signs = [epsilon * (-1) ** ((tjsum - lab["twice_s"]) // 2) for lab in labels[:n]]
-    k = np.arange(n)
     off = dim - n  # 0 for a tensor square: its metric is diagonal
-    pairs = (k * dim + k + off, np.asarray(signs, dtype=complex))
-    if off:
-        pairs = _joined([pairs, ((k + off) * dim + k, pairs[1])])
+    pairs = {}
+    for k, lab in enumerate(labels[:n]):
+        sign = complex(epsilon * (-1) ** ((tjsum - lab["twice_s"]) // 2))
+        pairs[k * dim + k + off] = pairs[(k + off) * dim + k] = sign
     return CoupledRep(
         j1=j1,
         j2=j2,
         M=family(1),
         N=family(-1),
-        metric=MetricOperator._from_entries(dim, pairs),
+        metric=MetricOperator._from_entries(dim, _pair(pairs)),
         epsilon=epsilon,
         basis=Basis.ROTATION,
         labels=tuple(labels),
     )
-
-
-def _imaginary_half_difference(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    out = np.zeros(x.size, dtype=complex)
-    out.imag = (t - x) / 2
-    return out
 
 
 def _build(j1: Weight, j2: Weight, epsilon: int, basis) -> CoupledRep:
@@ -485,6 +475,8 @@ def chiral_projectors(rep: CoupledRep) -> tuple[Projector, Projector]:
     exchanges them under Dirac conjugation, which is exactly why the
     bundle has no common invariant subspace of generators and metric.
     """
+    import numpy as np
+
     from .projections import Projector
 
     if rep.is_diagonal:
@@ -507,6 +499,8 @@ def _cg_block(jl: Weight, jr: Weight) -> np.ndarray:
     the exact zeros a full fill would write. The block is square: the
     total spins hold as many states as the tensor product.
     """
+    import numpy as np
+
     from .cg import clebsch_gordan
 
     n = jl.dim * jr.dim
@@ -544,8 +538,13 @@ def rotation_basis(rep: CoupledRep) -> tuple[np.ndarray, CoupledRep]:
     """
     if rep.basis != Basis.CANONICAL:
         raise WrongRepShape(f"expected a canonical-basis bundle, got {rep.basis.value!r}")
-    blocks = [_cg_block(jl, jr) for jl, jr in _blocks(rep.j1, rep.j2)]
-    c = _dense(rep.dim, _block_diag_entries(blocks))
+    import numpy as np
+
+    c, offset = np.zeros((rep.dim, rep.dim), dtype=complex), 0
+    for jl, jr in _blocks(rep.j1, rep.j2):
+        n = jl.dim * jr.dim
+        c[offset : offset + n, offset : offset + n] = _cg_block(jl, jr)
+        offset += n
     return c, _rotation(rep.j1, rep.j2, rep.epsilon)
 
 
@@ -584,4 +583,8 @@ def rep_signature(rep: CoupledRep) -> tuple[int, int]:
     """Eigenvalue signature (n_plus, n_minus) of the bundle's metric, read
     off its non-zeros when it is monomial, as every built bundle's is."""
     mono = rep.metric._mono
-    return signature(rep.metric.eta) if mono is None else _monomial_signature(*mono)
+    if mono is None:
+        from .linalg import signature
+
+        return signature(rep.metric.eta)
+    return _monomial_signature(*mono)

@@ -15,8 +15,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
+from .entries import DEFAULT_TOLS, _check_monomial_metric, _monomial_of
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -24,21 +23,10 @@ from .errors import (
     VarianceMismatch,
     WrongVariance,
 )
-from .linalg import (
-    DEFAULT_TOLS,
-    _check_monomial_metric,
-    _dense,
-    _entries,
-    _monomial_inverse,
-    _monomial_of,
-    as_matrix,
-    as_vector,
-    inverse,
-    max_abs,
-)
 
 __all__ = [
     "Variance",
+    "OperatorKind",
     "VarVector",
     "MetricOperator",
     "relate_bra",
@@ -86,6 +74,46 @@ class Variance(enum.Enum):
         }[self]
 
 
+class OperatorKind(enum.Enum):
+    """Variance signature of an operator: (domain, codomain)."""
+
+    DOWN_DOWN = "dd"
+    UP_UP = "uu"
+    DOWN_UP = "du"
+    UP_DOWN = "ud"
+
+    @property
+    def domain_up(self) -> bool:
+        return self in (OperatorKind.UP_UP, OperatorKind.UP_DOWN)
+
+    @property
+    def codomain_up(self) -> bool:
+        return self in (OperatorKind.UP_UP, OperatorKind.DOWN_UP)
+
+    @staticmethod
+    def from_variances(domain_up: bool, codomain_up: bool) -> "OperatorKind":
+        return {
+            (False, False): OperatorKind.DOWN_DOWN,
+            (True, True): OperatorKind.UP_UP,
+            (False, True): OperatorKind.DOWN_UP,
+            (True, False): OperatorKind.UP_DOWN,
+        }[(domain_up, codomain_up)]
+
+    @property
+    def adjoint_kind(self) -> "OperatorKind":
+        """Kind of the hermitian adjoint: dd and uu swap, cross kinds stay."""
+        return {
+            OperatorKind.DOWN_DOWN: OperatorKind.UP_UP,
+            OperatorKind.UP_UP: OperatorKind.DOWN_DOWN,
+            OperatorKind.DOWN_UP: OperatorKind.DOWN_UP,
+            OperatorKind.UP_DOWN: OperatorKind.UP_DOWN,
+        }[self]
+
+    @property
+    def is_endomorphism(self) -> bool:
+        return self in (OperatorKind.DOWN_DOWN, OperatorKind.UP_UP)
+
+
 @dataclass(frozen=True, eq=False)
 class VarVector:
     """A component vector tagged with its variance.
@@ -99,6 +127,8 @@ class VarVector:
     variance: Variance
 
     def __post_init__(self):
+        from .linalg import as_vector
+
         comps = as_vector(self.components).copy()
         comps.setflags(write=False)
         object.__setattr__(self, "components", comps)
@@ -119,47 +149,63 @@ class MetricOperator:
     construction rather than at use sites. Singular candidates are
     rejected for the same fail-fast reason.
 
-    The matrix is held as its entries (see linalg). A monomial metric,
-    as every bundle metric is, is checked on its d non-zeros, and eta and
-    eta_inv are made dense on first access.
+    A metric built from entries (see entries), as every bundle metric
+    is, is held as them: a monomial one is checked on its d non-zeros in
+    pure Python, and eta and eta_inv are made dense on first access, which
+    is when numpy is loaded. A dense eta given to the constructor loads it
+    at once and is kept as a read-only copy; its entries are made only
+    when asked for.
     """
 
     def __init__(self, eta):
+        from .linalg import _monomial, as_matrix
+
         eta = as_matrix(eta)
         if eta.shape[0] != eta.shape[1]:
             raise DimensionMismatch(f"metric must be square, got {eta.shape}")
-        self._adopt(eta.shape[0], _entries(eta))
+        self.eta = _read_only(eta.copy())
+        self._adopt(eta.shape[0], _monomial(eta))
 
     @classmethod
     def _from_entries(cls, dim: int, entries) -> "MetricOperator":
         """The metric with these entries and +0 elsewhere, checked as the
         constructor checks a dense matrix."""
         self = cls.__new__(cls)
-        self._adopt(dim, entries)
+        self._entries = entries
+        nonzero = [(k, v) for k, v in zip(*entries) if v != 0]
+        self._adopt(dim, _monomial_of(dim, [k for k, _ in nonzero], [v for _, v in nonzero]))
         return self
 
-    def _adopt(self, dim: int, entries):
-        index, values = entries
-        nonzero = values != 0
-        mono = _monomial_of(dim, index[nonzero], values[nonzero])
-        if mono is None:
-            eta = _read_only(_dense(dim, entries))
-            if max_abs(eta - eta.conj().T) > DEFAULT_TOLS.herm_tol:
-                raise NotHermitian("metric matrix must be hermitian")
-            self.eta_inv = _read_only(inverse(eta))
-            self.eta = eta
-        else:
-            _check_monomial_metric(*mono)
+    def _adopt(self, dim: int, mono):
+        """Check the metric, its monomial form mono or, when it has none,
+        its dense eta."""
         self.dim = dim
-        self._entries = entries
         self._mono = mono
+        if mono is not None:
+            _check_monomial_metric(*mono)
+            return
+        from .linalg import inverse, max_abs
+
+        if max_abs(self.eta - self.eta.conj().T) > DEFAULT_TOLS.herm_tol:
+            raise NotHermitian("metric matrix must be hermitian")
+        self.eta_inv = _read_only(inverse(self.eta))
+
+    @cached_property
+    def _entries(self) -> tuple[list, list]:
+        from .linalg import _entries
+
+        return _entries(self.eta)
 
     @cached_property
     def eta(self) -> np.ndarray:
+        from .linalg import _dense
+
         return _read_only(_dense(self.dim, self._entries))
 
     @cached_property
     def eta_inv(self) -> np.ndarray:
+        from .linalg import _monomial_inverse
+
         return _read_only(_monomial_inverse(*self._mono))
 
     def __repr__(self):
@@ -212,6 +258,8 @@ def dual_form(b: VarVector, k: VarVector) -> complex:
     components are stored conjugated, so the value is a plain sum of
     products. Other pairings need a metric and are rejected.
     """
+    import numpy as np
+
     legal = (
         (b.variance, k.variance) == (Variance.BRA_UP, Variance.KET_DOWN)
         or (b.variance, k.variance) == (Variance.BRA_DOWN, Variance.KET_UP)
@@ -244,6 +292,8 @@ def scalar_product(m: MetricOperator, x: VarVector, y: VarVector) -> complex:
 def raise_lower_index(m: MetricOperator, comps, direction: str) -> np.ndarray:
     """Move component indices with the metric: 'lower' applies the metric,
     'raise' its inverse; the round trip is the identity."""
+    from .linalg import as_vector
+
     v = as_vector(comps, m.dim)
     if direction == "lower":
         return m.eta @ v

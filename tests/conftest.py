@@ -4,6 +4,8 @@ property test draws the same examples on every run."""
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -74,3 +76,17 @@ def random_metric_projector(rng, m: MetricOperator, rank: int):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def forbid_dense(monkeypatch, what: str):
+    """Make linalg._dense, the one maker of a dense matrix from entries,
+    raise AssertionError(what), in linalg and in every loaded braket module
+    that holds a name for it."""
+    from braket.linalg import _dense
+
+    def no_dense(*args):
+        raise AssertionError(what)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("braket.") and getattr(module, "_dense", None) is _dense:
+            monkeypatch.setattr(module, "_dense", no_dense)

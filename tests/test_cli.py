@@ -13,6 +13,7 @@ import pytest
 from braket import Weight, build_rep, build_rep_diag, orthonormal_basis, rotation_basis
 from braket.cli import main
 from braket.serialize import dump_json, matrix_to_json, rep_to_json
+from conftest import forbid_dense
 
 
 # the dim-312 orthonormal rung of the benchmark and the size of its JSON text
@@ -144,9 +145,6 @@ class TestRepCommand:
     def test_top_rung_is_written_a_matrix_at_a_time(self, monkeypatch):
         # the dim-312 payload is 15.4 MB of text; no dense matrix and no
         # whole-payload string is made on the way to stdout
-        def no_dense(*args):
-            raise AssertionError("dense matrix made on the rep path")
-
         class Discard(io.TextIOBase):
             written = 0
 
@@ -158,8 +156,7 @@ class TestRepCommand:
         with contextlib.redirect_stdout(sink):  # imports what `rep` runs
             assert main(["rep", "--twice-j1", "1", "--twice-j2", "0", "--basis", "orthonormal"]) == 0
         sink.written = 0
-        for module in ("braket.sl2c", "braket.spaces"):
-            monkeypatch.setattr(f"{module}._dense", no_dense)
+        forbid_dense(monkeypatch, "dense matrix made on the rep path")
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(sink):

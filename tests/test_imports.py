@@ -1,6 +1,7 @@
 """What fresh processes import: `import braket` loads no submodule and so
-no numpy, `braket rep` loads only the modules it runs, and
-`from braket import *` binds every name the package exports."""
+no numpy, `braket rep` loads only the modules it runs and no numpy,
+`braket cg` loads no numpy either, and `from braket import *` binds
+every name the package exports."""
 
 import os
 import subprocess
@@ -59,9 +60,25 @@ def test_rep_loads_only_what_it_runs(basis):
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         f"    assert cli.main(['rep', '--twice-j1', '4', '--twice-j2', '3', '--basis', '{basis}']) == 0\n"
         "assert out.getvalue().startswith('{')\n"
-        "unused = ['braket.dsl', 'braket.cg', 'braket.transforms', 'braket.projections', 'numpy.ma']\n"
+        "unused = ['braket.dsl', 'braket.cg', 'braket.transforms', 'braket.projections',\n"
+        "          'braket.linalg', 'numpy']\n"
         "loaded = [m for m in unused if m in sys.modules]\n"
         "assert loaded == [], loaded\n"
+    )
+
+
+def test_cg_leaves_numpy_unloaded():
+    # Racah's sum is Fraction arithmetic; run as `python -m braket.cli` would
+    argv = ["cg", "--j1", "1", "--l1", "1", "--j2", "1/2", "--l2=-1/2", "--s", "3/2",
+            "--sigma", "1/2"]
+    run_fresh(
+        "import runpy, sys\n"
+        f"sys.argv = ['braket', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('braket.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
     )
 
 

@@ -39,7 +39,7 @@ from braket.serialize import (
     vector_from_json,
     vector_to_json,
 )
-from conftest import max_dev, random_complex
+from conftest import forbid_dense, max_dev, random_complex
 from test_sl2c import reps_in_every_basis
 
 
@@ -354,6 +354,20 @@ class TestRepSchema:
             m["data"] = [[re + 1e-13, im - 1e-13] for re, im in m["data"]]
         back = rep_from_json(payload)
         assert all((a == b).all() for a, b in zip(back.M + back.N, rep.M + rep.N))
+
+    def test_load_makes_no_dense_bundle(self, monkeypatch):
+        # each payload matrix is compared with the rebuilt bundle's entries,
+        # so loading a dim-40 payload makes no dense matrix of the bundle
+        payloads = [rep_to_json(build_rep(Weight(4), Weight(3), basis=b)) for b in Basis]
+        tampered = rep_to_json(build_rep(Weight(4), Weight(3), basis="orthonormal"))
+        tampered["generators"]["K"][2]["data"][7][1] += 1e-6
+
+        forbid_dense(monkeypatch, "dense matrix of the bundle made on load")
+        for payload in payloads:
+            rep = rep_from_json(payload)
+            assert rep.dim == 40 and rep.basis == payload["basis"]
+        with pytest.raises(SchemaError, match="K does not match"):
+            rep_from_json(tampered)
 
     @pytest.mark.parametrize("family", ["I", "K"])
     def test_tampered_derived_generator(self, family):

@@ -29,7 +29,8 @@ from braket import (
 )
 from braket import cli
 from braket.operators import KindedOperator, OperatorKind
-from braket.sl2c import _blocks, _cg_block, _exchange, _mix, _rotation_block
+from braket.serialize import dump_json, dump_rep, rep_to_json
+from braket.sl2c import _blocks, _cg_block, _mix, _rotation_block_labels
 from conftest import max_dev
 
 EPS = np.zeros((3, 3, 3))
@@ -339,6 +340,14 @@ def closed_form(tj1, tj2, basis=Basis.ROTATION, epsilon=None):
     return build_rep(Weight(tj1), Weight(tj2), epsilon, basis)
 
 
+def exchange(d_left, d_right):
+    """Permutation sending y (x) x to x (x) y for x in C^d_left, y in C^d_right."""
+    p, q = np.divmod(np.arange(d_left * d_right), d_right)
+    s = np.zeros((d_left * d_right, d_right * d_left))
+    s[p * d_right + q, q * d_left + p] = 1.0
+    return s
+
+
 def cg_rotated(tj1, tj2, epsilon):
     """M, N and the metric of the canonical (tj1, tj2) bundle moved to
     total-spin labels by the Clebsch-Gordan columns C: the rotation bundle
@@ -364,7 +373,7 @@ def cg_rotated(tj1, tj2, epsilon):
 
     m = moved(lambda jl, jr, a: np.kron(su2_generators(jl).J[a], np.eye(jr.dim)))
     n = moved(lambda jl, jr, a: np.kron(np.eye(jl.dim), su2_generators(jr).J[a]))
-    pair = epsilon * cs[0].T @ _exchange(tj1 + 1, tj2 + 1).real @ cs[-1]
+    pair = epsilon * cs[0].T @ exchange(tj1 + 1, tj2 + 1) @ cs[-1]
     if len(blocks) == 1:
         eta = pair
     else:
@@ -390,6 +399,73 @@ def pattern_mask(rot):
     return (block[:, None] == block[None, :]) & near(ts) & near(tsig)
 
 
+def numpy_rotation_block(jl, jr, offset):
+    """(rows, cols, values) of the real (I3, I+, D3, D+) of one tensor block
+    in its total-spin basis, the closed form evaluated on whole numpy
+    arrays (see sl2c._rotation_block for the formulas)."""
+    labels = _rotation_block_labels(jl, jr)
+    ts = np.array([lab["twice_s"] for lab in labels])
+    tsig = np.array([lab["twice_sigma"] for lab in labels])
+    s, sig = ts / 2.0, tsig / 2.0
+    k0, c = (jl.twice_j - jr.twice_j) / 2.0, (jl.twice_j + jr.twice_j) / 2.0 + 1.0
+    n = len(ts)
+    i = np.arange(n) + offset
+    a = k0 * c / (s * (s + 1)) if k0 else np.zeros(n)
+
+    def b(t):
+        return np.sqrt((t * t - k0 * k0) * (c * c - t * t) / (t * t * (4 * t * t - 1)))
+
+    d3 = [(i, i, sig * a)]
+    m = tsig < ts
+    root = np.sqrt((s - sig) * (s + sig + 1))[m]
+    ip = (i[m] - 1, i[m], root)
+    dp = [(i[m] - 1, i[m], root * a[m])]
+    low = ts > ts[-1]
+    m = low & (abs(tsig) < ts)
+    mirrored = np.sqrt(s * s - sig * sig)[m] * b(s[m])
+    d3 += [(i[m] + ts[m], i[m], mirrored), (i[m], i[m] + ts[m], mirrored)]
+    m = low & (tsig <= ts - 4)
+    dp.append((i[m] + ts[m] - 1, i[m], np.sqrt((s - sig) * (s - sig - 1))[m] * b(s[m])))
+    m = ts < ts[0]
+    dp.append((i[m] - ts[m] - 3, i[m], -np.sqrt((s + sig + 1) * (s + sig + 2))[m] * b(s[m] + 1)))
+    joined = lambda parts: tuple(map(np.concatenate, zip(*parts)))
+    return (i, i, sig), ip, joined(d3), joined(dp)
+
+
+def dense_bundle(m, n, eta):
+    """M, N, I, K and the metric, I and K formed from whole arrays."""
+    i = [a + b for a, b in zip(m, n)]
+    k = [1j * (b - a) for a, b in zip(m, n)]
+    return [*m, *n, *i, *k, eta]
+
+
+def dense_canonical(tj1, tj2, epsilon):
+    """The canonical bundle by numpy's arithmetic on dense matrices: the
+    su(2) ladder, J- = J+^H, kron with the complex identity, and epsilon
+    times the exchange (its conjugate transpose below)."""
+
+    def su2(tj):
+        jj, d = tj / 2.0, tj + 1
+        plus = np.zeros((d, d), dtype=complex)
+        for row in range(d - 1):
+            lam = jj - row - 1
+            plus[row, row + 1] = np.sqrt(jj * (jj + 1) - lam * (lam + 1))
+        minus = plus.conj().T
+        j3 = np.diag(np.array([jj - k for k in range(d)], dtype=complex))
+        return (plus + minus) / 2.0, (plus - minus) / 2.0j, j3
+
+    blocks = [(tj1, tj1)] if tj1 == tj2 else [(tj1, tj2), (tj2, tj1)]
+    eye = lambda tj: np.eye(tj + 1, dtype=complex)
+    m = [block_diag(*(np.kron(su2(l)[a], eye(r)) for l, r in blocks)) for a in range(3)]
+    n = [block_diag(*(np.kron(eye(l), su2(r)[a]) for l, r in blocks)) for a in range(3)]
+    swap = exchange(tj1 + 1, tj2 + 1).astype(complex)
+    dim, size = m[0].shape[0], swap.shape[0]
+    eta = np.zeros((dim, dim), dtype=complex)
+    eta[dim - size :, :size] = epsilon * swap.conj().T
+    eta[:size, dim - size :] = epsilon * swap
+    return dense_bundle(m, n, eta)
+
+
 def dense_closed_form(tj1, tj2, epsilon):
     """M, N, I, K and the metric of the rotation bundle, and those of the
     orthonormal one for a pair, by the dense arithmetic the bundle's
@@ -400,7 +476,7 @@ def dense_closed_form(tj1, tj2, epsilon):
     dim = n * len(blocks)
     i3, ip, d3, dp = (np.zeros((dim, dim)) for _ in range(4))
     for k, (jl, jr) in enumerate(blocks):
-        for x, (rows, cols, values) in zip((i3, ip, d3, dp), _rotation_block(jl, jr, k * n)):
+        for x, (rows, cols, values) in zip((i3, ip, d3, dp), numpy_rotation_block(jl, jr, k * n)):
             x[rows, cols] = values
 
     def family(sign):
@@ -409,21 +485,29 @@ def dense_closed_form(tj1, tj2, epsilon):
         x2.imag = (xp.T - xp) / 2
         return ((xp + xp.T).astype(complex) / 2, x2, x3.astype(complex))
 
-    def bundle(m, nn, eta):
-        i = [a + b for a, b in zip(m, nn)]
-        k = [1j * (b - a) for a, b in zip(m, nn)]
-        return [*m, *nn, *i, *k, eta]
-
     m, nn = family(1), family(-1)
     rot = closed_form(tj1, tj2, epsilon=epsilon)
     signs = [epsilon * (-1) ** ((tj1 + tj2 - lab["twice_s"]) // 2) for lab in rot.labels[:n]]
     eta = np.zeros((dim, dim), dtype=complex)
     idx = np.arange(n)
     eta[idx, idx + dim - n] = eta[idx + dim - n, idx] = signs
-    want = [bundle(m, nn, eta)]
+    want = [dense_bundle(m, nn, eta)]
     if len(blocks) == 2:
-        want.append(bundle([_mix(x) for x in m], [_mix(x) for x in nn], _mix(eta)))
+        want.append(dense_bundle([_mix(x) for x in m], [_mix(x) for x in nn], _mix(eta)))
     return want
+
+
+def assert_entries_match_dense_arithmetic(tj1, tj2, epsilon):
+    # the bundle is built from entries in pure Python; in every basis each
+    # dense matrix made from them is numpy's dense computation, signed
+    # zeros included, and the text written from them is the dict encoding
+    want = dict(zip([Basis.ROTATION, Basis.ORTHONORMAL], dense_closed_form(tj1, tj2, epsilon)))
+    want[Basis.CANONICAL] = dense_canonical(tj1, tj2, epsilon)
+    for basis, matrices in want.items():
+        rep = closed_form(tj1, tj2, basis, epsilon)
+        got = [*rep.M, *rep.N, *rep.I, *rep.K, rep.metric.eta]
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in matrices], basis
+        assert dump_rep(rep) == dump_json(rep_to_json(rep)), basis
 
 
 class TestClosedForm:
@@ -453,13 +537,23 @@ class TestClosedForm:
         [(1, 0, 1), (4, 3, -1), (5, 2, 1), (8, 7, 1), (6, 1, -1), (12, 12, 1), (7, 7, -1), (0, 0, 1)],
     )
     def test_entries_match_dense_arithmetic_bitwise(self, tj1, tj2, epsilon):
-        # the bundle holds entries; every dense matrix made from them is the
-        # dense computation's, signed zeros included
-        bases = [Basis.ROTATION] + ([Basis.ORTHONORMAL] if tj1 != tj2 else [])
-        for basis, want in zip(bases, dense_closed_form(tj1, tj2, epsilon)):
-            rep = closed_form(tj1, tj2, basis, epsilon)
-            got = [*rep.M, *rep.N, *rep.I, *rep.K, rep.metric.eta]
-            assert [x.tobytes() for x in got] == [x.tobytes() for x in want], basis
+        assert_entries_match_dense_arithmetic(tj1, tj2, epsilon)
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(tj1=st.integers(0, 12), tj2=st.integers(0, 12), epsilon=st.sampled_from([1, -1]))
+    def test_entries_match_dense_arithmetic_sweep(self, tj1, tj2, epsilon):
+        assert_entries_match_dense_arithmetic(tj1, tj2, epsilon)
+
+    def test_signed_zero_entries(self):
+        # the -0.0 parts the sweep must reproduce: K's real parts where M - N
+        # is negative, and the canonical metric's upper block for epsilon = -1
+        negative_zero = lambda x: x == 0 and np.copysign(1.0, x) < 0
+        rot = closed_form(4, 3, Basis.ROTATION, 1)
+        assert any(negative_zero(z.real) for k in rot.K for z in k.reshape(-1))
+        eta = closed_form(5, 2, Basis.CANONICAL, -1).metric.eta
+        n = eta.shape[0] // 2
+        assert all(negative_zero(z.real) or z == -1 for z in eta[:n, n:].reshape(-1))
+        assert not any(negative_zero(z.real) for z in eta[n:, :n].reshape(-1))
 
     def test_flipped_epsilon(self):
         for tj1, tj2 in ((2, 1), (3, 3)):
