@@ -2,9 +2,10 @@
 
 A matrix is held as its entries: (index, values), the ascending flat
 indices i * cols + j as a list of ints and the Python complex values
-there. Every value that is not +0 is kept (a -0.0 part is kept too), so
-that a writer spelling out the entries and +0 everywhere else reproduces
-the text of the dense matrix.
+there. A zero has no sign in the bra-ket calculus, and the one rule for
+it is here: _pair and _combine keep a value only when it is not zero,
+and store it plus 0j, which turns a -0.0 part into 0.0 and leaves every
+other bit alone. Every other position holds 0.
 
 Everything here is pure Python and imports no numpy: a bundle is built,
 checked and written from its entries alone. The dense conversions,
@@ -20,7 +21,7 @@ metric and read its signature from these d values alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import copysign, isfinite
+from math import isfinite
 
 from .errors import DegenerateMetric, InvalidArgument, NotHermitian, Singular
 
@@ -44,45 +45,24 @@ class _Tolerances:
 DEFAULT_TOLS = _Tolerances()
 
 
-def _written(x) -> bool:
-    """True when a float or complex value is not +0, the one value whose
-    bits are all clear."""
-    return x != 0 or copysign(1.0, x.real) < 0 or copysign(1.0, x.imag) < 0
-
-
-def _product(a, b) -> complex:
-    """a * b as numpy multiplies two complex numbers, a float taken with a
-    +0 imaginary part: (ar br - ai bi, ar bi + ai br). Python's own
-    mixed real/complex rules give other signed zeros (and changed in
-    Python 3.14), so every product is written out."""
-    return complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
-
-
-def _halved(z) -> complex:
-    """z / 2 as numpy divides a complex by 2 + 0j: ((zr + zi 0) 0.5,
-    (zi - zr 0) 0.5)."""
-    return complex((z.real + z.imag * 0.0) * 0.5, (z.imag - z.real * 0.0) * 0.5)
-
-
-def _combine(a: dict, b: dict, op, zero=0j) -> tuple[list, list]:
+def _combine(a: dict, b: dict, op) -> tuple[list, list]:
     """Entries of op(x, y) over the union of the indices of a and b, two
-    {index: value}, x and y read from them with zero where one has none.
-    op(zero, zero) is +0 for every op used, so the positions in neither
-    are +0, as they are in the dense computation."""
+    {index: value}, x and y read from them with 0 where one has none.
+    op(0, 0) is 0 for every op used, so the positions in neither are 0."""
     index, values = [], []
     for k in sorted(a.keys() | b.keys()):
-        x = op(a.get(k, zero), b.get(k, zero))
-        if x or _written(x):
+        x = op(a.get(k, 0), b.get(k, 0))
+        if x != 0:
             index.append(k)
-            values.append(x)
+            values.append(x + 0j)
     return index, values
 
 
 def _pair(entries: dict) -> tuple[list, list]:
-    """The (index, values) of an {index: value}, ascending, with the +0
+    """The (index, values) of an {index: value}, ascending, with the zero
     values left out."""
-    index = [k for k in sorted(entries) if entries[k] or _written(entries[k])]
-    return index, [entries[k] for k in index]
+    index = [k for k in sorted(entries) if entries[k] != 0]
+    return index, [entries[k] + 0j for k in index]
 
 
 def _max_abs(values) -> float:

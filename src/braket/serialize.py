@@ -13,12 +13,15 @@ dense matrix of the rebuilt one.
 
 `dump_rep(rep)` is the text of `dump_json(rep_to_json(rep))`, made by one
 writer that yields it a matrix at a time, straight from the bundle's
-entries (see entries): each run of +0 entries between them is written as
-one repeated string, and no dense matrix or Python list per entry is
-made. The `braket rep` command writes these pieces as they come. The
-writer and dump_json are pure Python; the functions that make or read
-dense arrays (the matrix, vector and operator codecs, rep_to_json and
-rep_from_json) import numpy when called.
+entries (see entries): each run of zeros between them is written as one
+repeated string, and no dense matrix or Python list per entry is made.
+A bundle's non-zero values are those of the dense computation and its
+zeros are unsigned, so its text spells every zero 0.0; a payload that
+spells some of them -0.0 loads all the same, as values are compared
+within eq_tol. The `braket rep` command writes these pieces as they
+come. The writer and dump_json are pure Python; the functions that make
+or read dense arrays (the matrix, vector and operator codecs,
+rep_to_json and rep_from_json) import numpy when called.
 """
 
 from __future__ import annotations

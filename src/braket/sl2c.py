@@ -29,11 +29,8 @@ only Delta s, Delta sigma in {0, +-1}, and their metric one per row. Every
 bundle is built, checked and written in pure Python, so `braket rep`
 loads no numpy; numpy is imported by the functions that make or read
 dense arrays (M, N, I and K on access, _cg_block, rotation_basis,
-chiral_projectors). Every entry is computed by the float operations of
-the dense numpy computation, numpy's complex products and divisions
-written out in full, so the dense M, N, I and K made on access, and the
-JSON text, are those of the dense computation to the last bit, signed
-zeros included.
+chiral_projectors). The non-zero values of every entry are those of
+the dense numpy computation to the last bit, and zeros are unsigned.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import sqrt
 
-from .entries import _combine, _halved, _monomial_signature, _pair, _product, _written
+from .entries import _combine, _monomial_signature, _pair
 from .errors import EqualWeights, InvalidArgument, WrongRepShape
 from .spaces import MetricOperator
 from .su2 import Weight, _generator_entries
@@ -75,7 +72,7 @@ class CoupledRep:
     """A full representation bundle in one fixed basis.
 
     M and N are given as three square matrices each, as entries (an
-    (index, values) tuple, see entries) or dense, and held as entries.
+    (index, values) tuple, see entries), and held as them.
     The public M, N, I and K are dense arrays made on first access, which
     is when numpy is loaded; I and K are derived from M and N.
     """
@@ -89,9 +86,8 @@ class CoupledRep:
     _mn: tuple = field(init=False, repr=False)  # entries of M1, M2, M3, N1, N2, N3
 
     def __init__(self, j1, j2, M, N, metric, epsilon, basis, labels):
-        mn = tuple(x if isinstance(x, tuple) else _dense_entries(x) for x in (*M, *N))
         fields = dict(j1=j1, j2=j2, metric=metric, epsilon=epsilon, basis=basis,
-                      labels=labels, _mn=mn)
+                      labels=labels, _mn=(*M, *N))
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
@@ -115,9 +111,7 @@ class CoupledRep:
             "M": m,
             "N": n,
             "I": tuple(_combine(a, b, lambda x, y: x + y) for a, b in pairs),
-            # Written as i(N - M): a product with -1j gives every zero entry
-            # a -0.0 part, which the JSON writer then has to spell out.
-            "K": tuple(_combine(a, b, lambda x, y: _product(1j, y - x)) for a, b in pairs),
+            "K": tuple(_combine(a, b, lambda x, y: 1j * (y - x)) for a, b in pairs),
         }
 
     def _dense_family(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,13 +143,6 @@ class CoupledRep:
         return self._dense_family("K")
 
 
-def _dense_entries(x) -> tuple[list, list]:
-    """The entries of a dense matrix given to CoupledRep; loads numpy."""
-    from .linalg import _entries
-
-    return _entries(x)
-
-
 def default_epsilon(j1: Weight, j2: Weight) -> int:
     """Sign choice (-1)^(j1+j2-|j1-j2|); (-1)^(2j) for equal weights."""
     return -1 if min(j1.twice_j, j2.twice_j) % 2 else 1
@@ -172,26 +159,14 @@ def _blocks(j1: Weight, j2: Weight) -> tuple[tuple[Weight, Weight], ...]:
     return ((j1, j1),) if j1 == j2 else ((j1, j2), (j2, j1))
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    """c2 x c2 for the involution c2 = [[1, 1], [1, -1]]/sqrt(2), which mixes
-    two blocks of size n into (b0 +- b1)/sqrt(2); c2 is real, symmetric and
-    its own inverse. On the quadrants [[P, Q], [R, S]] of x this is
-    1/2 [[P+Q+R+S, P-Q+R-S], [P+Q-R-S, P-Q-R+S]], so no matmul is needed.
-    """
-    import numpy as np
-
-    n = x.shape[0] // 2
-    rows = np.concatenate((x[:n] + x[n:], x[:n] - x[n:]))
-    return 0.5 * np.concatenate((rows[:, :n] + rows[:, n:], rows[:, :n] - rows[:, n:]), axis=1)
-
-
 def _mix_entries(dim: int, entries) -> tuple[list, list]:
-    """Entries of _mix(X) from the entries of X.
+    """Entries of c2 X c2 from the entries of X, for the involution
+    c2 = [[1, 1], [1, -1]]/sqrt(2), which mixes two blocks of size n into
+    (b0 +- b1)/sqrt(2); c2 is real, symmetric and its own inverse.
 
-    Each entry of a quadrant of X lands at its place in all four
-    quadrants; every value is made from the four quadrants' values there
-    by _mix's own complex operations, so it is _mix's value to the last
-    bit.
+    On the quadrants [[P, Q], [R, S]] of X this is
+    1/2 [[P+Q+R+S, P-Q+R-S], [P+Q-R-S, P-Q-R+S]], so each entry of a
+    quadrant lands at its place in all four quadrants.
     """
     n = dim // 2
     places = {}  # local place -> the values of quadrants P, Q, R, S there
@@ -203,10 +178,10 @@ def _mix_entries(dim: int, entries) -> tuple[list, list]:
     for local, (p, q, r, s) in places.items():
         at = (local // n) * dim + local % n
         top, bottom = (p + r, q + s), (p - r, q - s)
-        out[at] = _product(0.5, top[0] + top[1])
-        out[at + n] = _product(0.5, top[0] - top[1])
-        out[at + n * dim] = _product(0.5, bottom[0] + bottom[1])
-        out[at + n * dim + n] = _product(0.5, bottom[0] - bottom[1])
+        out[at] = 0.5 * (top[0] + top[1])
+        out[at + n] = 0.5 * (top[0] - top[1])
+        out[at + n * dim] = 0.5 * (bottom[0] + bottom[1])
+        out[at + n * dim + n] = 0.5 * (bottom[0] - bottom[1])
     return _pair(out)
 
 
@@ -243,11 +218,7 @@ def _rotation_block_labels(jl: Weight, jr: Weight) -> list[dict]:
 
 def _canonical(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
     """The bundle of weights (j1, j2) in the canonical basis; in every
-    tensor block M acts on the left slot and N on the right one.
-
-    Each value is the one numpy's kron and complex products give on the
-    dense matrices, so the signed zeros they make are entries too.
-    """
+    tensor block M acts on the left slot and N on the right one."""
     blocks = _blocks(j1, j2)
     gens = {w: _generator_entries(w) for block in blocks for w in block}
     dim = sum(jl.dim * jr.dim for jl, jr in blocks)
@@ -255,18 +226,15 @@ def _canonical(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
     n_gens = tuple(_slot_generator(blocks, gens, a, 1, dim) for a in range(3))
 
     # epsilon times the exchange S (y (x) x -> x (x) y) pairing the first
-    # block with the last, S^H below and S above; for a tensor square they
-    # are one block and S stands. With epsilon = -1 the zeros of S times
-    # epsilon have a -0.0 part, so all of that block is entries.
+    # block with the last, S^T below and S above; for a tensor square they
+    # are one block and S stands.
     n = j1.dim * j2.dim
-    perm = [q * j1.dim + p for p, q in (divmod(r, j2.dim) for r in range(n))]  # S[r, perm[r]] = 1
+    off = dim - n
     eta = {}
-    if dim != n:
-        inv = [0] * n
-        for r, c in enumerate(perm):
-            inv[c] = r
-        _place(eta, dim, dim - n, 0, inv, epsilon, -0.0)
-    _place(eta, dim, 0, dim - n, perm, epsilon, 0.0)
+    for r in range(n):
+        p, q = divmod(r, j2.dim)
+        c = q * j1.dim + p  # S[r, c] = 1
+        eta[r * dim + c + off] = eta[(c + off) * dim + r] = epsilon
 
     labels = [lab for jl, jr in blocks for lab in _canonical_block_labels(jl, jr)]
     return CoupledRep(
@@ -283,50 +251,27 @@ def _canonical(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
 
 def _slot_generator(blocks, gens: dict, a: int, slot: int, dim: int) -> tuple[list, list]:
     """Entries of generator a on tensor slot 0 (M) or 1 (N) of every block:
-    kron(J_a, 1) or kron(1, J_a), block diagonal.
-
-    A +0 entry of J_a times either entry of the identity is +0, so only
-    J_a's entries are visited; each times the identity's (1, 0) lands on
-    the diagonal, and times its (0, 0) everywhere else in its slot, where
-    it is not +0 only when its real part is negative.
-    """
+    kron(J_a, 1) or kron(1, J_a), block diagonal."""
     out, offset = {}, 0
     for block in blocks:
         w, e = block[slot], block[1 - slot].dim  # the generator's weight, the identity's size
         d = w.dim
         for k, v in zip(*gens[w][a]):
             p, pp = divmod(k, d)
-            one, zero = _product(v, 1.0), _product(v, 0.0)
             for q in range(e):
-                for qq in range(e) if _written(zero) else (q,):
-                    if slot == 0:
-                        row, col = p * e + q, pp * e + qq
-                    else:
-                        row, col = q * d + p, qq * d + pp
-                    out[(offset + row) * dim + offset + col] = one if q == qq else zero
+                if slot == 0:
+                    row, col = p * e + q, pp * e + q
+                else:
+                    row, col = q * d + p, q * d + pp
+                out[(offset + row) * dim + offset + col] = v
         offset += d * e
     return _pair(out)
-
-
-def _place(eta: dict, dim: int, row0: int, col0: int, cols: list, epsilon: int, imag: float):
-    """Put epsilon times the block with (1, imag) at (r, cols[r]) and
-    (0, imag) elsewhere at (row0, col0); imag is -0.0 for a conjugated
-    exchange. The zeros are written only when the product is not +0."""
-    one = _product(float(epsilon), complex(1.0, imag))
-    zero = _product(float(epsilon), complex(0.0, imag))
-    n = len(cols)
-    for r, c in enumerate(cols):
-        base = (row0 + r) * dim + col0
-        if _written(zero):
-            for cc in range(n):
-                eta[base + cc] = zero
-        eta[base + c] = one
 
 
 def _rotation_block(jl: Weight, jr: Weight, offset: int, dim: int) -> tuple[dict, ...]:
     """Real (I3, I+, D3, D+) of one tensor block in its total-spin basis,
     each as {flat index: float} in a dim x dim matrix, the block starting
-    at index offset; a +0 value may be among them.
+    at index offset; a zero value may be among them.
 
     I is the spin-s matrix on each total spin s. D = M - N is the vector
     operator of Gel'fand, Minlos & Shapiro (1963) and Naimark (1964); with
@@ -399,21 +344,20 @@ def _rotation(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
         def half(x, y):
             return (x + sign * y) / 2
 
-        xp = dict(zip(*_combine(ip, dp, half, 0.0)))
+        xp = dict(zip(*_combine(ip, dp, half)))
         xt = {(k % dim) * dim + k // dim: v for k, v in xp.items()}  # the transpose of x+
         return (
-            _combine(xp, xt, lambda x, t: _halved(complex(x + t)), 0.0),
-            # x2 = (x+ - x-)/(2i), filled through its imaginary part so that
-            # every real part is +0.0, which the JSON writer leaves unwritten
-            _combine(xp, xt, lambda x, t: complex(0.0, (t - x) / 2), 0.0),
-            _combine(i3, d3, lambda x, y: complex(half(x, y)), 0.0),
+            _combine(xp, xt, lambda x, t: (x + t) / 2),
+            # x2 = (x+ - x-)/(2i), purely imaginary
+            _combine(xp, xt, lambda x, t: complex(0.0, (t - x) / 2)),
+            _combine(i3, d3, half),
         )
 
     tjsum = j1.twice_j + j2.twice_j
     off = dim - n  # 0 for a tensor square: its metric is diagonal
     pairs = {}
     for k, lab in enumerate(labels[:n]):
-        sign = complex(epsilon * (-1) ** ((tjsum - lab["twice_s"]) // 2))
+        sign = epsilon * (-1) ** ((tjsum - lab["twice_s"]) // 2)
         pairs[k * dim + k + off] = pairs[(k + off) * dim + k] = sign
     return CoupledRep(
         j1=j1,
@@ -475,19 +419,19 @@ def chiral_projectors(rep: CoupledRep) -> tuple[Projector, Projector]:
     exchanges them under Dirac conjugation, which is exactly why the
     bundle has no common invariant subspace of generators and metric.
     """
-    import numpy as np
-
+    from .linalg import _dense
     from .projections import Projector
 
     if rep.is_diagonal:
         raise WrongRepShape("equal-weight bundles have no chiral split")
-    n = rep.dim // 2
-    left = np.zeros((rep.dim, rep.dim), dtype=complex)
-    left[:n, :n] = np.eye(n)
-    right = np.eye(rep.dim, dtype=complex) - left
-    if rep.basis == Basis.ORTHONORMAL:
-        left, right = _mix(left), _mix(right)
-    return Projector.from_matrix(left), Projector.from_matrix(right)
+    dim, n = rep.dim, rep.dim // 2
+    out = []
+    for block in (range(n), range(n, dim)):  # the identity on one block
+        entries = ([k * dim + k for k in block], [1 + 0j] * n)
+        if rep.basis == Basis.ORTHONORMAL:
+            entries = _mix_entries(dim, entries)
+        out.append(Projector.from_matrix(_dense(dim, entries)))
+    return tuple(out)
 
 
 def _cg_block(jl: Weight, jr: Weight) -> np.ndarray:

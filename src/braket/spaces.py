@@ -168,12 +168,11 @@ class MetricOperator:
 
     @classmethod
     def _from_entries(cls, dim: int, entries) -> "MetricOperator":
-        """The metric with these entries and +0 elsewhere, checked as the
+        """The metric with these non-zero entries and 0 elsewhere, checked as the
         constructor checks a dense matrix."""
         self = cls.__new__(cls)
         self._entries = entries
-        nonzero = [(k, v) for k, v in zip(*entries) if v != 0]
-        self._adopt(dim, _monomial_of(dim, [k for k, _ in nonzero], [v for _, v in nonzero]))
+        self._adopt(dim, _monomial_of(dim, *entries))
         return self
 
     def _adopt(self, dim: int, mono):

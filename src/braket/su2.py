@@ -6,10 +6,10 @@ and ladder matrix elements are non-negative reals (Condon-Shortley), so
 the three generator matrices are hermitian and satisfy the su(2)
 commutation relations to machine precision.
 
-The generators are made as entries (see entries) in pure Python, by the
-float operations of the dense construction, so a bundle built from them
-loads no numpy; su2_generators and ladder_plus make dense arrays of
-them, and load numpy when called.
+The generators are made as entries (see entries) in pure Python, so a
+bundle built from them loads no numpy: their non-zero values are those
+of the dense construction, and their zeros are unsigned. su2_generators
+and ladder_plus make dense arrays of them, and load numpy when called.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import sqrt
 from numbers import Real
 
-from .entries import _halved, _pair
+from .entries import _pair
 from .errors import InvalidWeights
 
 __all__ = ["Weight", "Su2Irrep", "su2_generators", "ladder_plus"]
@@ -100,29 +100,18 @@ def _ladder(j: Weight) -> list[float]:
 
 
 def _generator_entries(j: Weight) -> tuple[tuple[list, list], ...]:
-    """Entries of (J1, J2, J3), each value made by the complex operations
-    of J1 = (J+ + J-)/2, J2 = (J+ - J-)/(2i) and J3 = diag(j, ..., -j) on
-    the dense matrices, J- = J+^H holding (0, -0.0) where J+ holds +0.
-
-    On the superdiagonal J+ holds (v, 0) and J- (0, -0.0); on the
-    subdiagonal J+ holds +0 and J- (v, -0.0). Every other entry of the
-    three matrices is +0.
-    """
+    """Entries of J1 = (J+ + J-)/2, J2 = (J+ - J-)/(2i) and
+    J3 = diag(j, ..., -j), J- = J+^H: at each entry v of J+'s
+    superdiagonal J1 holds v/2 and J2 -iv/2, and at its mirror below the
+    diagonal J1 holds v/2 and J2 iv/2."""
     d = j.dim
-    sums, diffs = {}, {}
+    j1, j2 = {}, {}
     for row, v in enumerate(_ladder(j)):
-        sums[row * d + row + 1] = complex(v + 0.0, 0.0 + -0.0)
-        sums[(row + 1) * d + row] = complex(0.0 + v, 0.0 + -0.0)
-        diffs[row * d + row + 1] = complex(v - 0.0, 0.0 - -0.0)
-        diffs[(row + 1) * d + row] = complex(0.0 - v, 0.0 - -0.0)
-    j1 = {k: _halved(z) for k, z in sums.items()}
-    # z / 2j as numpy divides by 0 + 2j: ((zr 0 + zi) 0.5, (zi 0 - zr) 0.5)
-    j2 = {
-        k: complex((z.real * 0.0 + z.imag) * 0.5, (z.imag * 0.0 - z.real) * 0.5)
-        for k, z in diffs.items()
-    }
+        up, down = row * d + row + 1, (row + 1) * d + row
+        j1[up] = j1[down] = v / 2
+        j2[up], j2[down] = complex(0.0, -v / 2), complex(0.0, v / 2)
     jj = j.twice_j / 2.0
-    j3 = {k * d + k: complex(jj - k, 0.0) for k in range(d)}
+    j3 = {k * d + k: jj - k for k in range(d)}
     return _pair(j1), _pair(j2), _pair(j3)
 
 

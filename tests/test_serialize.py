@@ -40,7 +40,7 @@ from braket.serialize import (
     vector_to_json,
 )
 from conftest import forbid_dense, max_dev, random_complex
-from test_sl2c import reps_in_every_basis
+from test_sl2c import dense_canonical, dense_closed_form, reps_in_every_basis
 
 
 def per_entry_pairs(m):
@@ -193,7 +193,8 @@ class TestVectorOperatorSchema:
 def doubled(rep):
     """rep with M and N doubled. I = M + N and K = i(N - M) still hold, but
     [M1, M2] - iM3 no longer vanishes (residual 1.0 for the (1/2, 0) bundle)."""
-    return replace(rep, M=tuple(2 * m for m in rep.M), N=tuple(2 * n for n in rep.N))
+    twice = [(index, [2 * v for v in values]) for index, values in rep._mn]
+    return replace(rep, M=twice[:3], N=twice[3:])
 
 
 class TestRepSchema:
@@ -274,11 +275,11 @@ class TestRepSchema:
 
     def test_dump_rep_matches_dict_encoding(self):
         # every shape and basis, a dim-144 orthonormal bundle, and that
-        # bundle negated, whose M, N and I carry -0.0 in every zero entry
+        # bundle negated, whose M and N carry -0.0 in every zero entry
         reps = reps_in_every_basis()
         orth = orthonormal_basis(rotation_basis(build_rep(Weight(8), Weight(7)))[1])
-        negated = replace(orth, M=tuple(-m for m in orth.M), N=tuple(-n for n in orth.N))
-        assert all(np.signbit(m.real).sum() > m.size // 2 for m in negated.I)
+        negated = replace(orth, M=[_entries(-m) for m in orth.M], N=[_entries(-n) for n in orth.N])
+        assert all(np.signbit(m.real).sum() > m.size // 2 for m in negated.M + negated.N)
         reps += [orth, negated]
         for rep in reps:
             assert dump_rep(rep) == dump_json(rep_to_json(rep))
@@ -368,6 +369,29 @@ class TestRepSchema:
             assert rep.dim == 40 and rep.basis == payload["basis"]
         with pytest.raises(SchemaError, match="K does not match"):
             rep_from_json(tampered)
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_signed_zero_payload_loads(self, basis):
+        # a payload written while bundles held numpy's dense arithmetic bit
+        # for bit spells -0.0 in K's real parts where M - N is negative and,
+        # for epsilon = -1, in the canonical metric's upper block; it loads
+        # as the built bundle, whose zeros are unsigned
+        rep = build_rep(Weight(4), Weight(3), -1, basis)
+        if basis == Basis.CANONICAL:
+            dense = dense_canonical(4, 3, -1)
+        else:
+            dense = dense_closed_form(4, 3, -1)[basis == Basis.ORTHONORMAL]
+        payload = rep_to_json(rep)
+        payload["metric"] = matrix_to_json(dense[-1])
+        for k, name in enumerate("MNIK"):
+            payload["generators"][name] = [matrix_to_json(x) for x in dense[3 * k : 3 * k + 3]]
+        negative_zero = lambda x: x == 0 and np.signbit(x)
+        assert any(negative_zero(x.real) for k in dense[9:12] for x in k.reshape(-1))
+        if basis == Basis.CANONICAL:
+            eta, n = dense[-1], rep.dim // 2
+            assert all(negative_zero(x.real) or x == -1 for x in eta[:n, n:].reshape(-1))
+        back = rep_from_json(load_json(dump_json(payload)))
+        assert dump_rep(back) == dump_rep(rep)
 
     @pytest.mark.parametrize("family", ["I", "K"])
     def test_tampered_derived_generator(self, family):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,7 @@ from braket import (
 from braket import cli
 from braket.operators import KindedOperator, OperatorKind
 from braket.serialize import dump_json, dump_rep, rep_to_json
-from braket.sl2c import _blocks, _cg_block, _mix, _rotation_block_labels
+from braket.sl2c import _blocks, _cg_block, _rotation_block_labels
 from conftest import max_dev
 
 EPS = np.zeros((3, 3, 3))
@@ -40,6 +41,15 @@ EPS[0, 2, 1] = EPS[2, 1, 0] = EPS[1, 0, 2] = -1.0
 # every bundle with dimension <= 16
 DIAG_WEIGHTS = [0, 1, 2, 3]
 PAIR_WEIGHTS = [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0), (2, 1), (3, 1)]
+
+
+def mix(x):
+    """c2 x c2 for the involution c2 = [[1, 1], [1, -1]]/sqrt(2) that makes
+    the orthonormal basis, from the quadrants [[P, Q], [R, S]] of x:
+    1/2 [[P+Q+R+S, P-Q+R-S], [P+Q-R-S, P-Q-R+S]]."""
+    n = x.shape[0] // 2
+    rows = np.concatenate((x[:n] + x[n:], x[:n] - x[n:]))
+    return 0.5 * np.concatenate((rows[:, :n] + rows[:, n:], rows[:, :n] - rows[:, n:]), axis=1)
 
 
 def all_reps():
@@ -272,7 +282,7 @@ class TestRotationBasis:
 
     def test_change_is_orthogonal(self):
         # basis changes conjugate by the adjoint, which needs C+ C = 1; the
-        # orthonormal change c2 is its own inverse, and _mix conjugates by it
+        # orthonormal change c2 is its own inverse, and mix conjugates by it
         for rep in all_reps() + [build_rep(Weight(8), Weight(7))]:
             c, rot = rotation_basis(rep)
             assert max_dev(c.conj().T @ c, np.eye(rep.dim)) < 1e-12
@@ -282,7 +292,7 @@ class TestRotationBasis:
                 assert max_dev(c2.conj().T @ c2, np.eye(rep.dim)) < 1e-12
                 assert max_dev(c2 @ c2, np.eye(rep.dim)) < 1e-12
                 for x in rep.M + rep.N + rot.M + rot.N + (rep.metric.eta, rot.metric.eta):
-                    assert max_dev(_mix(x), c2 @ x @ c2) < 1e-12
+                    assert max_dev(mix(x), c2 @ x @ c2) < 1e-12
 
     def test_cg_block_matches_full_fill(self):
         for jl, jr in cg_blocks():
@@ -470,7 +480,7 @@ def dense_closed_form(tj1, tj2, epsilon):
     """M, N, I, K and the metric of the rotation bundle, and those of the
     orthonormal one for a pair, by the dense arithmetic the bundle's
     entries reproduce: the block matrices filled densely, the families
-    formed from whole arrays, and the orthonormal bundle by _mix."""
+    formed from whole arrays, and the orthonormal bundle by mix."""
     blocks = _blocks(Weight(tj1), Weight(tj2))
     n = (tj1 + 1) * (tj2 + 1)
     dim = n * len(blocks)
@@ -493,20 +503,22 @@ def dense_closed_form(tj1, tj2, epsilon):
     eta[idx, idx + dim - n] = eta[idx + dim - n, idx] = signs
     want = [dense_bundle(m, nn, eta)]
     if len(blocks) == 2:
-        want.append(dense_bundle([_mix(x) for x in m], [_mix(x) for x in nn], _mix(eta)))
+        want.append(dense_bundle([mix(x) for x in m], [mix(x) for x in nn], mix(eta)))
     return want
 
 
 def assert_entries_match_dense_arithmetic(tj1, tj2, epsilon):
     # the bundle is built from entries in pure Python; in every basis each
-    # dense matrix made from them is numpy's dense computation, signed
-    # zeros included, and the text written from them is the dict encoding
+    # dense matrix made from them is numpy's dense computation to the last
+    # bit, with its zeros unsigned (x + 0 turns a -0.0 part into 0.0 and
+    # leaves every other bit alone), and the text written from them is the
+    # dict encoding
     want = dict(zip([Basis.ROTATION, Basis.ORTHONORMAL], dense_closed_form(tj1, tj2, epsilon)))
     want[Basis.CANONICAL] = dense_canonical(tj1, tj2, epsilon)
     for basis, matrices in want.items():
         rep = closed_form(tj1, tj2, basis, epsilon)
         got = [*rep.M, *rep.N, *rep.I, *rep.K, rep.metric.eta]
-        assert [x.tobytes() for x in got] == [x.tobytes() for x in matrices], basis
+        assert [x.tobytes() for x in got] == [(x + 0).tobytes() for x in matrices], basis
         assert dump_rep(rep) == dump_json(rep_to_json(rep)), basis
 
 
@@ -530,7 +542,7 @@ class TestClosedForm:
                 assert orth.basis == Basis.ORTHONORMAL
                 assert orth.labels == orthonormal_basis(rot).labels
                 for got, x in zip(orth.M + orth.N + (orth.metric.eta,), moved):
-                    assert max_dev(got, _mix(x)) < DEFAULT_TOLS.eq_tol
+                    assert max_dev(got, mix(x)) < DEFAULT_TOLS.eq_tol
 
     @pytest.mark.parametrize(
         "tj1, tj2, epsilon",
@@ -544,16 +556,19 @@ class TestClosedForm:
     def test_entries_match_dense_arithmetic_sweep(self, tj1, tj2, epsilon):
         assert_entries_match_dense_arithmetic(tj1, tj2, epsilon)
 
-    def test_signed_zero_entries(self):
-        # the -0.0 parts the sweep must reproduce: K's real parts where M - N
-        # is negative, and the canonical metric's upper block for epsilon = -1
-        negative_zero = lambda x: x == 0 and np.copysign(1.0, x) < 0
-        rot = closed_form(4, 3, Basis.ROTATION, 1)
-        assert any(negative_zero(z.real) for k in rot.K for z in k.reshape(-1))
-        eta = closed_form(5, 2, Basis.CANONICAL, -1).metric.eta
-        n = eta.shape[0] // 2
-        assert all(negative_zero(z.real) or z == -1 for z in eta[:n, n:].reshape(-1))
-        assert not any(negative_zero(z.real) for z in eta[n:, :n].reshape(-1))
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    @pytest.mark.parametrize("tj1, tj2", [(1, 0), (4, 3), (5, 2), (3, 3), (2, 2)])
+    def test_zeros_are_unsigned(self, tj1, tj2, epsilon):
+        # the dense computation puts -0.0 in K's real parts where M - N is
+        # negative and in the epsilon = -1 canonical metric's upper block;
+        # no bundle holds one, and its text spells none
+        bases = [Basis.CANONICAL, Basis.ROTATION] + ([Basis.ORTHONORMAL] if tj1 != tj2 else [])
+        for basis in bases:
+            rep = closed_form(tj1, tj2, basis, epsilon)
+            for x in (*rep.M, *rep.N, *rep.I, *rep.K, rep.metric.eta):
+                assert not np.signbit(x.real[x.real == 0]).any(), basis
+                assert not np.signbit(x.imag[x.imag == 0]).any(), basis
+            assert not re.search(r"-0\.0[,\]]", dump_rep(rep)), basis
 
     def test_flipped_epsilon(self):
         for tj1, tj2 in ((2, 1), (3, 3)):
