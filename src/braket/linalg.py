@@ -4,33 +4,19 @@ Products, adjoints, inverses, hermitian eigen-signatures, matrix
 exponentials and Kronecker products, all on plain 2-D complex ndarrays.
 The numeric thresholds are the fixed constants of DEFAULT_TOLS; only
 checks that judge the caller's own data take an explicit tol. Everything
-here is a pure function; inputs are never mutated.
+here is a pure function; inputs are never mutated. inverse and
+signature reject NaN and infinite entries.
 
-inverse and signature first look at the input's non-zeros. A monomial
-matrix (exactly one non-zero in every row and every column, such as
-every bundle metric: a signed permutation, or diag(+-1) in the
-orthonormal basis) is tested for hermiticity, inverted and its signature
-read off from its d non-zeros, with no SVD, dense inverse or
-eigendecomposition; every other matrix takes the dense LAPACK route.
-Both reject NaN and infinite entries.
-
-The numpy-free helpers behind the monomial route, and DEFAULT_TOLS, live
-in entries; _entries and _dense here convert between a dense matrix and
-its entries.
+DEFAULT_TOLS lives in entries, with the numpy-free helpers that check a
+bundle metric from its entries; _entries and _dense here convert between
+a dense matrix and its entries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .entries import (
-    DEFAULT_TOLS,
-    _count_signs,
-    _monomial_herm_dev,
-    _monomial_of,
-    _monomial_signature,
-    _require_nonsingular,
-)
+from .entries import DEFAULT_TOLS, _count_signs, _require_nonsingular
 from .errors import DimensionMismatch, InvalidArgument, NotHermitian
 
 __all__ = [
@@ -116,37 +102,15 @@ def _dense(dim: int, entries) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
-def _monomial(m: np.ndarray) -> tuple[list, list] | None:
-    """(cols, vals) with vals[i] = m[i, cols[i]] the only non-zero of row i
-    and of column cols[i], or None when m is not monomial."""
-    n = m.shape[0]
-    if np.count_nonzero(m) != n:
-        return None
-    index = np.flatnonzero(m)
-    return _monomial_of(n, index.tolist(), m.reshape(-1)[index].tolist())
-
-
-def _monomial_inverse(cols: list, vals: list) -> np.ndarray:
-    out = np.zeros((len(cols), len(cols)), dtype=complex)
-    out[cols, np.arange(len(cols))] = 1 / np.array(vals, dtype=complex)
-    return out
-
-
 def inverse(a) -> np.ndarray:
     """Inverse of a square matrix with finite entries.
 
     Raises Singular when the smallest singular value falls below sig_tol,
-    which is the library-wide notion of "no inverse exists". A monomial
-    matrix is inverted by putting 1/vals at the transposed positions; its
-    singular values are the magnitudes of its non-zeros, so no SVD is run.
+    which is the library-wide notion of "no inverse exists".
     """
     m = _finite_square(a)
-    mono = _monomial(m)
-    if mono is None:
-        _require_nonsingular(np.linalg.svd(m, compute_uv=False).tolist())
-        return np.linalg.inv(m)
-    _require_nonsingular(map(abs, mono[1]))
-    return _monomial_inverse(*mono)
+    _require_nonsingular(np.linalg.svd(m, compute_uv=False).tolist())
+    return np.linalg.inv(m)
 
 
 def signature(h) -> tuple[int, int]:
@@ -154,17 +118,12 @@ def signature(h) -> tuple[int, int]:
 
     The input must have finite entries and be hermitian within herm_tol;
     an eigenvalue with magnitude below sig_tol makes the matrix degenerate
-    and is rejected, so n_plus + n_minus always equals the dimension. A
-    monomial matrix is checked and counted from its non-zeros alone.
+    and is rejected, so n_plus + n_minus always equals the dimension.
     """
     m = _finite_square(h)
-    mono = _monomial(m)
-    dev = max_abs(m - m.conj().T) if mono is None else _monomial_herm_dev(*mono)
-    if dev > DEFAULT_TOLS.herm_tol:
+    if max_abs(m - m.conj().T) > DEFAULT_TOLS.herm_tol:
         raise NotHermitian("signature requires a hermitian matrix")
-    if mono is None:
-        return _count_signs(np.linalg.eigvalsh(m).tolist())
-    return _monomial_signature(*mono)
+    return _count_signs(np.linalg.eigvalsh(m).tolist())
 
 
 def expm(a) -> np.ndarray:

@@ -525,10 +525,5 @@ def orthonormal_basis(rep: CoupledRep) -> CoupledRep:
 
 def rep_signature(rep: CoupledRep) -> tuple[int, int]:
     """Eigenvalue signature (n_plus, n_minus) of the bundle's metric, read
-    off its non-zeros when it is monomial, as every built bundle's is."""
-    mono = rep.metric._mono
-    if mono is None:
-        from .linalg import signature
-
-        return signature(rep.metric.eta)
-    return _monomial_signature(*mono)
+    off the d non-zeros of that monomial metric."""
+    return _monomial_signature(*rep.metric._mono)

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .entries import DEFAULT_TOLS, _check_monomial_metric, _monomial_of
+from .entries import DEFAULT_TOLS, _check_monomial_metric, _monomial_of, _pair
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -149,51 +149,36 @@ class MetricOperator:
     construction rather than at use sites. Singular candidates are
     rejected for the same fail-fast reason.
 
-    A metric built from entries (see entries), as every bundle metric
-    is, is held as them: a monomial one is checked on its d non-zeros in
-    pure Python, and eta and eta_inv are made dense on first access, which
-    is when numpy is loaded. A dense eta given to the constructor loads it
-    at once and is kept as a read-only copy; its entries are made only
-    when asked for.
+    A dense eta given to the constructor is checked densely and kept as a
+    read-only copy beside its inverse. A metric built from entries (see
+    entries), as every bundle metric is, must be monomial: it is checked
+    on its d non-zeros in pure Python, and eta and eta_inv are made dense
+    on first access, which is when numpy is loaded.
     """
 
     def __init__(self, eta):
-        from .linalg import _monomial, as_matrix
+        from .linalg import as_matrix, inverse, max_abs
 
         eta = as_matrix(eta)
         if eta.shape[0] != eta.shape[1]:
             raise DimensionMismatch(f"metric must be square, got {eta.shape}")
+        if max_abs(eta - eta.conj().T) > DEFAULT_TOLS.herm_tol:
+            raise NotHermitian("metric matrix must be hermitian")
+        self.dim = eta.shape[0]
         self.eta = _read_only(eta.copy())
-        self._adopt(eta.shape[0], _monomial(eta))
+        self.eta_inv = _read_only(inverse(eta))
 
     @classmethod
     def _from_entries(cls, dim: int, entries) -> "MetricOperator":
-        """The metric with these non-zero entries and 0 elsewhere, checked as the
-        constructor checks a dense matrix."""
+        """The monomial metric with these non-zero entries and 0 elsewhere,
+        checked as the constructor checks a dense matrix."""
+        mono = _monomial_of(dim, *entries)
+        if mono is None:
+            raise InvalidArgument("metric entries need one non-zero in every row and column")
+        _check_monomial_metric(*mono)
         self = cls.__new__(cls)
-        self._entries = entries
-        self._adopt(dim, _monomial_of(dim, *entries))
+        self.dim, self._entries, self._mono = dim, entries, mono
         return self
-
-    def _adopt(self, dim: int, mono):
-        """Check the metric, its monomial form mono or, when it has none,
-        its dense eta."""
-        self.dim = dim
-        self._mono = mono
-        if mono is not None:
-            _check_monomial_metric(*mono)
-            return
-        from .linalg import inverse, max_abs
-
-        if max_abs(self.eta - self.eta.conj().T) > DEFAULT_TOLS.herm_tol:
-            raise NotHermitian("metric matrix must be hermitian")
-        self.eta_inv = _read_only(inverse(self.eta))
-
-    @cached_property
-    def _entries(self) -> tuple[list, list]:
-        from .linalg import _entries
-
-        return _entries(self.eta)
 
     @cached_property
     def eta(self) -> np.ndarray:
@@ -203,9 +188,12 @@ class MetricOperator:
 
     @cached_property
     def eta_inv(self) -> np.ndarray:
-        from .linalg import _monomial_inverse
+        """1/vals at the transposed positions of the monomial's non-zeros."""
+        from .linalg import _dense
 
-        return _read_only(_monomial_inverse(*self._mono))
+        cols, vals = self._mono
+        inv = {c * self.dim + i: 1 / v for i, (c, v) in enumerate(zip(cols, vals))}
+        return _read_only(_dense(self.dim, _pair(inv)))
 
     def __repr__(self):
         return f"MetricOperator(dim={self.dim})"

@@ -83,8 +83,15 @@ class GaugeParams:
     def from_real_parameters(cls, re_anti, im_sym) -> "GaugeParams":
         """Build a constrained omega from an antisymmetric real part and a
         symmetric imaginary part (entered as full matrices)."""
-        re_anti = np.asarray(re_anti, dtype=float)
-        im_sym = np.asarray(im_sym, dtype=float)
+        re_anti, im_sym = as_matrix(re_anti), as_matrix(im_sym)
+        n = re_anti.shape[0]
+        if re_anti.shape != (n, n) or im_sym.shape != (n, n):
+            raise DimensionMismatch(
+                f"expected two square matrices of one size, got {re_anti.shape} and {im_sym.shape}"
+            )
+        if re_anti.imag.any() or im_sym.imag.any():
+            raise InvalidArgument("real parameters must have no imaginary part")
+        re_anti, im_sym = re_anti.real, im_sym.real
         re_part = (re_anti - re_anti.T) / 2.0
         im_part = (im_sym + im_sym.T) / 2.0
         return cls(re_part + 1j * im_part)
@@ -129,6 +136,8 @@ def is_symmetry(u, m: MetricOperator, tol: float) -> bool:
 
 
 def _check_index(i: int, n: int):
+    if isinstance(i, bool) or not isinstance(i, int):
+        raise IndexOutOfRange(f"index {i!r} is not an int")
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"index {i} outside 1..{n}")
 

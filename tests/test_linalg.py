@@ -24,7 +24,8 @@ from braket import (
     matmul,
     signature,
 )
-from braket.linalg import _monomial
+from braket.entries import _monomial_of, _monomial_signature
+from braket.linalg import _entries
 from conftest import max_dev, random_complex, random_invertible, random_hermitian_invertible
 
 
@@ -173,40 +174,51 @@ def hermitian_monomials(draw, min_dim=1):
     return m
 
 
+def _monomial(m):
+    """(cols, vals) of a dense monomial m, read from its entries; None
+    when m is not monomial."""
+    return _monomial_of(m.shape[0], *_entries(m))
+
+
+def _from_entries(m) -> MetricOperator:
+    """The metric with the entries of m: the route every bundle metric takes."""
+    return MetricOperator._from_entries(m.shape[0], _entries(m))
+
+
 def _relative_dev(got, want) -> float:
     """Deviation relative to the largest entry: the inverse of a 2.5e-9
     entry is 4e8, where one ulp is already above eq_tol."""
     return max_dev(got, want) / max(1.0, float(np.max(np.abs(want))))
 
 
-def _check_inverse(m):
-    """inverse agrees with numpy's, raising Singular exactly when the
+def _check_inverse(m, invert=inverse):
+    """invert agrees with numpy's inverse, raising Singular exactly when the
     smallest singular value is below sig_tol."""
     if np.linalg.svd(m, compute_uv=False)[-1] < DEFAULT_TOLS.sig_tol:
         with pytest.raises(Singular):
-            inverse(m)
+            invert(m)
     else:
-        assert _relative_dev(inverse(m), np.linalg.inv(m)) <= DEFAULT_TOLS.eq_tol
+        assert _relative_dev(invert(m), np.linalg.inv(m)) <= DEFAULT_TOLS.eq_tol
 
 
-def _check_signature(m):
-    """signature agrees with the eigvalsh count, or raises DegenerateMetric
+def _check_signature(m, count=signature):
+    """count agrees with the eigvalsh count, or raises DegenerateMetric
     where eigvalsh finds an eigenvalue below sig_tol."""
     eigs = np.linalg.eigvalsh(m)
     if np.any(np.abs(eigs) < DEFAULT_TOLS.sig_tol):
         with pytest.raises(DegenerateMetric):
-            signature(m)
+            count(m)
     else:
         n_plus = int(np.sum(eigs > 0))
-        assert signature(m) == (n_plus, m.shape[0] - n_plus)
+        assert count(m) == (n_plus, m.shape[0] - n_plus)
 
 
 def _check_hermiticity(m):
-    """signature and MetricOperator raise NotHermitian exactly where the
-    dense deviation max_abs(m - m^H) exceeds herm_tol."""
+    """signature, MetricOperator and the entries route raise NotHermitian
+    exactly where the dense deviation max_abs(m - m^H) exceeds herm_tol."""
     assert _monomial(m) is not None
     dense = float(np.max(np.abs(m - m.conj().T))) > DEFAULT_TOLS.herm_tol
-    for route in (signature, MetricOperator):
+    for route in (signature, MetricOperator, _from_entries):
         try:
             route(m)
         except NotHermitian:
@@ -219,17 +231,20 @@ def _check_hermiticity(m):
 
 
 class TestMonomialRoute:
+    # the entries route of MetricOperator and _monomial_signature, which
+    # every bundle metric takes, against the dense numpy results
+
     @settings(max_examples=60, deadline=None)
     @given(hermitian_monomials())
     def test_inverse(self, m):
         assert _monomial(m) is not None
-        _check_inverse(m)
+        _check_inverse(m, lambda m: _from_entries(m).eta_inv)
 
     @settings(max_examples=60, deadline=None)
     @given(hermitian_monomials())
     def test_signature(self, m):
         assert _monomial(m) is not None
-        _check_signature(m)
+        _check_signature(m, lambda m: _monomial_signature(*_monomial(m)))
 
     @settings(max_examples=60, deadline=None)
     @given(hermitian_monomials(), st.data())
@@ -255,12 +270,15 @@ class TestMonomialRoute:
     @given(hermitian_monomials(min_dim=2), st.data())
     def test_extra_entry_takes_general_path(self, m, data):
         # one more non-zero (with its mirror, to stay hermitian) breaks the
-        # one-per-row pattern; the results are those of the dense route
+        # one-per-row pattern: the entries route refuses it, and the dense
+        # route gives numpy's results
         zeros = np.argwhere(m == 0)
         i, j = zeros[data.draw(st.integers(0, len(zeros) - 1))]
         m[i, j] = data.draw(st.sampled_from(_ABOVE_SIG_TOL + _BELOW_SIG_TOL))
         m[j, i] = m[i, j]
         assert _monomial(m) is None
+        with pytest.raises(InvalidArgument):
+            _from_entries(m)
         _check_inverse(m)
         _check_signature(m)
 

@@ -18,6 +18,7 @@ from braket import (
     build_rep,
     build_rep_diag,
     orthonormal_basis,
+    rep_signature,
     rotation_basis,
 )
 from braket import serialize
@@ -463,7 +464,8 @@ def _no_dense_lapack(*args, **kwargs):
 class TestNoDenseLapack:
     def test_rep_path(self, monkeypatch):
         # every bundle metric is monomial, so building, writing and loading
-        # a bundle needs no SVD, dense inverse or eigendecomposition
+        # a bundle, inverting its metric and counting its signature need no
+        # SVD, dense inverse or eigendecomposition
         for name in ("svd", "inv", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, _no_dense_lapack)
         with pytest.raises(AssertionError, match="dense LAPACK"):
@@ -475,3 +477,5 @@ class TestNoDenseLapack:
         assert rep.dim == 40
         back = rep_from_json(load_json(dump_rep(rep)))
         assert back.metric.eta.tobytes() == rep.metric.eta.tobytes()
+        assert (rep.metric.eta_inv == rep.metric.eta).all()  # diag(+-1) is its own inverse
+        assert rep_signature(rep) == (20, 20)

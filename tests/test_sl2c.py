@@ -26,6 +26,7 @@ from braket import (
     orthonormal_basis,
     rep_signature,
     rotation_basis,
+    signature,
     su2_generators,
 )
 from braket import cli
@@ -52,15 +53,15 @@ def mix(x):
     return 0.5 * np.concatenate((rows[:, :n] + rows[:, n:], rows[:, :n] - rows[:, n:]), axis=1)
 
 
-def all_reps():
-    reps = [build_rep_diag(Weight(tj)) for tj in DIAG_WEIGHTS]
-    reps += [build_rep(Weight(a), Weight(b)) for a, b in PAIR_WEIGHTS]
+def all_reps(epsilon=None):
+    reps = [build_rep_diag(Weight(tj), epsilon) for tj in DIAG_WEIGHTS]
+    reps += [build_rep(Weight(a), Weight(b), epsilon) for a, b in PAIR_WEIGHTS]
     return reps
 
 
-def reps_in_every_basis():
+def reps_in_every_basis(epsilon=None):
     """all_reps() in the canonical, rotation and (pairs only) orthonormal bases."""
-    canonical = all_reps()
+    canonical = all_reps(epsilon)
     rotated = [rotation_basis(rep)[1] for rep in canonical]
     return canonical + rotated + [orthonormal_basis(r) for r in rotated if not r.is_diagonal]
 
@@ -202,6 +203,26 @@ class TestSignatures:
     def test_epsilon_flip_swaps_signature(self):
         rep = build_rep_diag(Weight(1), epsilon=1)
         assert rep_signature(rep) == (3, 1)  # default epsilon gives (1, 3)
+
+
+class TestMetricFromEntries:
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_matches_the_dense_kernel(self, epsilon):
+        # a bundle metric is checked, inverted and counted from its entries;
+        # the dense LAPACK kernel agrees on every bundle
+        for rep in reps_in_every_basis(epsilon):
+            eta = rep.metric.eta
+            assert rep_signature(rep) == signature(eta)
+            assert max_dev(eta @ rep.metric.eta_inv, np.eye(rep.dim)) <= DEFAULT_TOLS.eq_tol
+
+    @pytest.mark.parametrize(
+        "index",
+        [[0], [0, 1], [0, 2]],
+        ids=["too-few-entries", "two-in-one-row", "repeated-column"],
+    )
+    def test_rejects_non_monomial(self, index):
+        with pytest.raises(InvalidArgument, match="one non-zero in every row and column"):
+            MetricOperator._from_entries(2, (index, [1 + 0j] * len(index)))
 
 
 class TestChiralProjectors:

@@ -3,6 +3,7 @@ import pytest
 
 from braket import (
     BasisChange,
+    DimensionMismatch,
     GaugeParams,
     IndexOutOfRange,
     InvalidArgument,
@@ -161,6 +162,17 @@ class TestGeneratorX:
         with pytest.raises(IndexOutOfRange):
             generator_x(1, 3, m)
 
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, "1", None])
+    @pytest.mark.parametrize("family", [generator_x, generator_h, generators_a_s])
+    def test_index_not_an_int(self, rng, family, index):
+        # a float, a bool or a string is no basis label, even where its
+        # value would pass the range check
+        m = random_metric(rng, 2)
+        with pytest.raises(IndexOutOfRange, match="not an int"):
+            family(index, 1, m)
+        with pytest.raises(IndexOutOfRange, match="not an int"):
+            family(1, index, m)
+
 
 class TestGeneratorH:
     def test_traceless(self, rng):
@@ -243,6 +255,18 @@ class TestGroupElement:
         omega = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(InvalidArgument):
             group_element(GaugeParams(omega), m, require_gauge=True)
+
+    @pytest.mark.parametrize(
+        "shapes", [((2, 3), (2, 3)), ((2, 2), (3, 3)), ((3, 3), (3, 2))],
+        ids=["non-square", "sizes-differ", "one-non-square"],
+    )
+    def test_real_parameters_shape(self, shapes):
+        with pytest.raises(DimensionMismatch):
+            GaugeParams.from_real_parameters(*(np.zeros(s) for s in shapes))
+
+    def test_real_parameters_must_be_real(self):
+        with pytest.raises(InvalidArgument):
+            GaugeParams.from_real_parameters(np.zeros((2, 2)), [[0, 1j], [1j, 0]])
 
     def test_gauge_parameter_count(self):
         # the constraint omega + conj(omega.T) = 0, read as a real-linear
