@@ -65,6 +65,19 @@ def _pair(entries: dict) -> tuple[list, list]:
     return index, [entries[k] + 0j for k in index]
 
 
+def _cartesian(dim: int, raising: dict) -> tuple[tuple[list, list], tuple[list, list]]:
+    """Entries of x1 = (x+ + x-)/2 and x2 = (x+ - x-)/(2i), x- = x+^T, for a
+    real raising matrix x+ as {index: value}, no entry on the diagonal or
+    facing another: v at an index of x+ puts v/2 in x1 and -iv/2 in x2
+    there, and v/2 and iv/2 at its mirror."""
+    x1, x2 = {}, {}
+    for k, v in raising.items():
+        mirror = (k % dim) * dim + k // dim
+        x1[k] = x1[mirror] = v / 2
+        x2[k], x2[mirror] = complex(0.0, -v / 2), complex(0.0, v / 2)
+    return _pair(x1), _pair(x2)
+
+
 def _max_abs(values) -> float:
     """Largest magnitude among the values, 0.0 for none."""
     return max(map(abs, values), default=0.0)

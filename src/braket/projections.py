@@ -21,7 +21,7 @@ from .errors import (
     Singular,
     WrongKind,
 )
-from .linalg import DEFAULT_TOLS, inverse, max_abs
+from .linalg import DEFAULT_TOLS, _finite_square, inverse, max_abs
 from .operators import KindedOperator, OperatorKind
 from .spaces import MetricOperator
 
@@ -47,6 +47,7 @@ class Projector:
             raise WrongKind(
                 f"projectors are ket-down endomorphisms, got {self.op.kind.value}"
             )
+        _finite_square(self.op.mat)  # NaN would pass the idempotency check below
         if max_abs(self.op.mat @ self.op.mat - self.op.mat) > DEFAULT_TOLS.eq_tol:
             raise NotIdempotent("matrix is not idempotent within eq_tol")
 

@@ -11,6 +11,11 @@ tensor square K^j x K^j with the slot-swap metric.
 Both shapes are assembled by one path over the bundle's tensor blocks:
 ((j, j),) for a tensor square, ((j1, j2), (j2, j1)) for a pair.
 
+A bundle is the frozen value CoupledRep(j1, j2, epsilon, basis): it
+compares and hashes on these four labels, and builds all else from them
+when it is made. build_rep, build_rep_diag, rotation_basis and
+orthonormal_basis check their arguments and make it.
+
 Bases: canonical (tensor-product labels), rotation (total-spin labels
 |s sigma>, diagonalizing I^2 and I3) and orthonormal (a diagonal +-1
 metric; only for differing weights, as the rotation basis of an
@@ -35,14 +40,14 @@ the dense numpy computation to the last bit, and zeros are unsigned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import sqrt
 
-from .entries import _combine, _monomial_signature, _pair
-from .errors import EqualWeights, InvalidArgument, WrongRepShape
+from .entries import _cartesian, _combine, _monomial_signature, _pair
+from .errors import EqualWeights, InvalidArgument, InvalidWeights, WrongRepShape
 from .spaces import MetricOperator
 from .su2 import Weight, _generator_entries
 
@@ -67,27 +72,39 @@ class Basis(str, Enum):
     ORTHONORMAL = "orthonormal"
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True)
 class CoupledRep:
-    """A full representation bundle in one fixed basis.
+    """The bundle of weights (j1, j2) with sign epsilon in one fixed basis.
 
-    M and N are given as three square matrices each, as entries (an
-    (index, values) tuple, see entries), and held as them.
+    These four labels fix it. epsilon None stands for default_epsilon(j1,
+    j2); basis is a Basis or its name. The labels, metric and the entries
+    of M and N (see entries) are built by _BUILDERS[basis] when it is made.
     The public M, N, I and K are dense arrays made on first access, which
     is when numpy is loaded; I and K are derived from M and N.
     """
 
     j1: Weight
     j2: Weight
-    metric: MetricOperator
-    epsilon: int
-    basis: Basis
-    labels: tuple[dict, ...]
-    _mn: tuple = field(init=False, repr=False)  # entries of M1, M2, M3, N1, N2, N3
+    epsilon: int | None = None
+    basis: Basis = Basis.CANONICAL
+    labels: tuple[dict, ...] = field(init=False, compare=False, repr=False)
+    metric: MetricOperator = field(init=False, compare=False, repr=False)
+    _mn: tuple = field(init=False, compare=False, repr=False)  # entries of M1, M2, M3, N1, N2, N3
 
-    def __init__(self, j1, j2, M, N, metric, epsilon, basis, labels):
-        fields = dict(j1=j1, j2=j2, metric=metric, epsilon=epsilon, basis=basis,
-                      labels=labels, _mn=(*M, *N))
+    def __post_init__(self):
+        if not (isinstance(self.j1, Weight) and isinstance(self.j2, Weight)):
+            raise InvalidWeights(f"weights must be Weight, got {self.j1!r} and {self.j2!r}")
+        epsilon = self.epsilon
+        epsilon = default_epsilon(self.j1, self.j2) if epsilon is None else _check_epsilon(epsilon)
+        try:
+            basis = Basis(self.basis)
+        except ValueError:
+            raise InvalidArgument(f"unknown basis {self.basis!r}") from None
+        if basis == Basis.ORTHONORMAL and self.is_diagonal:
+            raise WrongRepShape("equal-weight bundles are orthonormal in the rotation basis")
+        labels, metric, mn = _BUILDERS[basis](self.j1, self.j2, epsilon)
+        fields = dict(epsilon=epsilon, basis=basis, labels=tuple(labels),
+                      metric=MetricOperator._from_entries(len(labels), metric), _mn=tuple(mn))
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
@@ -216,14 +233,14 @@ def _rotation_block_labels(jl: Weight, jr: Weight) -> list[dict]:
     ]
 
 
-def _canonical(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
-    """The bundle of weights (j1, j2) in the canonical basis; in every
-    tensor block M acts on the left slot and N on the right one."""
+def _canonical(j1: Weight, j2: Weight, epsilon: int):
+    """Labels, metric entries and M, N entries of the bundle of weights
+    (j1, j2) in the canonical basis; in every tensor block M acts on the
+    left slot and N on the right one."""
     blocks = _blocks(j1, j2)
     gens = {w: _generator_entries(w) for block in blocks for w in block}
     dim = sum(jl.dim * jr.dim for jl, jr in blocks)
-    m_gens = tuple(_slot_generator(blocks, gens, a, 0, dim) for a in range(3))
-    n_gens = tuple(_slot_generator(blocks, gens, a, 1, dim) for a in range(3))
+    mn = [_slot_generator(blocks, gens, a, slot, dim) for slot in (0, 1) for a in range(3)]
 
     # epsilon times the exchange S (y (x) x -> x (x) y) pairing the first
     # block with the last, S^T below and S above; for a tensor square they
@@ -237,16 +254,7 @@ def _canonical(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
         eta[r * dim + c + off] = eta[(c + off) * dim + r] = epsilon
 
     labels = [lab for jl, jr in blocks for lab in _canonical_block_labels(jl, jr)]
-    return CoupledRep(
-        j1=j1,
-        j2=j2,
-        M=m_gens,
-        N=n_gens,
-        metric=MetricOperator._from_entries(dim, _pair(eta)),
-        epsilon=epsilon,
-        basis=Basis.CANONICAL,
-        labels=tuple(labels),
-    )
+    return labels, _pair(eta), mn
 
 
 def _slot_generator(blocks, gens: dict, a: int, slot: int, dim: int) -> tuple[list, list]:
@@ -323,9 +331,10 @@ def _rotation_block(jl: Weight, jr: Weight, offset: int, dim: int) -> tuple[dict
     return i3, ip, d3, dp
 
 
-def _rotation(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
-    """The bundle of weights (j1, j2) in the rotation basis, from the closed
-    form of each tensor block; M = (I + D)/2 and N = (I - D)/2.
+def _rotation(j1: Weight, j2: Weight, epsilon: int):
+    """Labels, metric entries and M, N entries of the bundle of weights
+    (j1, j2) in the rotation basis, from the closed form of each tensor
+    block; M = (I + D)/2 and N = (I - D)/2.
 
     The metric pairs (block 0; s, sig) with (block 1; s, sig), or each
     state with itself in a tensor square, with weight
@@ -344,14 +353,8 @@ def _rotation(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
         def half(x, y):
             return (x + sign * y) / 2
 
-        xp = dict(zip(*_combine(ip, dp, half)))
-        xt = {(k % dim) * dim + k // dim: v for k, v in xp.items()}  # the transpose of x+
-        return (
-            _combine(xp, xt, lambda x, t: (x + t) / 2),
-            # x2 = (x+ - x-)/(2i), purely imaginary
-            _combine(xp, xt, lambda x, t: complex(0.0, (t - x) / 2)),
-            _combine(i3, d3, half),
-        )
+        raising = {k: half(ip.get(k, 0), dp.get(k, 0)) for k in ip.keys() | dp.keys()}
+        return (*_cartesian(dim, raising), _combine(i3, d3, half))
 
     tjsum = j1.twice_j + j2.twice_j
     off = dim - n  # 0 for a tensor square: its metric is diagonal
@@ -359,27 +362,27 @@ def _rotation(j1: Weight, j2: Weight, epsilon: int) -> CoupledRep:
     for k, lab in enumerate(labels[:n]):
         sign = epsilon * (-1) ** ((tjsum - lab["twice_s"]) // 2)
         pairs[k * dim + k + off] = pairs[(k + off) * dim + k] = sign
-    return CoupledRep(
-        j1=j1,
-        j2=j2,
-        M=family(1),
-        N=family(-1),
-        metric=MetricOperator._from_entries(dim, _pair(pairs)),
-        epsilon=epsilon,
-        basis=Basis.ROTATION,
-        labels=tuple(labels),
-    )
+    return labels, _pair(pairs), (*family(1), *family(-1))
 
 
-def _build(j1: Weight, j2: Weight, epsilon: int, basis) -> CoupledRep:
-    try:
-        basis = Basis(basis)
-    except ValueError:
-        raise InvalidArgument(f"unknown basis {basis!r}") from None
-    if basis == Basis.CANONICAL:
-        return _canonical(j1, j2, epsilon)
-    rot = _rotation(j1, j2, epsilon)
-    return rot if basis == Basis.ROTATION else orthonormal_basis(rot)
+def _orthonormal(j1: Weight, j2: Weight, epsilon: int):
+    """Labels, metric entries and M, N entries of a two-weight bundle in
+    the orthonormal basis: those of the rotation basis mixed by c2, the
+    states (|block0; s,sigma> +- |block1; s,sigma>)/sqrt(2) labelled by
+    their sign."""
+    labels, metric, mn = _rotation(j1, j2, epsilon)
+    dim = len(labels)
+    signed = [
+        {"sign": sign, "twice_s": lab["twice_s"], "twice_sigma": lab["twice_sigma"]}
+        for sign in (1, -1)
+        for lab in labels[: dim // 2]
+    ]
+    return signed, _mix_entries(dim, metric), [_mix_entries(dim, e) for e in mn]
+
+
+# (j1, j2, epsilon) -> labels, metric entries, entries of M1, M2, M3, N1, N2, N3
+_BUILDERS = {Basis.CANONICAL: _canonical, Basis.ROTATION: _rotation,
+             Basis.ORTHONORMAL: _orthonormal}
 
 
 def build_rep(
@@ -395,8 +398,7 @@ def build_rep(
     """
     if j1 == j2:
         raise EqualWeights("equal weights form a tensor square; use build_rep_diag")
-    epsilon = default_epsilon(j1, j2) if epsilon is None else _check_epsilon(epsilon)
-    return _build(j1, j2, epsilon, basis)
+    return CoupledRep(j1, j2, epsilon, basis)
 
 
 def build_rep_diag(
@@ -408,8 +410,7 @@ def build_rep_diag(
     rotation basis is already orthonormal, so the orthonormal basis is
     rejected.
     """
-    epsilon = default_epsilon(j, j) if epsilon is None else _check_epsilon(epsilon)
-    return _build(j, j, epsilon, basis)
+    return CoupledRep(j, j, epsilon, basis)
 
 
 def chiral_projectors(rep: CoupledRep) -> tuple[Projector, Projector]:
@@ -489,7 +490,7 @@ def rotation_basis(rep: CoupledRep) -> tuple[np.ndarray, CoupledRep]:
         n = jl.dim * jr.dim
         c[offset : offset + n, offset : offset + n] = _cg_block(jl, jr)
         offset += n
-    return c, _rotation(rep.j1, rep.j2, rep.epsilon)
+    return c, replace(rep, basis=Basis.ROTATION)
 
 
 def orthonormal_basis(rep: CoupledRep) -> CoupledRep:
@@ -500,27 +501,10 @@ def orthonormal_basis(rep: CoupledRep) -> CoupledRep:
     read off directly. Equal-weight bundles are already orthonormal in the
     rotation basis and are rejected here.
     """
-    if rep.is_diagonal:
-        raise WrongRepShape("equal-weight bundles are orthonormal in the rotation basis")
-    if rep.basis != Basis.ROTATION:
+    # the constructor rejects a tensor square in any basis
+    if rep.basis != Basis.ROTATION and not rep.is_diagonal:
         raise WrongRepShape(f"expected a rotation-basis bundle, got {rep.basis.value!r}")
-    n = rep.dim // 2
-    labels = [
-        {"sign": sign, "twice_s": lab["twice_s"], "twice_sigma": lab["twice_sigma"]}
-        for sign in (1, -1)
-        for lab in rep.labels[:n]
-    ]
-    mixed = [_mix_entries(rep.dim, e) for e in rep._mn]
-    return CoupledRep(
-        j1=rep.j1,
-        j2=rep.j2,
-        M=mixed[:3],
-        N=mixed[3:],
-        metric=MetricOperator._from_entries(rep.dim, _mix_entries(rep.dim, rep.metric._entries)),
-        epsilon=rep.epsilon,
-        basis=Basis.ORTHONORMAL,
-        labels=tuple(labels),
-    )
+    return replace(rep, basis=Basis.ORTHONORMAL)
 
 
 def rep_signature(rep: CoupledRep) -> tuple[int, int]:

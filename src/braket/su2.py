@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import sqrt
 from numbers import Real
 
-from .entries import _pair
+from .entries import _cartesian, _pair
 from .errors import InvalidWeights
 
 __all__ = ["Weight", "Su2Irrep", "su2_generators", "ladder_plus"]
@@ -55,7 +55,8 @@ class Weight:
     twice_j: int
 
     def __post_init__(self):
-        if not isinstance(self.twice_j, int) or self.twice_j < 0:
+        # bool is an int, but no weight: its JSON would be true or false
+        if not isinstance(self.twice_j, int) or isinstance(self.twice_j, bool) or self.twice_j < 0:
             raise InvalidWeights(f"twice_j must be a non-negative int, got {self.twice_j!r}")
 
     @classmethod
@@ -101,18 +102,13 @@ def _ladder(j: Weight) -> list[float]:
 
 def _generator_entries(j: Weight) -> tuple[tuple[list, list], ...]:
     """Entries of J1 = (J+ + J-)/2, J2 = (J+ - J-)/(2i) and
-    J3 = diag(j, ..., -j), J- = J+^H: at each entry v of J+'s
-    superdiagonal J1 holds v/2 and J2 -iv/2, and at its mirror below the
-    diagonal J1 holds v/2 and J2 iv/2."""
+    J3 = diag(j, ..., -j), J- = J+^H, J+ holding the ladder on its
+    superdiagonal."""
     d = j.dim
-    j1, j2 = {}, {}
-    for row, v in enumerate(_ladder(j)):
-        up, down = row * d + row + 1, (row + 1) * d + row
-        j1[up] = j1[down] = v / 2
-        j2[up], j2[down] = complex(0.0, -v / 2), complex(0.0, v / 2)
+    raising = {row * d + row + 1: v for row, v in enumerate(_ladder(j))}
     jj = j.twice_j / 2.0
     j3 = {k * d + k: jj - k for k in range(d)}
-    return _pair(j1), _pair(j2), _pair(j3)
+    return (*_cartesian(d, raising), _pair(j3))
 
 
 def ladder_plus(j: Weight) -> np.ndarray:

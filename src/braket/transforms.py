@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument
-from .linalg import DEFAULT_TOLS, as_matrix, expm, inverse, max_abs
+from .linalg import DEFAULT_TOLS, _finite_square, as_matrix, expm, inverse, max_abs
 from .operators import KindedOperator, OperatorKind, identity_down
 from .spaces import MetricOperator
 
@@ -68,7 +68,7 @@ class GaugeParams:
         w = as_matrix(self.omega)
         if w.shape[0] != w.shape[1]:
             raise DimensionMismatch(f"omega must be square, got {w.shape}")
-        w = w.copy()
+        w = _finite_square(w).copy()
         w.setflags(write=False)
         object.__setattr__(self, "omega", w)
 

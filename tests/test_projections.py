@@ -3,6 +3,7 @@ import pytest
 
 from braket import (
     DimensionMismatch,
+    InvalidArgument,
     KindedOperator,
     MetricOperator,
     NotIdempotent,
@@ -37,6 +38,16 @@ class TestProjectorType:
     def test_rejects_wrong_kind(self):
         with pytest.raises(WrongKind):
             Projector(KindedOperator(np.eye(2), OperatorKind.UP_UP))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0)])
+    def test_rejects_non_finite(self, bad):
+        # max_abs(P @ P - P) is NaN here, and NaN > eq_tol is False
+        with pytest.raises(InvalidArgument, match="NaN or infinite"):
+            Projector.from_matrix([[bad, 0], [0, 1]])
+
+    def test_non_square_message_kept(self):
+        with pytest.raises(DimensionMismatch, match="operator matrix must be square"):
+            Projector.from_matrix(np.zeros((2, 3)))
 
 
 class TestPerpAndAdditive:

@@ -194,8 +194,10 @@ class TestVectorOperatorSchema:
 def doubled(rep):
     """rep with M and N doubled. I = M + N and K = i(N - M) still hold, but
     [M1, M2] - iM3 no longer vanishes (residual 1.0 for the (1/2, 0) bundle)."""
-    twice = [(index, [2 * v for v in values]) for index, values in rep._mn]
-    return replace(rep, M=twice[:3], N=twice[3:])
+    out = replace(rep)
+    twice = tuple((index, [2 * v for v in values]) for index, values in rep._mn)
+    object.__setattr__(out, "_mn", twice)
+    return out
 
 
 class TestRepSchema:
@@ -279,7 +281,8 @@ class TestRepSchema:
         # bundle negated, whose M and N carry -0.0 in every zero entry
         reps = reps_in_every_basis()
         orth = orthonormal_basis(rotation_basis(build_rep(Weight(8), Weight(7)))[1])
-        negated = replace(orth, M=[_entries(-m) for m in orth.M], N=[_entries(-n) for n in orth.N])
+        negated = replace(orth)
+        object.__setattr__(negated, "_mn", tuple(_entries(-x) for x in orth.M + orth.N))
         assert all(np.signbit(m.real).sum() > m.size // 2 for m in negated.M + negated.N)
         reps += [orth, negated]
         for rep in reps:

@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 
@@ -10,8 +11,10 @@ from scipy.linalg import block_diag
 from braket import (
     DEFAULT_TOLS,
     Basis,
+    CoupledRep,
     EqualWeights,
     InvalidArgument,
+    InvalidWeights,
     MetricOperator,
     Weight,
     WrongRepShape,
@@ -31,7 +34,7 @@ from braket import (
 )
 from braket import cli
 from braket.operators import KindedOperator, OperatorKind
-from braket.serialize import dump_json, dump_rep, rep_to_json
+from braket.serialize import dump_json, dump_rep, rep_from_json, rep_to_json
 from braket.sl2c import _blocks, _cg_block, _rotation_block_labels
 from conftest import max_dev
 
@@ -705,6 +708,83 @@ class TestOrthonormalBasis:
                 for fam in (bundle.I, bundle.K):
                     op = KindedOperator(fam[a], OperatorKind.DOWN_DOWN)
                     assert is_semi_hermitian(op, bundle.metric, 1e-10)
+
+
+def by_route(tj1, tj2, basis, epsilon):
+    """The bundle reached from the canonical one through rotation_basis
+    and orthonormal_basis."""
+    rep = closed_form(tj1, tj2, Basis.CANONICAL, epsilon)
+    if basis != Basis.CANONICAL:
+        rep = rotation_basis(rep)[1]
+    return orthonormal_basis(rep) if basis == Basis.ORTHONORMAL else rep
+
+
+def contents(rep):
+    return rep.labels, rep.metric._entries, rep._mn
+
+
+class TestValue:
+    # a bundle is fixed by, and compares equal on, (j1, j2, epsilon, basis)
+
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    @pytest.mark.parametrize("tj1, tj2", [(1, 0), (4, 3), (2, 5), (3, 3), (0, 0)])
+    def test_routes_agree(self, tj1, tj2, epsilon):
+        bases = [Basis.CANONICAL, Basis.ROTATION] + ([Basis.ORTHONORMAL] if tj1 != tj2 else [])
+        for basis in bases:
+            built = closed_form(tj1, tj2, basis, epsilon)
+            routed = by_route(tj1, tj2, basis, epsilon)
+            assert built == routed and hash(built) == hash(routed), basis
+            assert contents(built) == contents(routed), basis
+
+    def test_labels_normalised(self):
+        rep = CoupledRep(Weight(4), Weight(3), None, "rotation")
+        assert rep.epsilon == default_epsilon(Weight(4), Weight(3)) == -1
+        assert rep.basis is Basis.ROTATION
+        assert rep == CoupledRep(Weight(4), Weight(3), -1, Basis.ROTATION)
+        assert rep == build_rep(Weight(4), Weight(3), basis="rotation")
+        assert len({rep, CoupledRep(Weight(4), Weight(3), -1, "rotation")}) == 1
+
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_loaded_bundle_equals_built(self, epsilon):
+        for rep in reps_in_every_basis(epsilon):
+            back = rep_from_json(json.loads(dump_rep(rep)))
+            assert back == rep and hash(back) == hash(rep)
+
+    def test_epsilon_and_basis_distinguish(self):
+        reps = [
+            CoupledRep(Weight(2), Weight(1), epsilon, basis)
+            for epsilon in (1, -1)
+            for basis in Basis
+        ]
+        assert len(set(reps)) == len(reps) == 6
+        assert all(a != b for i, a in enumerate(reps) for b in reps[i + 1 :])
+        assert CoupledRep(Weight(2), Weight(1)) != CoupledRep(Weight(1), Weight(2))
+
+    def test_bad_basis(self):
+        with pytest.raises(InvalidArgument, match="unknown basis 'sideways'"):
+            CoupledRep(Weight(1), Weight(0), basis="sideways")
+
+    def test_bad_epsilon(self):
+        with pytest.raises(InvalidArgument, match="epsilon"):
+            CoupledRep(Weight(1), Weight(0), 2)
+
+    def test_orthonormal_tensor_square(self):
+        with pytest.raises(WrongRepShape, match="orthonormal in the rotation basis"):
+            CoupledRep(Weight(2), Weight(2), basis=Basis.ORTHONORMAL)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_rep(1, 0),
+            lambda: build_rep(Weight(1), 0),
+            lambda: build_rep_diag(2),
+            lambda: CoupledRep(Weight(1), 1.5),
+        ],
+        ids=["build_rep", "second-weight", "build_rep_diag", "constructor"],
+    )
+    def test_weights_must_be_weights(self, make):
+        with pytest.raises(InvalidWeights):
+            make()
 
 
 class TestLabels:

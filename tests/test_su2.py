@@ -30,6 +30,13 @@ class TestWeight:
             with pytest.raises(InvalidWeights):
                 Weight.from_j(bad)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bool(self, flag):
+        # a bool is an int, but a bundle built on it would be written as
+        # "twice_j1": true, which the loader refuses
+        with pytest.raises(InvalidWeights, match="non-negative int"):
+            Weight(flag)
+
     def test_dim(self):
         assert Weight(3).dim == 4
 

@@ -264,6 +264,19 @@ class TestGroupElement:
         with pytest.raises(DimensionMismatch):
             GaugeParams.from_real_parameters(*(np.zeros(s) for s in shapes))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        # NaN passes any `deviation > tol` test, and group_element would
+        # return an all-NaN matrix
+        omega = np.zeros((2, 2), dtype=complex)
+        omega[0, 1] = bad
+        with pytest.raises(InvalidArgument, match="NaN or infinite"):
+            GaugeParams(omega)
+
+    def test_non_square_message_kept(self):
+        with pytest.raises(DimensionMismatch, match="omega must be square"):
+            GaugeParams(np.zeros((2, 3)))
+
     def test_real_parameters_must_be_real(self):
         with pytest.raises(InvalidArgument):
             GaugeParams.from_real_parameters(np.zeros((2, 2)), [[0, 1j], [1j, 0]])
