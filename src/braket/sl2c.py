@@ -20,13 +20,18 @@ Bases: canonical (tensor-product labels), rotation (total-spin labels
 |s sigma>, diagonalizing I^2 and I3) and orthonormal (a diagonal +-1
 metric; only for differing weights, as the rotation basis of an
 equal-weight bundle is already orthonormal). The canonical bundle is
-built from Kronecker products of su(2) generators. The rotation bundle
-is built straight from the closed-form generator elements of Gel'fand,
-Minlos & Shapiro, so it holds exact zeros wherever the selection rules
-put them, and no Clebsch-Gordan coefficient is computed; it equals
-C^+ X C for the Clebsch-Gordan change C that rotation_basis returns. The
-orthonormal bundle is the rotation one conjugated by the block-mixing
-involution c2, done as sums of quadrants.
+built from Kronecker products of su(2) generators. The rotation and
+orthonormal bundles are built straight from the closed-form generator
+elements of Gel'fand, Minlos & Shapiro, evaluated once on the (j1, j2)
+block, so they hold exact zeros wherever the selection rules put them,
+and no Clebsch-Gordan coefficient is computed. With D = M - N = A + B,
+the A terms sit where I does and the B terms elsewhere, and the mirrored
+block (j2, j1) is the first with A negated. So both bases place the
+block's I and B on the diagonal quadrants, A by sigma_z and the metric
+by sigma_x in the rotation basis, and the other way round in the
+orthonormal one, which is the rotation one conjugated by the involution
+c2 = (sigma_x + sigma_z)/sqrt(2). The rotation bundle equals C^+ X C
+for the Clebsch-Gordan change C that rotation_basis returns.
 
 A bundle holds each generator as its entries (see entries): the rotation
 and orthonormal ones hold a few per column, as the selection rules allow
@@ -34,8 +39,11 @@ only Delta s, Delta sigma in {0, +-1}, and their metric one per row. Every
 bundle is built, checked and written in pure Python, so `braket rep`
 loads no numpy; numpy is imported by the functions that make or read
 dense arrays (M, N, I and K on access, _cg_block, rotation_basis,
-chiral_projectors). The non-zero values of every entry are those of
-the dense numpy computation to the last bit, and zeros are unsigned.
+chiral_projectors). The non-zero values of the canonical and rotation
+entries are those of the dense numpy computation to the last bit; the
+orthonormal ones are halves of the block's closed-form values, which
+c2 X c2 computed densely matches up to its own rounding. Zeros are
+unsigned.
 """
 
 from __future__ import annotations
@@ -78,7 +86,8 @@ class CoupledRep:
 
     These four labels fix it. epsilon None stands for default_epsilon(j1,
     j2); basis is a Basis or its name. The labels, metric and the entries
-    of M and N (see entries) are built by _BUILDERS[basis] when it is made.
+    of M and N (see entries) are built when it is made: by _canonical in
+    the canonical basis and by _closed_form in the other two.
     The public M, N, I and K are dense arrays made on first access, which
     is when numpy is loaded; I and K are derived from M and N.
     """
@@ -102,7 +111,8 @@ class CoupledRep:
             raise InvalidArgument(f"unknown basis {self.basis!r}") from None
         if basis == Basis.ORTHONORMAL and self.is_diagonal:
             raise WrongRepShape("equal-weight bundles are orthonormal in the rotation basis")
-        labels, metric, mn = _BUILDERS[basis](self.j1, self.j2, epsilon)
+        labels, metric, mn = (_canonical(self.j1, self.j2, epsilon) if basis == Basis.CANONICAL
+                              else _closed_form(self.j1, self.j2, epsilon, basis))
         fields = dict(epsilon=epsilon, basis=basis, labels=tuple(labels),
                       metric=MetricOperator._from_entries(len(labels), metric), _mn=tuple(mn))
         for name, value in fields.items():
@@ -174,32 +184,6 @@ def _check_epsilon(epsilon) -> int:
 def _blocks(j1: Weight, j2: Weight) -> tuple[tuple[Weight, Weight], ...]:
     """(left, right) weights of the bundle's tensor blocks, in basis order."""
     return ((j1, j1),) if j1 == j2 else ((j1, j2), (j2, j1))
-
-
-def _mix_entries(dim: int, entries) -> tuple[list, list]:
-    """Entries of c2 X c2 from the entries of X, for the involution
-    c2 = [[1, 1], [1, -1]]/sqrt(2), which mixes two blocks of size n into
-    (b0 +- b1)/sqrt(2); c2 is real, symmetric and its own inverse.
-
-    On the quadrants [[P, Q], [R, S]] of X this is
-    1/2 [[P+Q+R+S, P-Q+R-S], [P+Q-R-S, P-Q-R+S]], so each entry of a
-    quadrant lands at its place in all four quadrants.
-    """
-    n = dim // 2
-    places = {}  # local place -> the values of quadrants P, Q, R, S there
-    for k, value in zip(*entries):
-        row, col = divmod(k, dim)
-        quadrants = places.setdefault((row % n) * n + col % n, [0j, 0j, 0j, 0j])
-        quadrants[2 * (row >= n) + (col >= n)] = value
-    out = {}
-    for local, (p, q, r, s) in places.items():
-        at = (local // n) * dim + local % n
-        top, bottom = (p + r, q + s), (p - r, q - s)
-        out[at] = 0.5 * (top[0] + top[1])
-        out[at + n] = 0.5 * (top[0] - top[1])
-        out[at + n * dim] = 0.5 * (bottom[0] + bottom[1])
-        out[at + n * dim + n] = 0.5 * (bottom[0] - bottom[1])
-    return _pair(out)
 
 
 def _canonical_block_labels(jl: Weight, jr: Weight) -> list[dict]:
@@ -276,14 +260,14 @@ def _slot_generator(blocks, gens: dict, a: int, slot: int, dim: int) -> tuple[li
     return _pair(out)
 
 
-def _rotation_block(jl: Weight, jr: Weight, offset: int, dim: int) -> tuple[dict, ...]:
-    """Real (I3, I+, D3, D+) of one tensor block in its total-spin basis,
-    each as {flat index: float} in a dim x dim matrix, the block starting
-    at index offset; a zero value may be among them.
+def _rotation_block(jl: Weight, jr: Weight) -> tuple[tuple[dict, dict], ...]:
+    """Real (I3, I+), (A3, A+) and (B3, B+) of the tensor block (jl, jr) in
+    its total-spin basis, each as {local flat index: float} in its n x n
+    matrix; a zero value may be among them.
 
-    I is the spin-s matrix on each total spin s. D = M - N is the vector
-    operator of Gel'fand, Minlos & Shapiro (1963) and Naimark (1964); with
-    k0 = jl - jr, c = jl + jr + 1,
+    I is the spin-s matrix on each total spin s. D = M - N = A + B is the
+    vector operator of Gel'fand, Minlos & Shapiro (1963) and Naimark
+    (1964); with k0 = jl - jr, c = jl + jr + 1,
         A_s = k0 c / (s(s+1)),
         B_s = sqrt((s^2 - k0^2)(c^2 - s^2) / (s^2 (4s^2 - 1))),
     its elements are
@@ -292,6 +276,9 @@ def _rotation_block(jl: Weight, jr: Weight, offset: int, dim: int) -> tuple[dict
         <s sig+1|D+|s sig>     = sqrt((s - sig)(s + sig + 1)) A_s,
         <s-1 sig+1|D+|s sig>   = sqrt((s - sig)(s - sig - 1)) B_s,
         <s+1 sig+1|D+|s sig>   = -sqrt((s + sig + 1)(s + sig + 2)) B_{s+1}.
+    The A terms sit exactly where I does, and flip sign with k0; the B
+    terms sit where I does not, and depend on k0^2 alone. So the mirrored
+    block (jr, jl) is this one with A negated.
     A_s is 0 when k0 = 0, where s = 0 would make it 0/0, and B_s is needed
     only above the lowest spin |k0|, so its 0/0 at s = 1/2 = |k0| never
     arises. Only these entries are written; every other entry is an exact
@@ -300,13 +287,14 @@ def _rotation_block(jl: Weight, jr: Weight, offset: int, dim: int) -> tuple[dict
     (s-1, sig+1) at i + 2s - 1 and (s+1, sig+1) at i - 2s - 3.
     """
     spins = _spin_range(jl, jr)
+    n = jl.dim * jr.dim
     k0, c = (jl.twice_j - jr.twice_j) / 2.0, (jl.twice_j + jr.twice_j) / 2.0 + 1.0
 
     def b(t):
         return sqrt((t * t - k0 * k0) * (c * c - t * t) / (t * t * (4 * t * t - 1)))
 
-    i3, ip, d3, dp = {}, {}, {}, {}
-    i = offset
+    i3, ip, a3, ap, b3, bp = {}, {}, {}, {}, {}, {}
+    i = 0
     for ts in spins:
         s = ts / 2.0
         a = k0 * c / (s * (s + 1)) if k0 else 0.0
@@ -314,75 +302,79 @@ def _rotation_block(jl: Weight, jr: Weight, offset: int, dim: int) -> tuple[dict
         b_up = b(s + 1) if ts < spins[0] else None  # s below the highest spin
         for tsig in range(ts, -ts - 2, -2):
             sig = tsig / 2.0
-            at = i * dim + i
+            at = i * n + i
             i3[at] = sig
-            d3[at] = sig * a
+            a3[at] = sig * a
             if tsig < ts:
                 root = sqrt((s - sig) * (s + sig + 1))
-                ip[at - dim] = root
-                dp[at - dim] = root * a
+                ip[at - n] = root
+                ap[at - n] = root * a
             if b_s is not None and abs(tsig) < ts:
-                d3[at + ts * dim] = d3[at + ts] = sqrt(s * s - sig * sig) * b_s
+                b3[at + ts * n] = b3[at + ts] = sqrt(s * s - sig * sig) * b_s
             if b_s is not None and tsig <= ts - 4:
-                dp[at + (ts - 1) * dim] = sqrt((s - sig) * (s - sig - 1)) * b_s
+                bp[at + (ts - 1) * n] = sqrt((s - sig) * (s - sig - 1)) * b_s
             if b_up is not None:
-                dp[at - (ts + 3) * dim] = -sqrt((s + sig + 1) * (s + sig + 2)) * b_up
+                bp[at - (ts + 3) * n] = -sqrt((s + sig + 1) * (s + sig + 2)) * b_up
             i += 1
-    return i3, ip, d3, dp
+    return (i3, ip), (a3, ap), (b3, bp)
 
 
-def _rotation(j1: Weight, j2: Weight, epsilon: int):
+# 2 x 2 sign patterns {quadrant: sign} placing an n x n piece in a bundle
+_SIGMA_Z = {(0, 0): 1, (1, 1): -1}
+_SIGMA_X = {(0, 1): 1, (1, 0): 1}
+
+
+def _place(out: dict, dim: int, n: int, quadrant: tuple[int, int], items) -> None:
+    """Write the (local flat index, value) items of an n x n piece into
+    quadrant (row, col) of the dim x dim matrix out, {flat index: value}."""
+    base = (quadrant[0] * dim + quadrant[1]) * n
+    for k, v in items:
+        row, col = divmod(k, n)
+        out[base + row * dim + col] = v
+
+
+def _closed_form(j1: Weight, j2: Weight, epsilon: int, basis: Basis):
     """Labels, metric entries and M, N entries of the bundle of weights
-    (j1, j2) in the rotation basis, from the closed form of each tensor
-    block; M = (I + D)/2 and N = (I - D)/2.
-
-    The metric pairs (block 0; s, sig) with (block 1; s, sig), or each
-    state with itself in a tensor square, with weight
-    epsilon (-1)^(j1 + j2 - s).
-    """
-    blocks = _blocks(j1, j2)
-    labels = [lab for jl, jr in blocks for lab in _rotation_block_labels(jl, jr)]
+    (j1, j2) in the rotation or orthonormal basis: the (j1, j2) block's
+    I, A and B placed by the basis' sign patterns (see the module
+    docstring) in M = (1 x I + tau x A + 1 x B)/2 and N = (1 x I - tau x A
+    - 1 x B)/2, and the weight epsilon (-1)^(j1 + j2 - s) of each state
+    placed by the metric's pattern."""
+    block = _rotation_block_labels(j1, j2)
+    n = len(block)
+    if j1 == j2:  # a tensor square is the one block (0, 0)
+        labels, tau, weight = block, {(0, 0): 1}, {(0, 0): 1}
+    elif basis == Basis.ROTATION:
+        labels, tau, weight = block + _rotation_block_labels(j2, j1), _SIGMA_Z, _SIGMA_X
+    else:  # (|block0; s,sig> +- |block1; s,sig>)/sqrt(2), labelled by their sign
+        labels = [{"sign": sign, "twice_s": lab["twice_s"], "twice_sigma": lab["twice_sigma"]}
+                  for sign in (1, -1) for lab in block]
+        tau, weight = _SIGMA_X, _SIGMA_Z
     dim = len(labels)
-    n = dim // len(blocks)
-    i3, ip, d3, dp = {}, {}, {}, {}
-    for k, (jl, jr) in enumerate(blocks):
-        for whole, part in zip((i3, ip, d3, dp), _rotation_block(jl, jr, k * n, dim)):
-            whole.update(part)
+    (i3, ip), (a3, ap), (b3, bp) = _rotation_block(j1, j2)
+
+    def generator(sign, i, a, b):  # (1 x I + sign (tau x A + 1 x B))/2
+        out = {}
+        for q in range(dim // n):  # A sits where I does, B elsewhere
+            t = sign * tau.get((q, q), 0)
+            _place(out, dim, n, (q, q), ((k, (v + t * a[k]) / 2) for k, v in i.items()))
+            _place(out, dim, n, (q, q), ((k, sign * v / 2) for k, v in b.items()))
+        for q, t in tau.items():
+            if q[0] != q[1]:
+                _place(out, dim, n, q, ((k, sign * t * v / 2) for k, v in a.items()))
+        return out
 
     def family(sign):  # M for +1, N for -1
-        def half(x, y):
-            return (x + sign * y) / 2
-
-        raising = {k: half(ip.get(k, 0), dp.get(k, 0)) for k in ip.keys() | dp.keys()}
-        return (*_cartesian(dim, raising), _combine(i3, d3, half))
+        raising = generator(sign, ip, ap, bp)
+        return (*_cartesian(dim, raising), _pair(generator(sign, i3, a3, b3)))
 
     tjsum = j1.twice_j + j2.twice_j
-    off = dim - n  # 0 for a tensor square: its metric is diagonal
-    pairs = {}
-    for k, lab in enumerate(labels[:n]):
-        sign = epsilon * (-1) ** ((tjsum - lab["twice_s"]) // 2)
-        pairs[k * dim + k + off] = pairs[(k + off) * dim + k] = sign
-    return labels, _pair(pairs), (*family(1), *family(-1))
-
-
-def _orthonormal(j1: Weight, j2: Weight, epsilon: int):
-    """Labels, metric entries and M, N entries of a two-weight bundle in
-    the orthonormal basis: those of the rotation basis mixed by c2, the
-    states (|block0; s,sigma> +- |block1; s,sigma>)/sqrt(2) labelled by
-    their sign."""
-    labels, metric, mn = _rotation(j1, j2, epsilon)
-    dim = len(labels)
-    signed = [
-        {"sign": sign, "twice_s": lab["twice_s"], "twice_sigma": lab["twice_sigma"]}
-        for sign in (1, -1)
-        for lab in labels[: dim // 2]
-    ]
-    return signed, _mix_entries(dim, metric), [_mix_entries(dim, e) for e in mn]
-
-
-# (j1, j2, epsilon) -> labels, metric entries, entries of M1, M2, M3, N1, N2, N3
-_BUILDERS = {Basis.CANONICAL: _canonical, Basis.ROTATION: _rotation,
-             Basis.ORTHONORMAL: _orthonormal}
+    weights = [(k * n + k, epsilon * (-1) ** ((tjsum - lab["twice_s"]) // 2))
+               for k, lab in enumerate(block)]
+    metric = {}
+    for q, t in weight.items():
+        _place(metric, dim, n, q, ((k, t * v) for k, v in weights))
+    return labels, _pair(metric), (*family(1), *family(-1))
 
 
 def build_rep(
@@ -426,12 +418,14 @@ def chiral_projectors(rep: CoupledRep) -> tuple[Projector, Projector]:
     if rep.is_diagonal:
         raise WrongRepShape("equal-weight bundles have no chiral split")
     dim, n = rep.dim, rep.dim // 2
+    tau = _SIGMA_X if rep.basis == Basis.ORTHONORMAL else _SIGMA_Z
     out = []
-    for block in (range(n), range(n, dim)):  # the identity on one block
-        entries = ([k * dim + k for k in block], [1 + 0j] * n)
-        if rep.basis == Basis.ORTHONORMAL:
-            entries = _mix_entries(dim, entries)
-        out.append(Projector.from_matrix(_dense(dim, entries)))
+    for sign in (1, -1):  # (1 + sign tau)/2 on the quadrants, the identity in each
+        entries = {}
+        for q in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            c = ((q[0] == q[1]) + sign * tau.get(q, 0)) / 2
+            _place(entries, dim, n, q, ((k * n + k, c) for k in range(n)))
+        out.append(Projector.from_matrix(_dense(dim, _pair(entries))))
     return tuple(out)
 
 

@@ -28,9 +28,11 @@ __all__ = ["Weight", "Su2Irrep", "su2_generators", "ladder_plus"]
 def twice_half_integer(x, name: str) -> int:
     """Twice a half-integer given as int, float or Fraction.
 
-    Anything else, including NaN and the infinities, raises InvalidWeights
-    naming the argument.
+    Anything else, including a bool, NaN and the infinities, raises
+    InvalidWeights naming the argument.
     """
+    if isinstance(x, bool):  # bool is an int, but no weight
+        raise InvalidWeights(f"{name}={x!r} is not a number")
     if isinstance(x, int):
         return 2 * int(x)
     if isinstance(x, Fraction):

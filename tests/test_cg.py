@@ -45,9 +45,11 @@ class TestSelectionRules:
     def test_non_half_integer(self):
         with pytest.raises(InvalidWeights):
             clebsch_gordan(0.3, 0.3, 0, 0, 0.3, 0.3)
-        for bad in (float("nan"), float("inf"), float("-inf")):
+        for bad in (float("nan"), float("inf"), float("-inf"), True, False):
             with pytest.raises(InvalidWeights):
                 clebsch_gordan(bad, 0, 0, 0, 0, 0)
+        with pytest.raises(InvalidWeights):
+            clebsch_gordan(True, 1, 0, 0, True, 1)
 
     def test_past_factorial_limit(self):
         # j1 + j2 + s + 1 beyond sys.maxsize is out of math.factorial's range

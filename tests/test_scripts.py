@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ["signature_table.py", "--max-twice-j", "3"],
         ["gauge_flow_demo.py", "--samples", "5"],
+        ["rep_digests.py"],
     ],
 )
 def test_script_runs(argv):

@@ -264,15 +264,20 @@ class TestChiralProjectors:
             assert max_dev(leak, np.zeros_like(leak)) > 0.5
 
     def test_exchange_in_every_basis(self):
-        rep = build_rep(Weight(1), Weight(0))
-        _, rot = rotation_basis(rep)
-        orth = orthonormal_basis(rot)
-        for bundle in (rep, rot, orth):
-            left, right = chiral_projectors(bundle)
-            assert max_dev(left.mat + right.mat, np.eye(4)) < 1e-12
-            assert max_dev(left.mat @ right.mat, np.zeros((4, 4))) < 1e-12
-            bar_left = dirac_adjoint(left.op, bundle.metric)
-            assert max_dev(bar_left.mat, right.mat) < 1e-12
+        for tj1, tj2 in ((1, 0), (4, 3), (5, 2)):
+            rep = build_rep(Weight(tj1), Weight(tj2))
+            _, rot = rotation_basis(rep)
+            orth = orthonormal_basis(rot)
+            eye, zero = np.eye(rep.dim), np.zeros((rep.dim, rep.dim))
+            for bundle in (rep, rot, orth):
+                left, right = chiral_projectors(bundle)
+                assert max_dev(left.mat + right.mat, eye) < 1e-12
+                assert max_dev(left.mat @ right.mat, zero) < 1e-12
+                bar_left = dirac_adjoint(left.op, bundle.metric)
+                assert max_dev(bar_left.mat, right.mat) < 1e-12
+            # the orthonormal projectors are the rotation ones conjugated by c2
+            for got, x in zip(chiral_projectors(orth), chiral_projectors(rot)):
+                assert np.array_equal(got.mat, mix(x.mat)), (tj1, tj2)
 
 
 def spectral_rotation_metric(rep_rot):
@@ -433,37 +438,37 @@ def pattern_mask(rot):
     return (block[:, None] == block[None, :]) & near(ts) & near(tsig)
 
 
-def numpy_rotation_block(jl, jr, offset):
-    """(rows, cols, values) of the real (I3, I+, D3, D+) of one tensor block
-    in its total-spin basis, the closed form evaluated on whole numpy
-    arrays (see sl2c._rotation_block for the formulas)."""
+def numpy_rotation_block(jl, jr):
+    """(rows, cols, values) of the real (I3, I+), (A3, A+) and (B3, B+) of
+    one tensor block in its total-spin basis, with D = A + B, the closed
+    form evaluated on whole numpy arrays (see sl2c._rotation_block for the
+    formulas)."""
     labels = _rotation_block_labels(jl, jr)
     ts = np.array([lab["twice_s"] for lab in labels])
     tsig = np.array([lab["twice_sigma"] for lab in labels])
     s, sig = ts / 2.0, tsig / 2.0
     k0, c = (jl.twice_j - jr.twice_j) / 2.0, (jl.twice_j + jr.twice_j) / 2.0 + 1.0
     n = len(ts)
-    i = np.arange(n) + offset
+    i = np.arange(n)
     a = k0 * c / (s * (s + 1)) if k0 else np.zeros(n)
 
     def b(t):
         return np.sqrt((t * t - k0 * k0) * (c * c - t * t) / (t * t * (4 * t * t - 1)))
 
-    d3 = [(i, i, sig * a)]
     m = tsig < ts
     root = np.sqrt((s - sig) * (s + sig + 1))[m]
     ip = (i[m] - 1, i[m], root)
-    dp = [(i[m] - 1, i[m], root * a[m])]
+    ap = (i[m] - 1, i[m], root * a[m])
     low = ts > ts[-1]
     m = low & (abs(tsig) < ts)
     mirrored = np.sqrt(s * s - sig * sig)[m] * b(s[m])
-    d3 += [(i[m] + ts[m], i[m], mirrored), (i[m], i[m] + ts[m], mirrored)]
+    b3 = [(i[m] + ts[m], i[m], mirrored), (i[m], i[m] + ts[m], mirrored)]
     m = low & (tsig <= ts - 4)
-    dp.append((i[m] + ts[m] - 1, i[m], np.sqrt((s - sig) * (s - sig - 1))[m] * b(s[m])))
+    bp = [(i[m] + ts[m] - 1, i[m], np.sqrt((s - sig) * (s - sig - 1))[m] * b(s[m]))]
     m = ts < ts[0]
-    dp.append((i[m] - ts[m] - 3, i[m], -np.sqrt((s + sig + 1) * (s + sig + 2))[m] * b(s[m] + 1)))
+    bp.append((i[m] - ts[m] - 3, i[m], -np.sqrt((s + sig + 1) * (s + sig + 2))[m] * b(s[m] + 1)))
     joined = lambda parts: tuple(map(np.concatenate, zip(*parts)))
-    return (i, i, sig), ip, joined(d3), joined(dp)
+    return ((i, i, sig), ip), ((i, i, sig * a), ap), (joined(b3), joined(bp))
 
 
 def dense_bundle(m, n, eta):
@@ -503,31 +508,46 @@ def dense_canonical(tj1, tj2, epsilon):
 def dense_closed_form(tj1, tj2, epsilon):
     """M, N, I, K and the metric of the rotation bundle, and those of the
     orthonormal one for a pair, by the dense arithmetic the bundle's
-    entries reproduce: the block matrices filled densely, the families
-    formed from whole arrays, and the orthonormal bundle by mix."""
+    entries reproduce: the I, A and B matrices of every block filled
+    densely from its own closed form, the families formed from whole
+    arrays. The rotation bundle is (I + sign (A + B))/2 block by block;
+    the orthonormal one is the sigma_x form of block 0,
+    (1 x I + sign (sigma_x x A + 1 x B))/2, with the metric sigma_z x W."""
     blocks = _blocks(Weight(tj1), Weight(tj2))
     n = (tj1 + 1) * (tj2 + 1)
     dim = n * len(blocks)
-    i3, ip, d3, dp = (np.zeros((dim, dim)) for _ in range(4))
-    for k, (jl, jr) in enumerate(blocks):
-        for x, (rows, cols, values) in zip((i3, ip, d3, dp), numpy_rotation_block(jl, jr, k * n)):
+    pieces = []  # per block: I3, I+, A3, A+, B3, B+
+    for jl, jr in blocks:
+        arrays = [np.zeros((n, n)) for _ in range(6)]
+        parts = [part for piece in numpy_rotation_block(jl, jr) for part in piece]
+        for x, (rows, cols, values) in zip(arrays, parts):
             x[rows, cols] = values
+        pieces.append(arrays)
 
-    def family(sign):
-        x3, xp = (i3 + sign * d3) / 2, (ip + sign * dp) / 2
+    def cartesian(x3, xp):
         x2 = np.zeros(xp.shape, dtype=complex)
         x2.imag = (xp.T - xp) / 2
         return ((xp + xp.T).astype(complex) / 2, x2, x3.astype(complex))
 
-    m, nn = family(1), family(-1)
+    def rotation(sign):
+        i3, ip, a3, ap, b3, bp = (block_diag(*parts) for parts in zip(*pieces))
+        return cartesian((i3 + sign * (a3 + b3)) / 2, (ip + sign * (ap + bp)) / 2)
+
+    def orthonormal(sign):
+        i3, ip, a3, ap, b3, bp = pieces[0]
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        form = lambda i, a, b: np.kron(np.eye(2), (i + sign * b) / 2) + np.kron(sigma_x, sign * a / 2)
+        return cartesian(form(i3, a3, b3), form(ip, ap, bp))
+
     rot = closed_form(tj1, tj2, epsilon=epsilon)
     signs = [epsilon * (-1) ** ((tj1 + tj2 - lab["twice_s"]) // 2) for lab in rot.labels[:n]]
     eta = np.zeros((dim, dim), dtype=complex)
     idx = np.arange(n)
     eta[idx, idx + dim - n] = eta[idx + dim - n, idx] = signs
-    want = [dense_bundle(m, nn, eta)]
+    want = [dense_bundle(rotation(1), rotation(-1), eta)]
     if len(blocks) == 2:
-        want.append(dense_bundle([mix(x) for x in m], [mix(x) for x in nn], mix(eta)))
+        eta = np.diag(np.concatenate((signs, np.negative(signs)))).astype(complex)
+        want.append(dense_bundle(orthonormal(1), orthonormal(-1), eta))
     return want
 
 
@@ -698,6 +718,19 @@ class TestOrthonormalBasis:
     def test_rejects_canonical_input(self):
         with pytest.raises(WrongRepShape):
             orthonormal_basis(build_rep(Weight(1), Weight(0)))
+
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_rotations_are_exact(self, epsilon):
+        # I = 1 x I of block 0 on the sign quadrants: I3 is diag(sigma) to
+        # the last bit, and no rotation mixes the + and - states
+        for tj1 in range(1, 13):
+            for tj2 in range(tj1):
+                orth = build_rep(Weight(tj1), Weight(tj2), epsilon, Basis.ORTHONORMAL)
+                n = orth.dim // 2
+                sigma = [lab["twice_sigma"] / 2 for lab in orth.labels]
+                assert np.array_equal(orth.I[2], np.diag(sigma)), (tj1, tj2)
+                for x in orth.I:
+                    assert not x[:n, n:].any() and not x[n:, :n].any(), (tj1, tj2)
 
     def test_generators_stay_self_adjoint(self):
         rep = build_rep(Weight(1), Weight(0))

@@ -26,7 +26,7 @@ class TestWeight:
             Weight.from_j(0.3)
         with pytest.raises(InvalidWeights):
             Weight.from_j(-0.5)
-        for bad in (float("nan"), float("inf"), "1/2", Fraction(3, 4), Fraction(1, 3)):
+        for bad in (float("nan"), float("inf"), "1/2", Fraction(3, 4), Fraction(1, 3), True, False):
             with pytest.raises(InvalidWeights):
                 Weight.from_j(bad)
 
