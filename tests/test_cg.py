@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braket import CGValue, InvalidArgument, InvalidWeights, clebsch_gordan, radical_sum
 
@@ -12,6 +15,52 @@ def halves(tj):
 
 def spins(tj1, tj2):
     return [Fraction(t, 2) for t in range(tj1 + tj2, abs(tj1 - tj2) - 2, -2)]
+
+
+def racah_fractions(tj1, tl1, tj2, tl2, ts, tsig):
+    """Racah's sum with one Fraction per term, on twice-labels that pass
+    every check: the textbook evaluation, an oracle for the integer sum."""
+    if tl1 + tl2 != tsig:
+        return CGValue(0, Fraction(0))
+
+    def f(twice):
+        return factorial(twice // 2)
+
+    kmin = max(0, -(ts - tj2 + tl1) // 2, -(ts - tj1 - tl2) // 2)
+    kmax = min((tj1 + tj2 - ts) // 2, (tj1 - tl1) // 2, (tj2 + tl2) // 2)
+    ksum = Fraction(0)
+    for k in range(kmin, kmax + 1):
+        ksum += Fraction((-1) ** k, factorial(k) * f(tj1 + tj2 - ts - 2 * k)
+                         * f(tj1 - tl1 - 2 * k) * f(tj2 + tl2 - 2 * k)
+                         * f(ts - tj2 + tl1 + 2 * k) * f(ts - tj1 - tl2 + 2 * k))
+    if ksum == 0:
+        return CGValue(0, Fraction(0))
+    prefactor = Fraction((ts + 1) * f(ts + tj1 - tj2) * f(ts - tj1 + tj2)
+                         * f(tj1 + tj2 - ts), f(tj1 + tj2 + ts + 2))
+    prefactor *= (f(ts + tsig) * f(ts - tsig) * f(tj1 - tl1) * f(tj1 + tl1)
+                  * f(tj2 - tl2) * f(tj2 + tl2))
+    return CGValue(1 if ksum > 0 else -1, prefactor * ksum * ksum)
+
+
+@st.composite
+def coupling_labels(draw, max_twice=60):
+    """Twice-labels (j1, l1, j2, l2, s, sigma) in range, with sigma = l1 + l2."""
+    tj1, tj2 = draw(st.integers(0, max_twice)), draw(st.integers(0, max_twice))
+    ts = draw(st.sampled_from(range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)))
+    tl1 = draw(st.sampled_from(range(-tj1, tj1 + 1, 2)))
+    tl2 = draw(st.sampled_from([t for t in range(-tj2, tj2 + 1, 2) if abs(tl1 + t) <= ts]))
+    return tj1, tl1, tj2, tl2, ts, tl1 + tl2
+
+
+def coupling_identity(tj1, tj2, ts, tsp):
+    """sum over l1 + l2 = 0 of <j1 l1; j2 l2 | s 0><j1 l1; j2 l2 | s' 0>,
+    exactly, through radical_sum."""
+    j1, j2, s, sp = (Fraction(t, 2) for t in (tj1, tj2, ts, tsp))
+    terms = []
+    for tl1 in range(min(tj1, tj2), -min(tj1, tj2) - 2, -2):
+        l1 = Fraction(tl1, 2)
+        terms.append(clebsch_gordan(j1, l1, j2, -l1, s, 0) * clebsch_gordan(j1, l1, j2, -l1, sp, 0))
+    return radical_sum(terms)
 
 
 class TestCGValueType:
@@ -107,6 +156,37 @@ class TestKnownValues:
                             assert Rational(mine.squared) == ref**2
                             assert mine.sign == int(sign(ref))
 
+    @pytest.mark.parametrize("labels", [
+        (Fraction(121, 2), Fraction(7, 2), 30, -3, Fraction(145, 2), Fraction(1, 2)),
+        (55, -20, 52, 19, 60, -1),
+        (80, 0, 40, 0, 80, 0),
+        (Fraction(101, 2), Fraction(-101, 2), Fraction(103, 2), Fraction(99, 2), 51, -1),
+    ])
+    def test_against_sympy_past_fifty(self, labels):
+        from sympy import Rational, sign
+        from sympy.physics.quantum.cg import CG
+
+        ref = CG(*(Rational(x) for x in labels)).doit()
+        mine = clebsch_gordan(*labels)
+        assert Rational(mine.squared) == ref**2
+        assert mine.sign == int(sign(ref))
+
+    @pytest.mark.parametrize("j", [400, 1600])
+    def test_zero_projections_closed_form(self, j):
+        # <j 0; j 0 | j 0> with g = 3j/2: (-1)^(g-j) sqrt(2j+1) g!/((g-j)!)^3
+        # * sqrt((2g-2j)!^3 / (2g+1)!), exact at sizes far past the tables
+        g = 3 * j // 2
+        ratio = factorial(g) // factorial(g - j) ** 3
+        squared = Fraction((2 * j + 1) * factorial(2 * g - 2 * j) ** 3 * ratio**2,
+                           factorial(2 * g + 1))
+        assert clebsch_gordan(j, 0, j, 0, j, 0) == CGValue((-1) ** (g - j), squared)
+        assert clebsch_gordan(j + 1, 0, j + 1, 0, j + 1, 0).is_zero
+
+    @settings(max_examples=200, deadline=None)
+    @given(coupling_labels())
+    def test_matches_fraction_racah_sum(self, twice):
+        assert clebsch_gordan(*(Fraction(t, 2) for t in twice)) == racah_fractions(*twice)
+
 
 class TestExactIdentities:
     def test_exchange_symmetry(self):
@@ -157,6 +237,18 @@ class TestExactIdentities:
                         else:
                             assert total == {}
 
+    @pytest.mark.parametrize("tj1", [80, 120, 200])
+    def test_orthonormal_at_large_weights(self, tj1):
+        # twice-j2 = twice-j1 / 2 and sigma = 0: the factorials carry primes
+        # above 100, so the sums cancel only if every key is square-free
+        tj2 = tj1 // 2
+        ts = list(range(tj1 + tj2, tj1 - tj2 - 2, -2))
+        n = len(ts)
+        for a in (ts[0], ts[n // 3], ts[-1]):
+            assert coupling_identity(tj1, tj2, a, a) == {1: Fraction(1)}
+        for a, b in ((ts[0], ts[1]), (ts[1], ts[-1]), (ts[n // 2], ts[-1]), (ts[-2], ts[-1])):
+            assert coupling_identity(tj1, tj2, a, b) == {}
+
 
 class TestRadicalSum:
     def test_cancellation(self):
@@ -177,3 +269,20 @@ class TestRadicalSum:
     def test_rational_terms(self):
         total = radical_sum([CGValue(1, Fraction(1, 4)), CGValue(1, Fraction(1, 4))])
         assert total == {1: Fraction(1)}
+
+    def test_large_prime_cancels(self):
+        # sqrt(101^2 * 103) = 101 sqrt(103): one key for both, in the numerator
+        # and in the denominator
+        big = 101**2 * 103
+        assert radical_sum([CGValue(1, Fraction(big))] + 101 * [CGValue(-1, Fraction(103))]) == {}
+        assert radical_sum([CGValue(1, Fraction(1, 103))]
+                           + 101 * [CGValue(-1, Fraction(1, big))]) == {}
+
+    def test_key_is_square_free_across_the_fraction(self):
+        # sqrt(2/3) + sqrt(3/2) = (1/3 + 1/2) sqrt(6)
+        total = radical_sum([CGValue(1, Fraction(2, 3)), CGValue(1, Fraction(3, 2))])
+        assert total == {6: Fraction(5, 6)}
+
+    def test_prime_squares_past_trial_bound(self):
+        # 10007 is prime: 10007^2 * 5 has the square-free part 5
+        assert radical_sum([CGValue(1, Fraction(10007**2 * 5, 7))]) == {35: Fraction(10007, 7)}
