@@ -126,18 +126,25 @@ def clebsch_gordan(j1, l1, j2, l2, s, sigma) -> CGValue:
     return CGValue(sign, Fraction(top * p * p, bottom))
 
 
-def _square_free_split(n: int) -> tuple[int, int]:
-    """Decompose n = f * k**2 with f square-free.
+# Trial division stops below this prime bound: far above the primes of any
+# clebsch_gordan product, low enough that a caller's value cannot stall it.
+_TRIAL_BOUND = 1 << 16
 
-    Trial division stops once the cofactor is a perfect square or p**2
-    exceeds it (the cofactor is then prime), so the cost is set by the
-    largest prime with an odd exponent in n. For a product of
-    clebsch_gordan values that prime is at most the largest j1 + j2 + s + 1
-    of the factors' labels: odd exponents come only from the prefactor.
+
+def _square_free_split(n: int) -> tuple[int, int, bool]:
+    """Decompose n = f * k**2; the flag says whether f is square-free.
+
+    Trial division by 2 and the odd numbers below _TRIAL_BOUND stops once
+    the cofactor is a perfect square or p**2 exceeds it (the cofactor is
+    then prime). For a product of clebsch_gordan values that happens
+    by the largest j1 + j2 + s + 1 of the factors' labels, since odd
+    exponents come only from the prefactor. Otherwise the cofactor, at
+    least _TRIAL_BOUND**2 and not a square, stays whole in f, which is then
+    square-free unless the square of a prime above the bound divides it.
     """
     f, k, p = 1, 1, 2
     r = isqrt(n)
-    while r * r != n and p * p <= n:
+    while r * r != n and p * p <= n and p < _TRIAL_BOUND:
         e = 0
         while n % p == 0:
             n //= p
@@ -147,23 +154,43 @@ def _square_free_split(n: int) -> tuple[int, int]:
             k *= p ** (e // 2)
             r = isqrt(n)
         p += 1 if p == 2 else 2
-    return (f, k * r) if r * r == n else (f * n, k)
+    if r * r == n:
+        return f, k * r, True
+    return f * n, k, n < p * p
 
 
 def radical_sum(values: Iterable[CGValue]) -> dict[int, Fraction]:
-    """Exact sum of signed radicals, grouped by square-free radicand.
+    """Exact sum of signed radicals, grouped by radicand.
 
     Returns a map f -> c meaning sum = sum_f c_f * sqrt(f) with all c_f
     nonzero; the empty map is the exact zero and {1: r} the rational r.
+    Distinct keys are distinct radicals, so the sum is zero exactly when
+    the map is empty. A key is square-free unless a squared value has a
+    factor that trial division below 2**16 leaves unresolved (see
+    _square_free_split): such a key is kept as found, and a later key
+    naming the same radical (their product is a square) is added to it.
     """
     acc: dict[int, Fraction] = {}
+    unresolved: list[int] = []  # held keys that may not be square-free
     for v in values:
         if v.is_zero:
             continue
         # p/q in lowest terms, so the square-free parts f_p, f_q are coprime
         # and sign * sqrt(p/q) = sign * k_p / (k_q f_q) * sqrt(f_p f_q).
-        fp, kp = _square_free_split(v.squared.numerator)
-        fq, kq = _square_free_split(v.squared.denominator)
-        f = fp * fq
-        acc[f] = acc.get(f, Fraction(0)) + Fraction(v.sign * kp, kq * fq)
+        fp, kp, sp = _square_free_split(v.squared.numerator)
+        fq, kq, sq = _square_free_split(v.squared.denominator)
+        f, c, square_free = fp * fq, Fraction(v.sign * kp, kq * fq), sp and sq
+        if f not in acc:
+            # two square-free keys never name one radical, so a square-free
+            # f need only be tried against the unresolved keys;
+            # c sqrt(f) = c isqrt(f g) / g * sqrt(g) when f g is a square
+            for g in unresolved if square_free else acc:
+                r = isqrt(f * g)
+                if r * r == f * g:
+                    f, c = g, c * Fraction(r, g)
+                    break
+            else:
+                if not square_free:
+                    unresolved.append(f)
+        acc[f] = acc.get(f, Fraction(0)) + c
     return {f: c for f, c in acc.items() if c != 0}

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +254,11 @@ class TestExactIdentities:
             assert coupling_identity(tj1, tj2, a, b) == {}
 
 
+# the primes after 10**12 and 2 * 10**12, both past the square of the trial
+# division bound
+_P, _Q = 1000000000039, 2000000000003
+
+
 class TestRadicalSum:
     def test_cancellation(self):
         a = CGValue(1, Fraction(1, 2))
@@ -286,3 +295,32 @@ class TestRadicalSum:
     def test_prime_squares_past_trial_bound(self):
         # 10007 is prime: 10007^2 * 5 has the square-free part 5
         assert radical_sum([CGValue(1, Fraction(10007**2 * 5, 7))]) == {35: Fraction(10007, 7)}
+
+    def test_two_large_primes_finish(self):
+        # sqrt(p q) for the primes after 10**12 and 2 * 10**12: trial division
+        # stops at its bound and keeps p q whole
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "from fractions import Fraction\n"
+            "from braket import CGValue, radical_sum\n"
+            f"pq = {_P * _Q}\n"
+            "assert radical_sum([CGValue(1, Fraction(pq))]) == {pq: Fraction(1)}\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    @pytest.mark.parametrize("q", [65537, _Q])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_unresolved_keys_cancel(self, q, reverse):
+        # sqrt(p^2 q) - p sqrt(q) = 0 with p past the trial bound's square:
+        # p^2 q stays unresolved, and p sqrt(q) is summed from the binary
+        # digits of p as sqrt(4^k q), whose key q is prime (65537) or
+        # unresolved (_Q); either order meets under one key
+        terms = [CGValue(1, Fraction(_P * _P * q))] + [
+            CGValue(-1, Fraction(4**k * q)) for k in range(_P.bit_length()) if _P >> k & 1
+        ]
+        assert radical_sum(terms[::-1] if reverse else terms) == {}

@@ -1,14 +1,18 @@
 """What fresh processes import: `import braket` loads no submodule and so
 no numpy, `braket rep` loads only the modules it runs and no numpy,
-`braket cg` loads no numpy either, and `from braket import *` binds
-every name the package exports."""
+`braket cg` loads no numpy either, `from braket import *` binds every
+name the package exports, and no module imports scipy (checked on the
+source with ast)."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import braket
 
 # The 90 library names and 10 submodules that `from braket import *` binds.
 EXPORTED = """
@@ -83,11 +87,24 @@ def test_cg_leaves_numpy_unloaded():
 
 
 def test_star_import_binds_every_export():
-    import braket
-
     namespace = {}
     exec("from braket import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(EXPORTED)
     for name, value in namespace.items():
         assert getattr(braket, name) is value
+
+
+def test_library_never_imports_scipy():
+    offenders = []
+    for path in sorted(Path(braket.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} imports {name}"
+                          for name in names if name.split(".")[0] == "scipy"]
+    assert offenders == []

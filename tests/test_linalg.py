@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braket import (
@@ -25,7 +26,7 @@ from braket import (
     signature,
 )
 from braket.entries import _monomial_of, _monomial_signature
-from braket.linalg import _entries
+from braket.linalg import _PADE_THETA, _entries, max_abs
 from conftest import max_dev, random_complex, random_invertible, random_hermitian_invertible
 
 
@@ -283,6 +284,25 @@ class TestMonomialRoute:
         _check_signature(m)
 
 
+# 1-norm bands: below theta_3, between consecutive Pade thresholds, and
+# past theta_13 up to four scaling-and-squaring steps
+_EXPM_BANDS = [1e-8, *sorted(_PADE_THETA.values()),
+               *(_PADE_THETA[13] * 2.0**s for s in range(1, 5))]
+
+
+@st.composite
+def expm_inputs(draw):
+    """Random complex matrices of dims 1-40, half of them anti-hermitian,
+    scaled to a 1-norm in a drawn band."""
+    n = draw(st.integers(1, 40))
+    band = draw(st.integers(0, len(_EXPM_BANDS) - 2))
+    norm = draw(st.floats(_EXPM_BANDS[band], _EXPM_BANDS[band + 1]))
+    a = random_complex(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, n)
+    if draw(st.booleans()):
+        a = a - a.conj().T
+    return a * (norm / max_abs(np.abs(a).sum(axis=0)))
+
+
 class TestExpm:
     def test_zero_is_exactly_identity(self):
         assert (expm(np.zeros((3, 3))) == np.eye(3)).all()
@@ -309,19 +329,40 @@ class TestExpm:
         with pytest.raises(DimensionMismatch):
             expm(random_complex(rng, 2, 3))
 
-    def test_scipy_loaded_on_first_call(self):
-        # importing the library and its CLI leaves scipy unloaded; expm
-        # loads it and agrees with scipy's own exponential
+    @pytest.mark.parametrize("a", [
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[0.0, math.inf], [0.0, 0.0]],
+        [[-math.inf]],
+    ])
+    def test_non_finite_entry(self, a):
+        with pytest.raises(InvalidArgument):
+            expm(a)
+
+    @pytest.mark.parametrize("a", [
+        np.full((2, 2), 1e308),  # the 1-norm is past the float range
+        [[710.0]],  # e^710 is past the float range
+        np.full((3, 3), 300.0),  # e^900 on the all-ones direction
+    ])
+    def test_overflow(self, a):
+        with pytest.raises(InvalidArgument):
+            expm(a)
+
+    def test_library_loads_no_scipy(self):
+        # the library, its CLI and a gauge-group element leave scipy unloaded
         src = Path(__file__).resolve().parent.parent / "src"
         code = (
             "import sys\n"
             "import numpy as np\n"
             "import braket, braket.cli\n"
-            "assert 'scipy' not in sys.modules, 'scipy imported with braket'\n"
             "a = np.array([[0.3, -1.2j], [0.5, 0.1 + 0.2j]])\n"
-            "got = braket.expm(a)\n"
-            "import scipy.linalg\n"
-            "assert np.array_equal(got, scipy.linalg.expm(a))\n"
+            "assert np.isfinite(braket.expm(a)).all()\n"
+            "m = braket.MetricOperator(np.diag([1.0, 1.0, -1.0, -1.0]))\n"
+            "rng = np.random.default_rng(3)\n"
+            "p = braket.GaugeParams.from_real_parameters(rng.normal(size=(4, 4)),\n"
+            "                                            rng.normal(size=(4, 4)))\n"
+            "u = braket.group_element(p, m)\n"
+            "assert braket.is_symmetry(u, m, braket.DEFAULT_TOLS.sym_tol)\n"
+            "assert 'scipy' not in sys.modules, 'scipy loaded'\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -329,6 +370,20 @@ class TestExpm:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    @settings(max_examples=200, deadline=None)
+    @given(expm_inputs())
+    @example(np.array([[0.0, 40j], [40j, 0.0]]))  # anti-hermitian, scaled by 2^-3
+    def test_against_scipy(self, a):
+        # scipy's exponential is the oracle, over every Pade band and four
+        # scaling-and-squaring steps
+        got, back = expm(a), expm(-a)
+        want = scipy.linalg.expm(a)
+        assert max_abs(got - want) <= 1e-12 * max_abs(want)
+        eye = np.eye(a.shape[0])
+        assert max_abs(got @ back - eye) <= 1e-12 * max_abs(got) * max_abs(back)
+        if (a == -a.conj().T).all():
+            assert max_abs(got.conj().T @ got - eye) <= 1e-12
 
 
 class TestKron:
