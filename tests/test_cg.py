@@ -1,8 +1,9 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braket import CGValue, InvalidArgument, InvalidWeights, clebsch_gordan, radical_sum
+from braket.cg import _square_free_split
 
 
 def halves(tj):
@@ -46,6 +48,44 @@ def racah_fractions(tj1, tl1, tj2, tl2, ts, tsig):
     return CGValue(1 if ksum > 0 else -1, prefactor * ksum * ksum)
 
 
+def racah_factorials(tj1, tl1, tj2, tl2, ts, tsig):
+    """Racah's sum over factorials as one integer ratio by Horner's rule,
+    on twice-labels that pass every check: the library's evaluation before
+    the binomial form, an oracle for it."""
+    if tl1 + tl2 != tsig:
+        return CGValue(0, Fraction(0))
+    a, b, c = (tj1 + tj2 - ts) // 2, (tj1 - tl1) // 2, (tj2 + tl2) // 2
+    d, e = (ts - tj2 + tl1) // 2, (ts - tj1 - tl2) // 2
+    kmin, kmax = max(0, -d, -e), min(a, b, c)
+    p = q = 1
+    for k in range(kmax - 1, kmin - 1, -1):
+        num = (a - k) * (b - k) * (c - k)
+        den = (k + 1) * (d + k + 1) * (e + k + 1)
+        p, q = den * q - num * p, den * q
+    if p == 0:
+        return CGValue(0, Fraction(0))
+    top, bottom = ts + 1, factorial((tj1 + tj2 + ts) // 2 + 1) * q * q
+    for twice in (ts + tj1 - tj2, ts - tj1 + tj2, tj1 + tj2 - ts, ts + tsig,
+                  ts - tsig, tj1 - tl1, tj1 + tl1, tj2 - tl2, tj2 + tl2):
+        top *= factorial(twice // 2)
+    for n in (kmin, a - kmin, b - kmin, c - kmin, d + kmin, e + kmin):
+        bottom *= factorial(n) ** 2
+    sign = (-1) ** kmin * (1 if p > 0 else -1)
+    return CGValue(sign, Fraction(top * p * p, bottom))
+
+
+def all_labels(max_twice):
+    """Every twice-label set (j1, l1, j2, l2, s, sigma) that passes the
+    checks, with twice-j1 and twice-j2 at most max_twice."""
+    for tj1 in range(max_twice + 1):
+        for tj2 in range(max_twice + 1):
+            for ts in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                for tl1 in range(-tj1, tj1 + 1, 2):
+                    for tl2 in range(-tj2, tj2 + 1, 2):
+                        for tsig in range(-ts, ts + 1, 2):
+                            yield tj1, tl1, tj2, tl2, ts, tsig
+
+
 @st.composite
 def coupling_labels(draw, max_twice=60):
     """Twice-labels (j1, l1, j2, l2, s, sigma) in range, with sigma = l1 + l2."""
@@ -80,6 +120,30 @@ class TestCGValueType:
         with pytest.raises(InvalidArgument):
             CGValue(2, Fraction(1))
 
+    @pytest.mark.parametrize("sign, squared", [
+        (True, Fraction(1)),
+        (False, Fraction(0)),
+        (1.0, Fraction(2)),
+        (-1.0, Fraction(2)),
+        (Fraction(1), Fraction(2)),
+        (1, 0.5),
+        (1, 2.0),
+        (1, float("nan")),
+        (1, float("inf")),
+        (1, "2"),
+        (1, None),
+        (1, True),
+    ])
+    def test_refuses_inexact_types(self, sign, squared):
+        # a bool or non-int sign and a squared value that is not an int or a
+        # Fraction would reach radical_sum and fail there, or lose exactness
+        with pytest.raises(InvalidArgument):
+            CGValue(sign, squared)
+
+    def test_int_squared_is_exact(self):
+        assert CGValue(1, 2) == CGValue(1, Fraction(2))
+        assert radical_sum([CGValue(1, 8), CGValue(-1, Fraction(2))]) == {2: Fraction(1)}
+
     def test_product_exact(self):
         a = CGValue(1, Fraction(2, 3))
         b = CGValue(-1, Fraction(3, 2))
@@ -105,7 +169,8 @@ class TestSelectionRules:
             clebsch_gordan(True, 1, 0, 0, True, 1)
 
     def test_past_factorial_limit(self):
-        # j1 + j2 + s + 1 beyond sys.maxsize is out of math.factorial's range
+        # j1 + j2 + s + 1 beyond sys.maxsize can put a binomial's smaller
+        # argument past the C-long range of math.comb
         with pytest.raises(InvalidWeights, match="factorial"):
             clebsch_gordan(10**19, 0, 10**19, 0, 0, 0)
 
@@ -191,6 +256,17 @@ class TestKnownValues:
     def test_matches_fraction_racah_sum(self, twice):
         assert clebsch_gordan(*(Fraction(t, 2) for t in twice)) == racah_fractions(*twice)
 
+    def test_matches_factorial_horner_exhaustive(self):
+        # every label set with twice-j1, twice-j2 <= 8, selection-rule zeros
+        # included: the binomial form gives the very same CGValue
+        for twice in all_labels(8):
+            assert clebsch_gordan(*(Fraction(t, 2) for t in twice)) == racah_factorials(*twice)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(coupling_labels(max_twice=200))
+    def test_matches_factorial_horner_to_twice_j_200(self, twice):
+        assert clebsch_gordan(*(Fraction(t, 2) for t in twice)) == racah_factorials(*twice)
+
 
 class TestExactIdentities:
     def test_exchange_symmetry(self):
@@ -259,6 +335,60 @@ class TestExactIdentities:
 _P, _Q = 1000000000039, 2000000000003
 
 
+def radical_sum_per_term(values):
+    """radical_sum with every term split into its square-free part, as the
+    library did before it tried the previous term's radical first: the
+    reference its shortcut must reproduce, keys and key order included."""
+    acc, unresolved = {}, []
+    for v in values:
+        if v.is_zero:
+            continue
+        fp, kp, sp = _square_free_split(v.squared.numerator)
+        fq, kq, sq = _square_free_split(v.squared.denominator)
+        f, c, square_free = fp * fq, Fraction(v.sign * kp, kq * fq), sp and sq
+        if f not in acc:
+            for g in unresolved if square_free else acc:
+                r = isqrt(f * g)
+                if r * r == f * g:
+                    f, c = g, c * Fraction(r, g)
+                    break
+            else:
+                if not square_free:
+                    unresolved.append(f)
+        acc[f] = acc.get(f, Fraction(0)) + c
+    return {f: c for f, c in acc.items() if c != 0}
+
+
+def mixed_radical_terms(seed):
+    """A seeded list of runs: one shared radical, two alternating radicals,
+    repeated keys that trial division leaves unresolved, exact zeros, and
+    negated repeats of earlier terms so that some radicals cancel."""
+    rng = random.Random(seed)
+
+    def term(f):
+        n, m = rng.randint(1, 12), rng.randint(1, 12)
+        return CGValue(rng.choice((-1, 1)), Fraction(f * n * n, m * m))
+
+    small = [1, 2, 3, 5, 6, 7, 10, 35, 2 * 3 * 101, 65537]
+    large = [_P * _Q, _P * _P * 65537, 65537, _Q * 7]
+    runs = []
+    for _ in range(rng.randint(4, 8)):
+        kind = rng.choice(("shared", "alternating", "unresolved", "zeros", "repeat"))
+        if kind == "shared":
+            f = rng.choice(small)
+            runs.append([term(f) for _ in range(rng.randint(2, 6))])
+        elif kind == "alternating":
+            f, g = rng.sample(small, 2)
+            runs.append([term(f if i % 2 else g) for i in range(rng.randint(2, 6))])
+        elif kind == "unresolved":
+            runs.append([term(rng.choice(large)) for _ in range(rng.randint(1, 3))])
+        elif kind == "zeros":
+            runs.append([CGValue(0, Fraction(0))] * rng.randint(1, 3))
+        elif runs:
+            runs.append([-v for v in rng.choice(runs)])
+    return [v for run in runs for v in run]
+
+
 class TestRadicalSum:
     def test_cancellation(self):
         a = CGValue(1, Fraction(1, 2))
@@ -324,3 +454,16 @@ class TestRadicalSum:
             CGValue(-1, Fraction(4**k * q)) for k in range(_P.bit_length()) if _P >> k & 1
         ]
         assert radical_sum(terms[::-1] if reverse else terms) == {}
+
+    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_per_term_split(self, seed, reverse):
+        terms = mixed_radical_terms(seed)
+        terms = terms[::-1] if reverse else terms
+        assert list(radical_sum(terms).items()) == list(radical_sum_per_term(terms).items())
+
+    def test_shared_radical_then_rational(self):
+        # the previous key is tried first and refused: sqrt(2) then 1/2, 2, 8
+        terms = [CGValue(1, Fraction(2)), CGValue(-1, Fraction(1, 4)),
+                 CGValue(1, Fraction(4)), CGValue(1, Fraction(8))]
+        assert radical_sum(terms) == {2: Fraction(3), 1: Fraction(3, 2)}
