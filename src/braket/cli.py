@@ -11,6 +11,7 @@ part of the library; `rep` writes its payload a matrix at a time.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
@@ -18,6 +19,11 @@ from fractions import Fraction
 from .errors import BraketError
 
 __all__ = ["main"]
+
+# The values of sl2c.Basis and spaces.OperatorKind, in their order, spelt
+# out so that building the parser loads neither module.
+_BASES = ("canonical", "rotation", "orthonormal")
+_KINDS = ("dd", "uu", "du", "ud")
 
 
 def _half_integer(text: str) -> Fraction:
@@ -125,9 +131,6 @@ def _cmd_transform(args) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from .sl2c import Basis
-    from .spaces import OperatorKind
-
     parser = argparse.ArgumentParser(
         prog="braket",
         description="Bra-ket calculus over indefinite metrics: su(2) and "
@@ -150,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--twice-j2", type=int, default=None,
                    help="second weight; omit (or repeat --twice-j1) for the tensor-square bundle")
     p.add_argument("--epsilon", type=int, choices=(-1, 1), default=None)
-    p.add_argument("--basis", choices=[b.value for b in Basis], default=Basis.CANONICAL.value)
+    p.add_argument("--basis", choices=_BASES, default="canonical")
     p.set_defaults(func=_cmd_rep)
 
     p = sub.add_parser("signature", help="eigenvalue signature of an hermitian matrix")
@@ -171,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--metric", required=True)
     p.add_argument("--t", required=True, help="path to the basis-change matrix")
-    p.add_argument("--kind", choices=[k.value for k in OperatorKind], default="dd")
+    p.add_argument("--kind", choices=_KINDS, default="dd")
     p.set_defaults(func=_cmd_transform)
 
     return parser
@@ -186,9 +189,7 @@ def main(argv=None) -> int:
     try:
         out = args.func(args)
         if isinstance(out, (dict, list)):
-            from .serialize import dump_json
-
-            out = [dump_json(out)]
+            out = [json.dumps(out)]  # what serialize.dump_json writes
         # `rep` yields its text in pieces, after every check has run, so a
         # failing command writes nothing to stdout
         sys.stdout.writelines(out)

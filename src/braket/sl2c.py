@@ -39,18 +39,18 @@ only Delta s, Delta sigma in {0, +-1}, and their metric one per row. Every
 bundle is built, checked and written in pure Python, so `braket rep`
 loads no numpy; numpy is imported by the functions that make or read
 dense arrays (M, N, I and K on access, _cg_block, rotation_basis,
-chiral_projectors). The non-zero values of the canonical and rotation
-entries are those of the dense numpy computation to the last bit; the
-orthonormal ones are halves of the block's closed-form values, which
-c2 X c2 computed densely matches up to its own rounding. Zeros are
-unsigned.
+chiral_projectors). rotation_basis fills C from cg's twice-label kernel
+with the blocks' int labels, and makes no Fraction. The non-zero values
+of the canonical and rotation entries are those of the dense numpy
+computation to the last bit; the orthonormal ones are halves of the
+block's closed-form values, which c2 X c2 computed densely matches up to
+its own rounding. Zeros are unsigned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from math import sqrt
 
@@ -436,11 +436,13 @@ def _cg_block(jl: Weight, jr: Weight) -> np.ndarray:
     Only entries with m_l + m_r = sigma can be nonzero, so each column
     pairs every left label with at most one right label; the rest stay
     the exact zeros a full fill would write. The block is square: the
-    total spins hold as many states as the tensor product.
+    total spins hold as many states as the tensor product. Its labels are
+    valid by construction, so each entry comes from the twice-label
+    kernel cg._clebsch_gordan, unparsed and unchecked.
     """
     import numpy as np
 
-    from .cg import clebsch_gordan
+    from .cg import _clebsch_gordan
 
     n = jl.dim * jr.dim
     c = np.zeros((n, n), dtype=complex)
@@ -453,14 +455,8 @@ def _cg_block(jl: Weight, jr: Weight) -> np.ndarray:
                 if abs(tmr) > jr.twice_j:
                     continue
                 q = (jr.twice_j - tmr) // 2
-                c[p * jr.dim + q, col] = clebsch_gordan(
-                    jl.j,
-                    Fraction(tml, 2),
-                    jr.j,
-                    Fraction(tmr, 2),
-                    Fraction(ts, 2),
-                    Fraction(tsig, 2),
-                ).value
+                c[p * jr.dim + q, col] = _clebsch_gordan(jl.twice_j, tml, jr.twice_j, tmr,
+                                                         ts, tsig).value
             col += 1
     return c
 

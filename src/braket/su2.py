@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from numbers import Real
+from numbers import Integral, Real
 
 from .entries import _cartesian, _pair
 from .errors import InvalidWeights
@@ -29,25 +29,30 @@ def twice_half_integer(x, name: str) -> int:
     """Twice a half-integer given as int, float or Fraction.
 
     Anything else, including a bool, NaN and the infinities, raises
-    InvalidWeights naming the argument.
+    InvalidWeights naming the argument. An exact int or Fraction is read
+    at once, and any other integral number (a numpy integer, say) is
+    doubled exactly, not through a float.
     """
-    if isinstance(x, bool):  # bool is an int, but no weight
-        raise InvalidWeights(f"{name}={x!r} is not a number")
-    if isinstance(x, int):
-        return 2 * int(x)
-    if isinstance(x, Fraction):
-        # Fractions are stored in lowest terms, so no arithmetic is needed.
-        if x.denominator == 1:
-            return 2 * x.numerator
-        if x.denominator == 2:
-            return x.numerator
-        raise InvalidWeights(f"{name}={x} is not a half-integer")
-    if isinstance(x, Real):
-        doubled = 2 * float(x)
-        if not doubled.is_integer():
-            raise InvalidWeights(f"{name}={x} is not a half-integer")
-        return int(doubled)
-    raise InvalidWeights(f"{name}={x!r} is not a number")
+    kind = type(x)
+    if kind is int:
+        return 2 * x
+    if kind is not Fraction:
+        if isinstance(x, bool) or not isinstance(x, Real):  # bool is an int, but no weight
+            raise InvalidWeights(f"{name}={x!r} is not a number")
+        if isinstance(x, Integral):
+            return 2 * int(x)
+        if not isinstance(x, Fraction):
+            doubled = 2 * float(x)
+            if not doubled.is_integer():
+                raise InvalidWeights(f"{name}={x} is not a half-integer")
+            return int(doubled)
+    # Fractions are stored in lowest terms, so no arithmetic is needed.
+    den = x.denominator
+    if den == 1:
+        return 2 * x.numerator
+    if den == 2:
+        return x.numerator
+    raise InvalidWeights(f"{name}={x} is not a half-integer")
 
 
 @dataclass(frozen=True, order=True)

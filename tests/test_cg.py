@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braket import CGValue, InvalidArgument, InvalidWeights, clebsch_gordan, radical_sum
-from braket.cg import _square_free_split
+from braket.cg import _clebsch_gordan, _square_free_split
 
 
 def halves(tj):
@@ -262,6 +262,22 @@ class TestKnownValues:
         for twice in all_labels(8):
             assert clebsch_gordan(*(Fraction(t, 2) for t in twice)) == racah_factorials(*twice)
 
+    @pytest.mark.parametrize("form", ["fraction", "int", "float"])
+    def test_kernel_matches_public_call(self, form):
+        # every label set with twice-j1, twice-j2 <= 8: the public call
+        # parses and checks, then gives the kernel's very value; int labels
+        # are used where all six are integers
+        for twice in all_labels(8):
+            if form == "fraction":
+                labels = [Fraction(t, 2) for t in twice]
+            elif form == "float":
+                labels = [t / 2 for t in twice]
+            elif any(t % 2 for t in twice):
+                continue
+            else:
+                labels = [t // 2 for t in twice]
+            assert clebsch_gordan(*labels) == _clebsch_gordan(*twice), twice
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(coupling_labels(max_twice=200))
     def test_matches_factorial_horner_to_twice_j_200(self, twice):
@@ -461,6 +477,24 @@ class TestRadicalSum:
         terms = mixed_radical_terms(seed)
         terms = terms[::-1] if reverse else terms
         assert list(radical_sum(terms).items()) == list(radical_sum_per_term(terms).items())
+
+    def test_many_denominators_under_one_key(self):
+        # sqrt(2) / k for k = 1..40: forty distinct denominators summed
+        # under the key 2, as the per-term split sums them
+        terms = [CGValue((-1) ** k, Fraction(2, k * k)) for k in range(1, 41)]
+        want = sum(Fraction((-1) ** k, k) for k in range(1, 41))
+        assert radical_sum(terms) == {2: want}
+        assert list(radical_sum(terms).items()) == list(radical_sum_per_term(terms).items())
+
+    def test_zero_only_after_reduction(self):
+        # sqrt(3) (1/2 + 1/3 - 5/6) = 0: no partial sum of the key is zero,
+        # and the key is dropped while the others keep their order
+        terms = [CGValue(1, Fraction(5)), CGValue(1, Fraction(3, 4)), CGValue(1, Fraction(7)),
+                 CGValue(1, Fraction(3, 9)), CGValue(-1, Fraction(2)),
+                 CGValue(-1, Fraction(75, 36))]
+        total = radical_sum(terms)
+        assert list(total.items()) == [(5, Fraction(1)), (7, Fraction(1)), (2, Fraction(-1))]
+        assert list(total.items()) == list(radical_sum_per_term(terms).items())
 
     def test_shared_radical_then_rational(self):
         # the previous key is tried first and refused: sqrt(2) then 1/2, 2, 8

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from braket import Weight, build_rep, build_rep_diag, orthonormal_basis, rotation_basis
-from braket.cli import main
+from braket import (Basis, OperatorKind, Weight, build_rep, build_rep_diag, orthonormal_basis,
+                    rotation_basis)
+from braket.cli import _build_parser, main
 from braket.serialize import dump_json, matrix_to_json, rep_to_json
 from conftest import forbid_dense
 
@@ -326,3 +328,18 @@ class TestTransformCommand:
 def test_usage_error_unknown_command(capsys):
     code, _, _ = run_cli(capsys, "bogus")
     assert code == 2
+
+
+def test_parser_choices_are_the_enum_values():
+    # the parser spells the choices out so that building it loads neither
+    # sl2c nor spaces; they must stay the enums' values, in order
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def option(command, dest):
+        return next(a for a in sub.choices[command]._actions if a.dest == dest)
+
+    basis, kind = option("rep", "basis"), option("transform", "kind")
+    assert list(basis.choices) == [b.value for b in Basis]
+    assert list(kind.choices) == [k.value for k in OperatorKind]
+    assert basis.default == Basis.CANONICAL.value
+    assert kind.default == OperatorKind.DOWN_DOWN.value

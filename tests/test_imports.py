@@ -1,8 +1,8 @@
 """What fresh processes import: `import braket` loads no submodule and so
 no numpy, `braket rep` loads only the modules it runs and no numpy,
-`braket cg` loads no numpy either, `from braket import *` binds every
-name the package exports, and no module imports scipy (checked on the
-source with ast)."""
+`braket cg` loads neither numpy nor sl2c, spaces or serialize, `from
+braket import *` binds every name the package exports, and no module
+imports scipy (checked on the source with ast)."""
 
 import ast
 import os
@@ -72,7 +72,9 @@ def test_rep_loads_only_what_it_runs(basis):
 
 
 def test_cg_leaves_numpy_unloaded():
-    # Racah's sum is Fraction arithmetic; run as `python -m braket.cli` would
+    # Racah's sum is Fraction arithmetic, and the parser's choices and the
+    # JSON writer need neither sl2c, spaces nor serialize; run as `python
+    # -m braket.cli` would
     argv = ["cg", "--j1", "1", "--l1", "1", "--j2", "1/2", "--l2=-1/2", "--s", "3/2",
             "--sigma", "1/2"]
     run_fresh(
@@ -82,7 +84,9 @@ def test_cg_leaves_numpy_unloaded():
         "    runpy.run_module('braket.cli', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+        "unused = ['braket.sl2c', 'braket.serialize', 'braket.spaces', 'numpy']\n"
+        "loaded = [m for m in unused if m in sys.modules]\n"
+        "assert loaded == [], loaded\n"
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -32,7 +33,7 @@ from braket import (
     signature,
     su2_generators,
 )
-from braket import cli
+from braket import cg, cli
 from braket.operators import KindedOperator, OperatorKind
 from braket.serialize import dump_json, dump_rep, rep_from_json, rep_to_json
 from braket.sl2c import _blocks, _cg_block, _rotation_block_labels
@@ -303,6 +304,16 @@ def spectral_rotation_metric(rep_rot):
 
 
 class TestRotationBasis:
+    @pytest.mark.parametrize("tj1, tj2, digest", [
+        (4, 3, "17f4114c75b590ac06234333dfaf65c1ad98c4a8"),  # dim 40
+        (12, 11, "cd935c115a35bf04d34efbc448dd79450bf42e16"),  # dim 312
+    ])
+    def test_change_bytes_pinned(self, tj1, tj2, digest):
+        # the sha1 of C's bytes as the public six-Fraction call made them:
+        # the twice-label kernel must give every entry to the last bit
+        c, _ = rotation_basis(build_rep(Weight(tj1), Weight(tj2)))
+        assert hashlib.sha1(c.tobytes()).hexdigest() == digest
+
     def test_requires_canonical(self):
         rep = build_rep(Weight(1), Weight(0))
         _, rot = rotation_basis(rep)
@@ -333,12 +344,13 @@ class TestRotationBasis:
     def test_cg_block_calls_only_selection_rule_entries(self, monkeypatch):
         calls = []
 
-        def counting(j1, l1, j2, l2, s, sigma):
-            calls.append(l1 + l2 == sigma)
-            return clebsch_gordan(j1, l1, j2, l2, s, sigma)
+        def counting(tj1, tl1, tj2, tl2, ts, tsig):
+            calls.append(tl1 + tl2 == tsig)
+            return kernel(tj1, tl1, tj2, tl2, ts, tsig)
 
-        # _cg_block looks clebsch_gordan up in braket.cg on each call
-        monkeypatch.setattr("braket.cg.clebsch_gordan", counting)
+        # _cg_block looks the twice-label kernel up in braket.cg on each call
+        kernel = cg._clebsch_gordan
+        monkeypatch.setattr("braket.cg._clebsch_gordan", counting)
         for jl, jr in cg_blocks():
             calls.clear()
             _cg_block(jl, jr)
@@ -656,9 +668,11 @@ class TestClosedForm:
 
         def counting(*args):
             calls.append(args)
-            return clebsch_gordan(*args)
+            return kernel(*args)
 
-        monkeypatch.setattr("braket.cg.clebsch_gordan", counting)
+        # every coefficient, public or from _cg_block, passes the kernel
+        kernel = cg._clebsch_gordan
+        monkeypatch.setattr("braket.cg._clebsch_gordan", counting)
         assert cli.main(["rep", *flags]) == 0
         assert capsys.readouterr().out
         assert calls == []

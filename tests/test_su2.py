@@ -19,6 +19,13 @@ class TestWeight:
         assert Weight.from_j(Fraction(3, 2)).twice_j == 3
         assert Weight.from_j(Fraction(4, 2)).twice_j == 4
 
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64])
+    def test_from_j_integral_is_exact(self, kind):
+        # an integral numpy scalar is doubled as an int, not through a float,
+        # which would round 2 * (2**60 + 1) to 2**61
+        assert Weight.from_j(kind(2**60 + 1)).twice_j == 2**61 + 2
+        assert Weight.from_j(kind(3)).twice_j == 6
+
     def test_rejects_invalid(self):
         with pytest.raises(InvalidWeights):
             Weight(-1)
