@@ -10,6 +10,10 @@ each: `sha1  bytes  what`.
 - `braket cg` stdout for six label sets: two spin-1/2 couplings,
   (3 1; 2 -2 | 3 -1), (121/2 7/2; 30 -3 | 145/2 1/2), (400 0; 400 0 |
   400 0) and the selection-rule zero (1 1; 1 1 | 1 0);
+- `braket su2` stdout for twice-j 1, 4 and 12;
+- `braket eval` stdout for the 20 golden cases of
+  tests/data/eval_golden.json, each environment written to a temporary
+  file (the line names the environment, not the file);
 - the bytes of the basis change C that `rotation_basis` returns for the
   canonical (2, 3/2), (6, 11/2) and (12, 23/2) bundles, dims 40, 312 and
   1200.
@@ -24,12 +28,15 @@ Exits with status 1 if any command fails.
 """
 
 import hashlib
+import json
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from perfbench.inputs import LADDER  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from perfbench.inputs import GOLDEN, LADDER  # noqa: E402
 
 from braket import Weight, build_rep, cli, rotation_basis  # noqa: E402
 
@@ -74,13 +81,28 @@ class _Digest:
         pass
 
 
-def _cli_digest(argv: list[str]) -> bool:
-    """Print the digest line of one command; True if it succeeded."""
+def _cli_digest(argv: list[str], what: str | None = None) -> bool:
+    """Print the digest line of one command, named by what (its argv by
+    default); True if it succeeded."""
     sink = _Digest()
     with redirect_stdout(sink):
         code = cli.main(argv)
-    print(f"{sink.sha1.hexdigest()}  {sink.size}  {' '.join(argv)}")
+    print(f"{sink.sha1.hexdigest()}  {sink.size}  {what or ' '.join(argv)}")
     return code == 0
+
+
+def _eval_digests() -> bool:
+    """The digest lines of the golden eval cases; True if all succeeded."""
+    golden = json.loads((ROOT / GOLDEN).read_text())
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, env in golden["environments"].items():
+            (Path(tmp) / f"{name}.json").write_text(json.dumps(env))
+        for case in golden["cases"]:
+            path = Path(tmp) / f"{case['env']}.json"
+            what = f"eval --env {case['env']} {case['expr']!r}"
+            ok &= _cli_digest(["eval", "--env", str(path), case["expr"]], what)
+    return ok
 
 
 def main() -> int:
@@ -90,6 +112,9 @@ def main() -> int:
     for labels in CG_LABELS:
         flags = zip(("--j1", "--l1", "--j2", "--l2", "--s", "--sigma"), labels)
         ok &= _cli_digest(["cg", *(f"{flag}={value}" for flag, value in flags)])
+    for twice_j in ("1", "4", "12"):
+        ok &= _cli_digest(["su2", "--twice-j", twice_j])
+    ok &= _eval_digests()
     for tj1, tj2 in ROTATION_SHAPES:
         c, _ = rotation_basis(build_rep(Weight(tj1), Weight(tj2)))
         data = c.tobytes()

@@ -5,7 +5,11 @@ success, 1 on a domain error or an I/O failure, such as a reader closing
 stdout early (reported to stderr), 2 on a usage error.
 
 Each subcommand imports what it runs, so a command loads only its own
-part of the library; `rep` writes its payload a matrix at a time.
+part of the library; `rep` writes its payload a matrix at a time. `rep`,
+`cg`, `su2` and `eval` on an environment whose metric is monomial (one
+non-zero in every row and column, as diag(+-1) is) compute on entries
+(see entries) and load no numpy. `eval` refuses a result with a NaN or
+infinite part, which JSON cannot spell, as a domain error.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import sys
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .errors import BraketError
+from .errors import BraketError, InvalidArgument
 
 __all__ = ["main"]
 
@@ -46,12 +50,13 @@ def _load_matrix(path: str):
     return matrix_from_json(_load_json(path))
 
 
-def _cmd_su2(args) -> dict:
-    from .serialize import matrix_to_json
-    from .su2 import Weight, su2_generators
+def _cmd_su2(args) -> tuple[str]:
+    from .serialize import _matrix_text
+    from .su2 import Weight, _generator_entries
 
-    irrep = su2_generators(Weight(args.twice_j))
-    return {"twice_j": args.twice_j, "J": [matrix_to_json(m) for m in irrep.J]}
+    j = Weight(args.twice_j)
+    matrices = ", ".join(_matrix_text(j.dim, j.dim, e) for e in _generator_entries(j))
+    return (f'{{"twice_j": {args.twice_j}, "J": [{matrices}]}}',)
 
 
 def _cmd_cg(args) -> dict:
@@ -94,12 +99,17 @@ def _cmd_check_symmetry(args) -> dict:
 
 def _cmd_eval(args) -> dict:
     from .dsl import eval_source
+    from .entries import _finite
     from .operators import KindedOperator
     from .serialize import environment_from_json, operator_to_json, vector_to_json
     from .spaces import VarVector
 
     env = environment_from_json(_load_json(args.env))
     result = eval_source(args.expr, env)
+    # JSON has no NaN or infinity: json.dumps would write NaN, Infinity
+    values = [result] if isinstance(result, complex) else result._entries[1]
+    if not _finite(values):
+        raise InvalidArgument("result has a NaN or infinite part")
     if isinstance(result, VarVector):
         payload = vector_to_json(result)
         payload["type"] = "vector"
@@ -108,8 +118,7 @@ def _cmd_eval(args) -> dict:
         payload = operator_to_json(result)
         payload["type"] = "operator"
         return payload
-    z = complex(result)
-    return {"type": "scalar", "value": [z.real, z.imag]}
+    return {"type": "scalar", "value": [result.real, result.imag]}
 
 
 def _cmd_transform(args) -> dict:

@@ -32,6 +32,13 @@ character, which silently inserts the metric (down) or its inverse (up):
 adjacency raises VarianceError("cannot juxtapose A with B (at position
 N)"). Sums need equal slots.
 
+Values are computed on entries (see entries) in pure Python, with the
+kernel the operator algebra uses: a slot that is absent counts 1 in the
+value's shape, so a ket is a d x 1 matrix, a bra a 1 x d one, the rank-1
+operator is their product and a scalar a 1 x 1 matrix. The evaluator
+loads no numpy; a result's dense `components` or `mat` is made when it
+is read.
+
 An Environment is read-only: its bindings are mapping views over copies
 taken at construction, so its dimension checks hold for every lookup.
 """
@@ -43,8 +50,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-import numpy as np
-
+from .entries import _adjoint, _only, _product, _scale, _sum
 from .errors import DimensionMismatch, DslSyntaxError, UnboundName, UnknownToken, VarianceError
 from .operators import (
     KindedOperator,
@@ -355,60 +361,60 @@ def _slots(value) -> tuple:
     return None, None
 
 
-def _data(value):
-    """The component array, matrix or complex number carried by a value."""
-    if isinstance(value, VarVector):
-        return value.components
-    if isinstance(value, KindedOperator):
-        return value.mat
-    return complex(value)
+def _cols(value, dim: int) -> int:
+    """Columns of a vector or an operator as a matrix (see entries): a ket
+    is a dim x 1 matrix, a bra a 1 x dim one and an operator dim x dim."""
+    return dim if _slots(value)[1] is not None else 1
 
 
-def _make(data, codomain, domain):
-    """Inverse of _slots and _data: the value with these data and slots."""
+def _make(entries, codomain, domain, dim: int):
+    """The value with these entries and (codomain, domain) slots."""
     if codomain is None and domain is None:
-        return complex(data)
+        return _only(entries)
     if codomain is None or domain is None:
-        return VarVector(data, _SLOT_VARIANCE[codomain, domain])
-    return KindedOperator(data, OperatorKind.from_variances(domain, codomain))
+        return VarVector._from_entries(dim, entries, _SLOT_VARIANCE[codomain, domain])
+    return KindedOperator._from_entries(dim, entries, OperatorKind.from_variances(domain, codomain))
 
 
-def _lookup_components(env: Environment, name: str, as_bra: bool) -> np.ndarray:
+def _lookup_entries(env: Environment, name: str, as_bra: bool):
     stored = env.vectors.get(name)
     if stored is None:
         raise UnboundName(f"vector {name!r} is not bound")
-    comps = stored.components
     if stored.variance.is_bra != as_bra:
-        comps = comps.conj()
-    return comps
+        return _adjoint(stored._entries, stored.dim, 1)  # a vector's indices stay put
+    return stored._entries
 
 
 def _combine(env: Environment, left, right, pos: int):
     """Juxtapose two values: contract the left domain with the right codomain."""
     if isinstance(left, _SCALAR) or isinstance(right, _SCALAR):
         scalar, other = (left, right) if isinstance(left, _SCALAR) else (right, left)
-        return _make(complex(scalar) * _data(other), *_slots(other))
+        if isinstance(other, _SCALAR):
+            return complex(scalar) * complex(other)
+        return _make(_scale(complex(scalar), other._entries), *_slots(other), env.dimension)
     (codomain, domain), (codomain_r, domain_r) = _slots(left), _slots(right)
-    a, b = _data(left), _data(right)
-    if domain is None and codomain_r is None:  # ket then bra
-        return _make(np.outer(a, b), codomain, domain_r)
+    a, d = left._entries, env.dimension
     if codomain is None and domain_r is None and domain != codomain_r:
         # a bra meeting a ket of its own character: insert the metric
-        a = a @ (env.metric.eta_inv if codomain_r else env.metric.eta)
+        a = _product(a, env.metric._inv_entries if codomain_r else env.metric._entries, d, d)
     elif domain != codomain_r:
         raise VarianceError(
             f"cannot juxtapose {_describe(left)} with {_describe(right)} "
             f"(at position {pos})"
         )
-    return _make(a @ b, codomain, domain_r)
+    # a ket then a bra (both slots absent) is a dim x 1 times a 1 x dim: the rank-1 operator
+    product = _product(a, right._entries, _cols(left, d), _cols(right, d))
+    return _make(product, codomain, domain_r, d)
 
 
-def _sum_pair(a, b, pos: int):
+def _sum_pair(env: Environment, a, b, pos: int):
     if _slots(a) != _slots(b):
         raise VarianceError(
             f"cannot add {_describe(a)} and {_describe(b)} (at position {pos})"
         )
-    return _make(_data(a) + _data(b), *_slots(a))
+    if isinstance(a, _SCALAR):
+        return complex(a) + complex(b)
+    return _make(_sum(a._entries, b._entries), *_slots(a), env.dimension)
 
 
 def evaluate(node, env: Environment):
@@ -416,11 +422,13 @@ def evaluate(node, env: Environment):
     if isinstance(node, Literal):
         return node.value
     if isinstance(node, Ket):
-        comps = _lookup_components(env, node.name, as_bra=False)
-        return VarVector(comps, Variance.KET_UP if node.up else Variance.KET_DOWN)
+        entries = _lookup_entries(env, node.name, as_bra=False)
+        variance = Variance.KET_UP if node.up else Variance.KET_DOWN
+        return VarVector._from_entries(env.dimension, entries, variance)
     if isinstance(node, Bra):
-        comps = _lookup_components(env, node.name, as_bra=True)
-        return VarVector(comps, Variance.BRA_UP if node.up else Variance.BRA_DOWN)
+        entries = _lookup_entries(env, node.name, as_bra=True)
+        variance = Variance.BRA_UP if node.up else Variance.BRA_DOWN
+        return VarVector._from_entries(env.dimension, entries, variance)
     if isinstance(node, OpRef):
         op = env.operators.get(node.name)
         if op is None:
@@ -440,7 +448,7 @@ def evaluate(node, env: Environment):
             value = evaluate(term, env)
             if sign < 0:
                 value = _combine(env, complex(sign), value, term.pos)
-            total = value if total is None else _sum_pair(total, value, term.pos)
+            total = value if total is None else _sum_pair(env, total, value, term.pos)
         return total
     if isinstance(node, Scale):
         factor = evaluate(node.factor, env)

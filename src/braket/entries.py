@@ -8,8 +8,12 @@ and store it plus 0j, which turns a -0.0 part into 0.0 and leaves every
 other bit alone. Every other position holds 0.
 
 Everything here is pure Python and imports no numpy: a bundle is built,
-checked and written from its entries alone. The dense conversions,
-linalg._entries and linalg._dense, load numpy when they are called.
+checked and written from its entries alone, and the operator algebra and
+the expression language compute on entries with the kernel below
+(_product, _adjoint, _scale, _sum, _trace, _only). A ket is a d x 1
+matrix and a bra a 1 x d one, so a vector's entries have the same flat
+indices either way. The dense conversions, linalg._entries, _dense and
+_flat, load numpy when they are called.
 
 A monomial matrix has exactly one non-zero in every row and every
 column, as every bundle metric does (a signed permutation, or diag(+-1)
@@ -21,7 +25,8 @@ metric and read its signature from these d values alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import isfinite, isnan, nan
+from operator import add
 
 from .errors import DegenerateMetric, InvalidArgument, NotHermitian, Singular
 
@@ -65,6 +70,53 @@ def _pair(entries: dict) -> tuple[list, list]:
     return index, [entries[k] + 0j for k in index]
 
 
+def _sum(a, b) -> tuple[list, list]:
+    """Entries of the sum of two matrices of one shape."""
+    return _combine(dict(zip(*a)), dict(zip(*b)), add)
+
+
+def _scale(alpha: complex, a) -> tuple[list, list]:
+    """Entries of alpha times a matrix."""
+    return _pair({k: alpha * v for k, v in zip(*a)})
+
+
+def _adjoint(a, rows: int, cols: int) -> tuple[list, list]:
+    """Entries of the conjugate transpose of a rows x cols matrix."""
+    return _pair({(k % cols) * rows + k // cols: v.conjugate() for k, v in zip(*a)})
+
+
+def _product(a, b, inner: int, cols: int) -> tuple[list, list]:
+    """Entries of the product of a matrix with `inner` columns and an
+    inner x cols one. Each entry of the result sums its terms in ascending
+    k, as the dense sum over k does without its zero terms."""
+    rows_b = {}
+    for k, v in zip(*b):
+        r, c = divmod(k, cols)
+        rows_b.setdefault(r, []).append((c, v))
+    out = {}
+    for k, x in zip(*a):
+        i, r = divmod(k, inner)
+        for c, y in rows_b.get(r, ()):
+            key = i * cols + c
+            out[key] = out.get(key, 0) + x * y
+    return _pair(out)
+
+
+def _trace(a, dim: int) -> complex:
+    """Trace of a dim x dim matrix: its diagonal values summed in order."""
+    return sum((v for k, v in zip(*a) if k % (dim + 1) == 0), 0j)
+
+
+def _only(a) -> complex:
+    """The value of a 1 x 1 matrix."""
+    return a[1][0] if a[1] else 0j
+
+
+def _finite(values) -> bool:
+    """Whether no value has a NaN or infinite part."""
+    return all(isfinite(v.real) and isfinite(v.imag) for v in values)
+
+
 def _cartesian(dim: int, raising: dict) -> tuple[tuple[list, list], tuple[list, list]]:
     """Entries of x1 = (x+ + x-)/2 and x2 = (x+ - x-)/(2i), x- = x+^T, for a
     real raising matrix x+ as {index: value}, no entry on the diagonal or
@@ -79,8 +131,10 @@ def _cartesian(dim: int, raising: dict) -> tuple[tuple[list, list], tuple[list, 
 
 
 def _max_abs(values) -> float:
-    """Largest magnitude among the values, 0.0 for none."""
-    return max(map(abs, values), default=0.0)
+    """Largest magnitude among the values, 0.0 for none, NaN if one is NaN
+    (as numpy's max, whatever the order)."""
+    mags = list(map(abs, values))
+    return nan if any(map(isnan, mags)) else max(mags, default=0.0)
 
 
 def _monomial_of(dim: int, index: list, values: list):
@@ -122,7 +176,7 @@ def _check_monomial_metric(cols: list, vals: list):
     finite and non-singular, in that order, as on the dense route."""
     if _monomial_herm_dev(cols, vals) > DEFAULT_TOLS.herm_tol:
         raise NotHermitian("metric matrix must be hermitian")
-    if not all(isfinite(v.real) and isfinite(v.imag) for v in vals):
+    if not _finite(vals):
         raise InvalidArgument("matrix has a NaN or infinite entry")
     # the singular values of a monomial matrix are the magnitudes of its non-zeros
     _require_nonsingular(map(abs, vals))

@@ -10,8 +10,8 @@ expm is Higham's scaling-and-squaring Pade exponential in numpy, so no
 braket module loads scipy.
 
 DEFAULT_TOLS lives in entries, with the numpy-free helpers that check a
-bundle metric from its entries; _entries and _dense here convert between
-a dense matrix and its entries.
+bundle metric from its entries; _entries, _dense and _flat here convert
+between a dense matrix or vector and its entries.
 """
 
 from __future__ import annotations
@@ -98,12 +98,17 @@ def _entries(m) -> tuple[list, list]:
     return index.tolist(), flat[index].tolist()
 
 
+def _flat(size: int, entries) -> np.ndarray:
+    """The 1-D array of this size with these entries and +0 elsewhere."""
+    index, values = entries
+    out = np.zeros(size, dtype=complex)
+    out[index] = values
+    return out
+
+
 def _dense(dim: int, entries) -> np.ndarray:
     """The dim x dim matrix with these entries and +0 elsewhere."""
-    index, values = entries
-    out = np.zeros(dim * dim, dtype=complex)
-    out[index] = values
-    return out.reshape(dim, dim)
+    return _flat(dim * dim, entries).reshape(dim, dim)
 
 
 def inverse(a) -> np.ndarray:

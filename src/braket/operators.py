@@ -7,17 +7,21 @@ of the metric) and ud (the kind of the inverse metric). The tag gates
 composition, sums, adjoints and traces, which is exactly the discipline
 that keeps indefinite-metric calculations honest. OperatorKind is defined in
 spaces, beside Variance, so that reading a kind loads no numpy.
+
+The algebra computes on entries (see entries) in pure Python, so it
+loads no numpy: a sparse operator, such as a bundle generator, costs in
+proportion to its non-zeros, and a dense one of dimension d costs d^3
+Python multiplications per product. numpy is loaded by a dense
+constructor argument and by reading `mat`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
-import numpy as np
-
+from .entries import _adjoint, _max_abs, _pair, _product, _scale, _sum, _trace
 from .errors import DimensionMismatch, KindMismatch, WrongKind
-from .linalg import as_matrix, max_abs
-from .spaces import MetricOperator, OperatorKind
+from .spaces import MetricOperator, OperatorKind, _read_only, _ReadOnly
 
 __all__ = [
     "OperatorKind",
@@ -37,47 +41,67 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class KindedOperator:
-    """A square complex matrix together with its operator kind."""
+class KindedOperator(_ReadOnly):
+    """A square complex matrix together with its operator kind.
 
-    mat: np.ndarray
-    kind: OperatorKind
+    A matrix given as a dense array is checked square and kept as a
+    read-only copy, and its entries are derived on first use. An operator
+    built from entries makes `mat` dense on first access, which is when
+    numpy is loaded.
+    """
 
-    def __post_init__(self):
-        m = as_matrix(self.mat)
+    def __init__(self, mat, kind: OperatorKind):
+        from .linalg import as_matrix
+
+        m = as_matrix(mat)
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"operator matrix must be square, got {m.shape}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
+        self.__dict__.update(mat=_read_only(m.copy()), kind=kind, dim=m.shape[0])
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
+    @classmethod
+    def _from_entries(cls, dim: int, entries, kind: OperatorKind) -> "KindedOperator":
+        self = cls.__new__(cls)
+        self.__dict__.update(dim=dim, _entries=entries, kind=kind)
+        return self
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        from .linalg import _dense
+
+        return _read_only(_dense(self.dim, self._entries))
+
+    @cached_property
+    def _entries(self) -> tuple[list, list]:
+        from .linalg import _entries
+
+        return _entries(self.mat)
 
     def __repr__(self):
         return f"KindedOperator({self.kind.value}, dim={self.dim})"
 
 
+def _identity(n: int, kind: OperatorKind) -> KindedOperator:
+    return KindedOperator._from_entries(n, _pair({k: 1.0 for k in range(0, n * n, n + 1)}), kind)
+
+
 def identity_down(n: int) -> KindedOperator:
     """The identity of the ket-down endomorphism algebra."""
-    return KindedOperator(np.eye(n, dtype=complex), OperatorKind.DOWN_DOWN)
+    return _identity(n, OperatorKind.DOWN_DOWN)
 
 
 def identity_up(n: int) -> KindedOperator:
     """The identity of the ket-up endomorphism algebra."""
-    return KindedOperator(np.eye(n, dtype=complex), OperatorKind.UP_UP)
+    return _identity(n, OperatorKind.UP_UP)
 
 
 def metric_op(m: MetricOperator) -> KindedOperator:
     """The metric as a kinded operator (ket-down to ket-up)."""
-    return KindedOperator(m.eta, OperatorKind.DOWN_UP)
+    return KindedOperator._from_entries(m.dim, m._entries, OperatorKind.DOWN_UP)
 
 
 def metric_inv_op(m: MetricOperator) -> KindedOperator:
     """The inverse metric as a kinded operator (ket-up to ket-down)."""
-    return KindedOperator(m.eta_inv, OperatorKind.UP_DOWN)
+    return KindedOperator._from_entries(m.dim, m._inv_entries, OperatorKind.UP_DOWN)
 
 
 def compose(x: KindedOperator, y: KindedOperator) -> KindedOperator:
@@ -91,7 +115,15 @@ def compose(x: KindedOperator, y: KindedOperator) -> KindedOperator:
     if y.kind.codomain_up != x.kind.domain_up:
         raise KindMismatch(f"cannot compose {x.kind.value} after {y.kind.value}")
     kind = OperatorKind.from_variances(y.kind.domain_up, x.kind.codomain_up)
-    return KindedOperator(x.mat @ y.mat, kind)
+    return KindedOperator._from_entries(x.dim, _chain(x.dim, x._entries, y._entries), kind)
+
+
+def _chain(dim: int, *factors) -> tuple[list, list]:
+    """Entries of the product of dim x dim matrices, left to right."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = _product(out, f, dim, dim)
+    return out
 
 
 def add(x: KindedOperator, y: KindedOperator) -> KindedOperator:
@@ -100,16 +132,17 @@ def add(x: KindedOperator, y: KindedOperator) -> KindedOperator:
         raise KindMismatch(f"cannot add kinds {x.kind.value} and {y.kind.value}")
     if x.dim != y.dim:
         raise DimensionMismatch(f"dimensions differ: {x.dim} vs {y.dim}")
-    return KindedOperator(x.mat + y.mat, x.kind)
+    return KindedOperator._from_entries(x.dim, _sum(x._entries, y._entries), x.kind)
 
 
 def scale(alpha: complex, x: KindedOperator) -> KindedOperator:
-    return KindedOperator(alpha * x.mat, x.kind)
+    return KindedOperator._from_entries(x.dim, _scale(complex(alpha), x._entries), x.kind)
 
 
 def hermitian_adjoint(x: KindedOperator) -> KindedOperator:
     """Hermitian adjoint: conjugate-transposed matrix, adjoint kind."""
-    return KindedOperator(x.mat.conj().T, x.kind.adjoint_kind)
+    adj = _adjoint(x._entries, x.dim, x.dim)
+    return KindedOperator._from_entries(x.dim, adj, x.kind.adjoint_kind)
 
 
 def couple_operator(m: MetricOperator, a: KindedOperator) -> KindedOperator:
@@ -120,9 +153,11 @@ def couple_operator(m: MetricOperator, a: KindedOperator) -> KindedOperator:
     """
     _match_dim(m, a)
     if a.kind == OperatorKind.DOWN_DOWN:
-        return KindedOperator(m.eta @ a.mat @ m.eta_inv, OperatorKind.UP_UP)
+        mat = _chain(m.dim, m._entries, a._entries, m._inv_entries)
+        return KindedOperator._from_entries(m.dim, mat, OperatorKind.UP_UP)
     if a.kind == OperatorKind.UP_UP:
-        return KindedOperator(m.eta_inv @ a.mat @ m.eta, OperatorKind.DOWN_DOWN)
+        mat = _chain(m.dim, m._inv_entries, a._entries, m._entries)
+        return KindedOperator._from_entries(m.dim, mat, OperatorKind.DOWN_DOWN)
     raise WrongKind(f"couple_operator expects kind dd or uu, got {a.kind.value}")
 
 
@@ -134,12 +169,12 @@ def dirac_adjoint(x: KindedOperator, m: MetricOperator) -> KindedOperator:
     The result is an anti-linear, anti-multiplicative involution.
     """
     _match_dim(m, x)
-    adj = x.mat.conj().T
+    adj = _adjoint(x._entries, x.dim, x.dim)
     if x.kind == OperatorKind.DOWN_DOWN:
-        return KindedOperator(m.eta_inv @ adj @ m.eta, OperatorKind.DOWN_DOWN)
-    if x.kind == OperatorKind.UP_UP:
-        return KindedOperator(m.eta @ adj @ m.eta_inv, OperatorKind.UP_UP)
-    return KindedOperator(adj, x.kind)
+        adj = _chain(m.dim, m._inv_entries, adj, m._entries)
+    elif x.kind == OperatorKind.UP_UP:
+        adj = _chain(m.dim, m._entries, adj, m._inv_entries)
+    return KindedOperator._from_entries(x.dim, adj, x.kind)
 
 
 def is_semi_hermitian(x: KindedOperator, m: MetricOperator, tol: float) -> bool:
@@ -147,7 +182,7 @@ def is_semi_hermitian(x: KindedOperator, m: MetricOperator, tol: float) -> bool:
     if not x.kind.is_endomorphism:
         raise WrongKind(f"semi-hermiticity is defined for dd/uu, got {x.kind.value}")
     bar = dirac_adjoint(x, m)
-    return max_abs(bar.mat - x.mat) <= tol
+    return _max_abs(_sum(bar._entries, _scale(-1.0, x._entries))[1]) <= tol
 
 
 def trace(x: KindedOperator) -> complex:
@@ -155,7 +190,7 @@ def trace(x: KindedOperator) -> complex:
     index positions and are rejected."""
     if not x.kind.is_endomorphism:
         raise WrongKind(f"trace is defined for dd/uu, got {x.kind.value}")
-    return complex(np.trace(x.mat))
+    return _trace(x._entries, x.dim)
 
 
 def _match_dim(m: MetricOperator, x: KindedOperator):

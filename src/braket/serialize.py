@@ -20,8 +20,14 @@ zeros are unsigned, so its text spells every zero 0.0; a payload that
 spells some of them -0.0 loads all the same, as values are compared
 within eq_tol. The `braket rep` command writes these pieces as they
 come. The writer and dump_json are pure Python; the functions that make
-or read dense arrays (the matrix, vector and operator codecs,
-rep_to_json and rep_from_json) import numpy when called.
+or read dense arrays (the matrix codec, rep_to_json and rep_from_json)
+import numpy when called, and the bundle functions import sl2c then.
+
+Vectors, operators and environments are read and written on their
+entries (see entries), in pure Python and with the matrix codec's
+checks. An environment whose metric is monomial (one non-zero in every
+row and column) is checked on those entries and loads no numpy; any
+other metric is checked densely, which needs an SVD.
 """
 
 from __future__ import annotations
@@ -32,15 +38,14 @@ from itertools import chain
 from math import copysign
 from typing import TYPE_CHECKING
 
-from .entries import DEFAULT_TOLS
+from .entries import DEFAULT_TOLS, _monomial_of, _pair
 from .errors import DimensionMismatch, InvalidArgument, NotHermitian, SchemaError, Singular
-from .sl2c import Basis, CoupledRep, build_rep, build_rep_diag, rep_signature
-from .spaces import MetricOperator, Variance, VarVector
-from .su2 import Weight
+from .spaces import MetricOperator, OperatorKind, Variance, VarVector
 
 if TYPE_CHECKING:
     from .dsl import Environment
     from .operators import KindedOperator
+    from .sl2c import CoupledRep
 
 __all__ = [
     "matrix_to_json",
@@ -120,26 +125,12 @@ def _matrix_text(rows: int, cols: int, entries) -> str:
     return "".join(parts)
 
 
-def _from_pairs(data, what: str) -> np.ndarray:
-    import numpy as np
-
-    _require(isinstance(data, list) and len(data) >= 1, f"{what}: expected a list of [re, im] pairs")
-    out = np.empty(len(data), dtype=complex)
-    # Whole-list checks first; the per-entry loop below is the one that
-    # names a bad entry, so any payload failing them falls through to it.
-    if (
-        set(map(type, data)) == {list}
-        and set(map(len, data)) == {2}
-        and set(map(type, chain.from_iterable(data))) <= {int, float}
-    ):
-        try:
-            flat = np.fromiter(chain.from_iterable(data), dtype=float, count=2 * len(data))
-        except OverflowError:
-            pass
-        else:
-            # Filled part by part: re + 1j*im would turn a -0.0 real part into +0.0.
-            out.real, out.imag = flat[0::2], flat[1::2]
-            return out
+def _complex_list(data, what: str) -> list[complex]:
+    """The values of a list of [re, im] pairs, each one checked."""
+    _require(
+        isinstance(data, list) and len(data) >= 1, f"{what}: expected a list of [re, im] pairs"
+    )
+    out = []
     for k, pair in enumerate(data):
         _require(
             isinstance(pair, list)
@@ -148,10 +139,55 @@ def _from_pairs(data, what: str) -> np.ndarray:
             f"{what}: entry {k} is not a [re, im] pair",
         )
         try:
-            out[k] = complex(pair[0], pair[1])
+            out.append(complex(pair[0], pair[1]))
         except OverflowError:
             raise SchemaError(f"{what}: entry {k} does not fit a float") from None
     return out
+
+
+def _from_pairs(data, what: str) -> np.ndarray:
+    import numpy as np
+
+    # Whole-list checks first; _complex_list is the one that names a bad
+    # entry, so any payload failing them falls through to it.
+    if (
+        isinstance(data, list)
+        and set(map(type, data)) == {list}
+        and set(map(len, data)) == {2}
+        and set(map(type, chain.from_iterable(data))) <= {int, float}
+    ):
+        try:
+            flat = np.fromiter(chain.from_iterable(data), dtype=float, count=2 * len(data))
+        except OverflowError:
+            pass
+        else:
+            out = np.empty(len(data), dtype=complex)
+            # Filled part by part: re + 1j*im would turn a -0.0 real part into +0.0.
+            out.real, out.imag = flat[0::2], flat[1::2]
+            return out
+    return np.array(_complex_list(data, what), dtype=complex)
+
+
+def _entry_pairs(size: int, entries) -> list[list[float]]:
+    """[re, im] pairs of the 1-D array of this size with these entries and
+    +0 elsewhere, as _pairs writes that array."""
+    pairs = [[0.0, 0.0] for _ in range(size)]
+    for k, z in zip(*entries):
+        pairs[k] = [z.real, z.imag]
+    return pairs
+
+
+def _matrix_shape(obj) -> tuple[int, int]:
+    """rows and cols of a matrix payload, its keys checked."""
+    _require(isinstance(obj, dict), "matrix: expected an object")
+    for key in ("rows", "cols", "data"):
+        _require(key in obj, f"matrix: missing key {key!r}")
+    rows, cols = obj["rows"], obj["cols"]
+    _require(
+        _is_int(rows) and _is_int(cols) and rows >= 1 and cols >= 1,
+        "matrix: rows/cols must be positive integers",
+    )
+    return rows, cols
 
 
 def matrix_to_json(m) -> dict:
@@ -165,22 +201,30 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def _matrix_json(dim: int, entries) -> dict:
+    """matrix_to_json of the dim x dim matrix with these entries and +0
+    elsewhere, made in pure Python."""
+    return {"rows": dim, "cols": dim, "data": _entry_pairs(dim * dim, entries)}
+
+
 def matrix_from_json(obj) -> np.ndarray:
-    _require(isinstance(obj, dict), "matrix: expected an object")
-    for key in ("rows", "cols", "data"):
-        _require(key in obj, f"matrix: missing key {key!r}")
-    rows, cols = obj["rows"], obj["cols"]
-    _require(
-        _is_int(rows) and _is_int(cols) and rows >= 1 and cols >= 1,
-        "matrix: rows/cols must be positive integers",
-    )
+    rows, cols = _matrix_shape(obj)
     flat = _from_pairs(obj["data"], "matrix data")
     _require(flat.shape[0] == rows * cols, "matrix: data length != rows*cols")
     return flat.reshape(rows, cols)
 
 
+def _matrix_values(obj) -> tuple[int, int, list[complex]]:
+    """rows, cols and the row-major values of a matrix payload, read in
+    pure Python with matrix_from_json's checks."""
+    rows, cols = _matrix_shape(obj)
+    values = _complex_list(obj["data"], "matrix data")
+    _require(len(values) == rows * cols, "matrix: data length != rows*cols")
+    return rows, cols, values
+
+
 def vector_to_json(v: VarVector) -> dict:
-    return {"variance": v.variance.value, "components": _pairs(v.components)}
+    return {"variance": v.variance.value, "components": _entry_pairs(v.dim, v._entries)}
 
 
 def vector_from_json(obj) -> VarVector:
@@ -190,15 +234,16 @@ def vector_from_json(obj) -> VarVector:
         variance = Variance(obj["variance"])
     except ValueError:
         raise SchemaError(f"vector: unknown variance {obj['variance']!r}") from None
-    return VarVector(_from_pairs(obj["components"], "vector components"), variance)
+    values = _complex_list(obj["components"], "vector components")
+    return VarVector._from_entries(len(values), _pair(dict(enumerate(values))), variance)
 
 
 def operator_to_json(x: KindedOperator) -> dict:
-    return {"kind": x.kind.value, "matrix": matrix_to_json(x.mat)}
+    return {"kind": x.kind.value, "matrix": _matrix_json(x.dim, x._entries)}
 
 
 def operator_from_json(obj) -> KindedOperator:
-    from .operators import KindedOperator, OperatorKind
+    from .operators import KindedOperator
 
     _require(isinstance(obj, dict), "operator: expected an object")
     _require("kind" in obj and "matrix" in obj, "operator: missing keys")
@@ -206,12 +251,17 @@ def operator_from_json(obj) -> KindedOperator:
         kind = OperatorKind(obj["kind"])
     except ValueError:
         raise SchemaError(f"operator: unknown kind {obj['kind']!r}") from None
-    return KindedOperator(matrix_from_json(obj["matrix"]), kind)
+    rows, cols, values = _matrix_values(obj["matrix"])
+    if rows != cols:
+        raise DimensionMismatch(f"operator matrix must be square, got {(rows, cols)}")
+    return KindedOperator._from_entries(rows, _pair(dict(enumerate(values))), kind)
 
 
 def _rep_fields(rep: CoupledRep, metric, generators: dict) -> dict:
     """The bundle's payload, keys in output order, with the given encoded
     metric and generator families."""
+    from .sl2c import rep_signature
+
     out = {"twice_j1": rep.j1.twice_j}
     if not rep.is_diagonal:
         out["twice_j2"] = rep.j2.twice_j
@@ -270,6 +320,9 @@ def rep_from_json(obj) -> CoupledRep:
     loader build a large bundle. The built bundle is returned once the
     payload's matrices (within eq_tol), labels and signature match it.
     """
+    from .sl2c import Basis, build_rep, build_rep_diag, rep_signature
+    from .su2 import Weight
+
     _require(isinstance(obj, dict), "rep: expected an object")
     for key in ("twice_j1", "epsilon", "basis", "dim", "metric", "generators", "labels"):
         _require(key in obj, f"rep: missing key {key!r}")
@@ -336,13 +389,20 @@ def _deviation(m: np.ndarray, entries) -> float:
 def environment_to_json(env: Environment) -> dict:
     return {
         "dimension": env.dimension,
-        "metric": matrix_to_json(env.metric.eta),
+        "metric": _matrix_json(env.metric.dim, env.metric._entries),
         "vectors": {name: vector_to_json(v) for name, v in env.vectors.items()},
         "operators": {name: operator_to_json(x) for name, x in env.operators.items()},
     }
 
 
 def environment_from_json(obj) -> Environment:
+    """The environment a payload describes, read in pure Python.
+
+    A monomial metric (one non-zero in every row and column, as diag(+-1)
+    is) is checked on its non-zeros (MetricOperator._from_entries), so the
+    environment loads no numpy; any other metric is checked densely by
+    MetricOperator, with an SVD. A bad metric fails alike on both routes.
+    """
     from .dsl import Environment
 
     _require(isinstance(obj, dict), "environment: expected an object")
@@ -354,15 +414,20 @@ def environment_from_json(obj) -> Environment:
     operators = obj.get("operators", {})
     _require(isinstance(vectors, dict), "environment: vectors must be an object")
     _require(isinstance(operators, dict), "environment: operators must be an object")
-    eta = matrix_from_json(obj["metric"])
+    rows, cols, values = _matrix_values(obj["metric"])
+    entries = _pair(dict(enumerate(values)))
     vectors = {name: vector_from_json(v) for name, v in vectors.items()}
     operators = {name: operator_from_json(x) for name, x in operators.items()}
     # MetricOperator and Environment reject a bad metric and a size that
     # contradicts the dimension; in a payload, either is a schema fault
     try:
-        return Environment(
-            dimension=dim, metric=MetricOperator(eta), vectors=vectors, operators=operators
-        )
+        if rows == cols and _monomial_of(rows, *entries) is not None:
+            metric = MetricOperator._from_entries(rows, entries)
+        else:
+            import numpy as np
+
+            metric = MetricOperator(np.array(values, dtype=complex).reshape(rows, cols))
+        return Environment(dimension=dim, metric=metric, vectors=vectors, operators=operators)
     except (DimensionMismatch, InvalidArgument, NotHermitian, Singular) as exc:
         raise SchemaError(f"environment: {exc}") from exc
 

@@ -7,15 +7,29 @@ conjugated, so dual forms are plain bilinear sums and no double
 conjugation can sneak in. Scalar products insert the metric (or its
 inverse) between two kets of equal variance and are hermitian but in
 general indefinite.
+
+Vectors and metrics carry their entries (see entries): the bra
+relations, couple, dual_form and scalar_product compute on them in pure
+Python. numpy is loaded only by a dense constructor argument, by reading
+`components`, `eta` or `eta_inv`, and by raise_lower_index, which takes
+and returns arrays.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 
-from .entries import DEFAULT_TOLS, _check_monomial_metric, _monomial_of, _pair
+from .entries import (
+    DEFAULT_TOLS,
+    _adjoint,
+    _check_monomial_metric,
+    _monomial_of,
+    _only,
+    _pair,
+    _product,
+)
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -114,28 +128,54 @@ class OperatorKind(enum.Enum):
         return self in (OperatorKind.DOWN_DOWN, OperatorKind.UP_UP)
 
 
-@dataclass(frozen=True, eq=False)
-class VarVector:
+class _ReadOnly:
+    """A value whose attributes are set once, when it is made, through its
+    __dict__ (cached properties too); assigning or deleting one raises, as
+    on a frozen dataclass."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class VarVector(_ReadOnly):
     """A component vector tagged with its variance.
 
     Bra components are stored post-conjugation (the image of the
     anti-linear bra relation), so every pairing below is a plain sum of
     products.
+
+    A vector given as a dense array is kept as a read-only copy, and its
+    entries (see entries) are derived on first use. A vector built from
+    entries, as the expression language builds its values, makes
+    `components` dense on first access, which is when numpy is loaded.
     """
 
-    components: np.ndarray
-    variance: Variance
-
-    def __post_init__(self):
+    def __init__(self, components, variance: Variance):
         from .linalg import as_vector
 
-        comps = as_vector(self.components).copy()
-        comps.setflags(write=False)
-        object.__setattr__(self, "components", comps)
+        comps = _read_only(as_vector(components).copy())
+        self.__dict__.update(components=comps, variance=variance, dim=comps.shape[0])
 
-    @property
-    def dim(self) -> int:
-        return self.components.shape[0]
+    @classmethod
+    def _from_entries(cls, dim: int, entries, variance: Variance) -> "VarVector":
+        self = cls.__new__(cls)
+        self.__dict__.update(dim=dim, _entries=entries, variance=variance)
+        return self
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        from .linalg import _flat
+
+        return _read_only(_flat(self.dim, self._entries))
+
+    @cached_property
+    def _entries(self) -> tuple[list, list]:
+        from .linalg import _entries
+
+        return _entries(self.components)
 
     def __repr__(self):
         return f"VarVector({self.variance.value}, {self.components!r})"
@@ -150,10 +190,12 @@ class MetricOperator:
     rejected for the same fail-fast reason.
 
     A dense eta given to the constructor is checked densely and kept as a
-    read-only copy beside its inverse. A metric built from entries (see
-    entries), as every bundle metric is, must be monomial: it is checked
-    on its d non-zeros in pure Python, and eta and eta_inv are made dense
-    on first access, which is when numpy is loaded.
+    read-only copy beside its inverse, and the entries (see entries) of
+    both are derived on first use. A metric built from entries, as every
+    bundle metric and every monomial environment metric is, must be
+    monomial: it is checked on its d non-zeros in pure Python, its
+    inverse's entries are read off them, and eta and eta_inv are made
+    dense on first access, which is when numpy is loaded.
     """
 
     def __init__(self, eta):
@@ -164,7 +206,7 @@ class MetricOperator:
             raise DimensionMismatch(f"metric must be square, got {eta.shape}")
         if max_abs(eta - eta.conj().T) > DEFAULT_TOLS.herm_tol:
             raise NotHermitian("metric matrix must be hermitian")
-        self.dim = eta.shape[0]
+        self.dim, self._mono = eta.shape[0], None
         self.eta = _read_only(eta.copy())
         self.eta_inv = _read_only(inverse(eta))
 
@@ -181,6 +223,23 @@ class MetricOperator:
         return self
 
     @cached_property
+    def _entries(self) -> tuple[list, list]:
+        from .linalg import _entries
+
+        return _entries(self.eta)
+
+    @cached_property
+    def _inv_entries(self) -> tuple[list, list]:
+        """Entries of the inverse: of eta_inv for a dense metric, and
+        1/vals at the transposed positions of a monomial's non-zeros."""
+        if self._mono is None:
+            from .linalg import _entries
+
+            return _entries(self.eta_inv)
+        cols, vals = self._mono
+        return _pair({c * self.dim + i: 1 / v for i, (c, v) in enumerate(zip(cols, vals))})
+
+    @cached_property
     def eta(self) -> np.ndarray:
         from .linalg import _dense
 
@@ -188,12 +247,9 @@ class MetricOperator:
 
     @cached_property
     def eta_inv(self) -> np.ndarray:
-        """1/vals at the transposed positions of the monomial's non-zeros."""
         from .linalg import _dense
 
-        cols, vals = self._mono
-        inv = {c * self.dim + i: 1 / v for i, (c, v) in enumerate(zip(cols, vals))}
-        return _read_only(_dense(self.dim, _pair(inv)))
+        return _read_only(_dense(self.dim, self._inv_entries))
 
     def __repr__(self):
         return f"MetricOperator(dim={self.dim})"
@@ -208,14 +264,14 @@ def relate_bra(v: VarVector) -> VarVector:
     """Anti-linear bra related to a ket: conjugate components, keep covariance."""
     if not v.variance.is_ket:
         raise WrongVariance(f"relate_bra expects a ket, got {v.variance.value}")
-    return VarVector(v.components.conj(), v.variance.bra_partner)
+    return VarVector._from_entries(v.dim, _adjoint(v._entries, v.dim, 1), v.variance.bra_partner)
 
 
 def relate_ket(b: VarVector) -> VarVector:
     """Inverse of relate_bra: the ket mutually related to a bra."""
     if not b.variance.is_bra:
         raise WrongVariance(f"relate_ket expects a bra, got {b.variance.value}")
-    return VarVector(b.components.conj(), b.variance.ket_partner)
+    return VarVector._from_entries(b.dim, _adjoint(b._entries, 1, b.dim), b.variance.ket_partner)
 
 
 def couple(m: MetricOperator, v: VarVector) -> VarVector:
@@ -226,16 +282,18 @@ def couple(m: MetricOperator, v: VarVector) -> VarVector:
     is the identity.
     """
     if v.variance == Variance.KET_DOWN:
-        return VarVector(m.eta @ _match(m, v), Variance.KET_UP)
-    if v.variance == Variance.KET_UP:
-        return VarVector(m.eta_inv @ _match(m, v), Variance.KET_DOWN)
-    raise WrongVariance(f"couple expects a ket, got {v.variance.value}")
+        carrier, variance = m._entries, Variance.KET_UP
+    elif v.variance == Variance.KET_UP:
+        carrier, variance = m._inv_entries, Variance.KET_DOWN
+    else:
+        raise WrongVariance(f"couple expects a ket, got {v.variance.value}")
+    return VarVector._from_entries(m.dim, _product(carrier, _match(m, v), m.dim, 1), variance)
 
 
-def _match(m: MetricOperator, v: VarVector) -> np.ndarray:
+def _match(m: MetricOperator, v: VarVector) -> tuple[list, list]:
     if v.dim != m.dim:
         raise DimensionMismatch(f"vector dim {v.dim} != metric dim {m.dim}")
-    return v.components
+    return v._entries
 
 
 def dual_form(b: VarVector, k: VarVector) -> complex:
@@ -245,8 +303,6 @@ def dual_form(b: VarVector, k: VarVector) -> complex:
     components are stored conjugated, so the value is a plain sum of
     products. Other pairings need a metric and are rejected.
     """
-    import numpy as np
-
     legal = (
         (b.variance, k.variance) == (Variance.BRA_UP, Variance.KET_DOWN)
         or (b.variance, k.variance) == (Variance.BRA_DOWN, Variance.KET_UP)
@@ -258,7 +314,7 @@ def dual_form(b: VarVector, k: VarVector) -> complex:
         )
     if b.dim != k.dim:
         raise DimensionMismatch(f"dimensions differ: {b.dim} vs {k.dim}")
-    return complex(np.dot(b.components, k.components))
+    return _only(_product(b._entries, k._entries, b.dim, 1))
 
 
 def scalar_product(m: MetricOperator, x: VarVector, y: VarVector) -> complex:
@@ -272,8 +328,9 @@ def scalar_product(m: MetricOperator, x: VarVector, y: VarVector) -> complex:
             f"scalar product needs two kets of equal variance, got "
             f"({x.variance.value}, {y.variance.value})"
         )
-    carrier = m.eta if x.variance == Variance.KET_DOWN else m.eta_inv
-    return complex(_match(m, x).conj() @ carrier @ _match(m, y))
+    carrier = m._entries if x.variance == Variance.KET_DOWN else m._inv_entries
+    bra = _product(_adjoint(_match(m, x), m.dim, 1), carrier, m.dim, m.dim)
+    return _only(_product(bra, _match(m, y), m.dim, 1))
 
 
 def raise_lower_index(m: MetricOperator, comps, direction: str) -> np.ndarray:

@@ -20,6 +20,15 @@ def max_dev(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
+def ascending_product(a, b) -> np.ndarray:
+    """a @ b with each entry summed over k in ascending order, in Python
+    complex arithmetic: what operators.compose computes, to the bit."""
+    a, b = a.tolist(), b.tolist()
+    n = len(b)
+    return np.array([[sum((a[i][k] * b[k][j] for k in range(n)), 0j) for j in range(len(b[0]))]
+                     for i in range(len(a))])
+
+
 def random_complex(rng, *shape) -> np.ndarray:
     return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from braket import (Basis, OperatorKind, Weight, build_rep, build_rep_diag, orthonormal_basis,
-                    rotation_basis)
+                    rotation_basis, su2_generators)
 from braket.cli import _build_parser, main
 from braket.serialize import dump_json, matrix_to_json, rep_to_json
 from conftest import forbid_dense
@@ -46,6 +46,21 @@ class TestSu2Command:
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "su2")
         assert code == 2
+
+    @pytest.mark.parametrize("twice_j", [0, 1, 4, 12])
+    def test_text_is_the_dict_encoding(self, capsys, twice_j):
+        # `su2` writes its generators from their entries, byte for byte as
+        # json.dumps writes their dense matrix_to_json encoding
+        code, out, _ = run_cli(capsys, "su2", "--twice-j", str(twice_j))
+        assert code == 0
+        irrep = su2_generators(Weight(twice_j))
+        want = {"twice_j": twice_j, "J": [matrix_to_json(m) for m in irrep.J]}
+        assert out == dump_json(want) + "\n"
+
+    def test_negative_weight_writes_nothing(self, capsys):
+        code, out, err = run_cli(capsys, "su2", "--twice-j", "-1")
+        assert code == 1
+        assert out == "" and err.startswith("error: ")
 
 
 class TestCgCommand:
@@ -295,6 +310,14 @@ class TestEvalCommand:
     def test_variance_error(self, capsys, env_file):
         code, _, err = run_cli(capsys, "eval", "--env", env_file, "kd:x kd:y")
         assert code == 1
+
+    @pytest.mark.parametrize("expr", ["1e400 * A", "1e300 * 1e300"])
+    def test_non_finite_result_is_refused(self, capsys, env_file, expr):
+        # JSON has no NaN or infinity; json.dumps would write NaN and Infinity
+        code, out, err = run_cli(capsys, "eval", "--env", env_file, expr)
+        assert code == 1
+        assert out == ""
+        assert err == "error: result has a NaN or infinite part\n"
 
 
 class TestTransformCommand:

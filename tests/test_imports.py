@@ -1,10 +1,12 @@
 """What fresh processes import: `import braket` loads no submodule and so
 no numpy, `braket rep` loads only the modules it runs and no numpy,
-`braket cg` loads neither numpy nor sl2c, spaces or serialize, `from
-braket import *` binds every name the package exports, and no module
-imports scipy (checked on the source with ast)."""
+`braket cg` loads neither numpy nor sl2c, spaces or serialize, `braket
+su2` and `braket eval` on a monomial metric load no numpy, `from braket
+import *` binds every name the package exports, and no module imports
+scipy (checked on the source with ast)."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -35,8 +37,11 @@ EXPORTED = """
 """.split()
 
 
-def run_fresh(code: str):
-    """Run code in a fresh interpreter with the library importable."""
+GOLDEN = Path(__file__).resolve().parent / "data" / "eval_golden.json"
+
+
+def run_fresh(code: str) -> str:
+    """Run code in a fresh interpreter with the library importable; its stdout."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -44,6 +49,40 @@ def run_fresh(code: str):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+def run_golden_evals(tmp_path, env_name: str, unused: list[str], loaded: list[str]) -> None:
+    """Run the golden eval cases of one environment through cli.main in one
+    fresh process; check which modules it loaded and that each payload
+    matches the golden value within 1e-12."""
+    doc = json.loads(GOLDEN.read_text())
+    path = tmp_path / f"{env_name}.json"
+    path.write_text(json.dumps(doc["environments"][env_name]))
+    cases = [case for case in doc["cases"] if case["env"] == env_name]
+    out = run_fresh(
+        "import contextlib, io, json, sys\n"
+        "from braket import cli\n"
+        "payloads = []\n"
+        f"for expr in {[case['expr'] for case in cases]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"        assert cli.main(['eval', '--env', {str(path)!r}, expr]) == 0\n"
+        "    payloads.append(json.loads(out.getvalue()))\n"
+        f"assert [m for m in {unused!r} if m in sys.modules] == []\n"
+        f"assert all(m in sys.modules for m in {loaded!r})\n"
+        "print(json.dumps(payloads))\n"
+    )
+    for case, got in zip(cases, json.loads(out), strict=True):
+        assert _numbers(got) == pytest.approx(_numbers(case["expect"]), rel=0, abs=1e-12)
+        assert {k: v for k, v in got.items() if k not in ("value", "components", "matrix")} == {
+            k: v for k, v in case["expect"].items() if k not in ("value", "components", "matrix")
+        }
+
+
+def _numbers(payload: dict) -> list[float]:
+    """Every real and imaginary part of an eval payload, in order."""
+    pairs = payload.get("components") or payload.get("matrix", {}).get("data") or [payload["value"]]
+    return [x for pair in pairs for x in pair]
 
 
 def test_import_loads_no_submodule():
@@ -88,6 +127,34 @@ def test_cg_leaves_numpy_unloaded():
         "loaded = [m for m in unused if m in sys.modules]\n"
         "assert loaded == [], loaded\n"
     )
+
+
+def test_eval_on_a_monomial_metric_leaves_numpy_unloaded(tmp_path):
+    # the golden `flat` environment has the metric diag(1, -1): it is read,
+    # checked and evaluated on entries, and the payloads written from them
+    run_golden_evals(tmp_path, "flat", ["numpy", "braket.linalg", "braket.sl2c", "braket.su2",
+                                        "braket.cg"], [])
+
+
+def test_eval_on_a_dense_metric_matches_golden(tmp_path):
+    # `skew`'s metric is not monomial, so checking it needs an SVD
+    run_golden_evals(tmp_path, "skew", ["braket.sl2c", "braket.cg"], ["numpy", "braket.linalg"])
+
+
+@pytest.mark.parametrize("twice_j", [1, 4])
+def test_su2_leaves_numpy_unloaded(twice_j):
+    out = run_fresh(
+        "import runpy, sys\n"
+        f"sys.argv = ['braket', 'su2', '--twice-j', '{twice_j}']\n"
+        "try:\n"
+        "    runpy.run_module('braket.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "unused = ['numpy', 'braket.linalg', 'braket.sl2c', 'braket.dsl']\n"
+        "loaded = [m for m in unused if m in sys.modules]\n"
+        "assert loaded == [], loaded\n"
+    )
+    assert json.loads(out)["twice_j"] == twice_j
 
 
 def test_star_import_binds_every_export():

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 
 from braket import (
     Basis,
+    DimensionMismatch,
+    InvalidArgument,
     KindedOperator,
     MetricOperator,
+    NotHermitian,
     OperatorKind,
     SchemaError,
+    Singular,
     Variance,
     VarVector,
     Weight,
@@ -21,7 +25,7 @@ from braket import (
     rep_signature,
     rotation_basis,
 )
-from braket import serialize
+from braket import serialize, sl2c
 from braket.dsl import Environment
 from braket.linalg import _entries, inverse
 from braket.serialize import (
@@ -291,10 +295,11 @@ class TestRepSchema:
     @pytest.mark.parametrize("weights", [{"twice_j2": 0}, {"twice_j1": 5, "twice_j2": 3}])
     def test_weights_contradicting_dim(self, weights, monkeypatch):
         # a (1/2, 1) payload of dim 12 that claims the weights (1/2, 0) or (5/2, 3/2);
-        # it is rejected before any bundle is built
+        # it is rejected before any bundle is built; the loader imports the
+        # bundle constructors from sl2c when it is called
         calls = []
         for name in ("build_rep", "build_rep_diag"):
-            monkeypatch.setattr(serialize, name, lambda *args, name=name: calls.append(name))
+            monkeypatch.setattr(sl2c, name, lambda *args, name=name: calls.append(name))
         payload = rep_to_json(build_rep(Weight(1), Weight(2)))
         payload.update(weights)
         with pytest.raises(SchemaError, match="dim"):
@@ -451,6 +456,58 @@ class TestEnvironmentSchema:
         # MetricOperator and Environment find each fault; the loader
         # reports it as a SchemaError with their message
         with pytest.raises(SchemaError, match=match):
+            environment_from_json(payload)
+
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            [[0, 1], [2, 0]],
+            [[float("nan"), 0], [0, 1]],
+            [[5j, 0], [0, float("nan")]],
+            [[0, float("inf")], [1, 0]],
+            [[1e-12, 0], [0, -1]],
+            np.eye(3),
+        ],
+        ids=["non-hermitian", "nan", "nan-after-non-hermitian", "inf", "singular", "wrong-size"],
+    )
+    def test_monomial_route_fails_as_the_dense_one(self, metric, monkeypatch):
+        # a monomial metric payload is checked on its entries, with no dense
+        # MetricOperator; each fault gives the text the dense check gives
+        payload = {"dimension": 2, "metric": matrix_to_json(metric)}
+
+        def dense_route(*args):
+            raise AssertionError("monomial metric read densely")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(MetricOperator, "__init__", dense_route)
+            with pytest.raises(SchemaError) as monomial:
+                environment_from_json(payload)
+        with pytest.raises((DimensionMismatch, InvalidArgument, NotHermitian, Singular)) as dense:
+            Environment(dimension=2, metric=MetricOperator(np.asarray(metric, dtype=complex)))
+        assert str(monomial.value) == f"environment: {dense.value}"
+
+    def test_environment_reads_no_dense_matrix(self, monkeypatch):
+        forbid_dense(monkeypatch, "dense matrix made while loading an environment")
+        payload = {
+            "dimension": 2,
+            "metric": matrix_to_json(np.diag([1.0, -1.0])),
+            "vectors": {"x": {"variance": "kd", "components": [[1, 0], [-0.0, 2]]}},
+            "operators": {"A": {"kind": "ud", "matrix": matrix_to_json([[0, 1], [0.5j, 0]])}},
+        }
+        env = environment_from_json(payload)
+        assert environment_to_json(env) == {
+            "dimension": 2,
+            "metric": {"rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                                      [-1.0, 0.0]]},
+            "vectors": {"x": {"variance": "kd", "components": [[1.0, 0.0], [0.0, 2.0]]}},
+            "operators": {"A": {"kind": "ud", "matrix": {
+                "rows": 2, "cols": 2, "data": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.5], [0.0, 0.0]]}}},
+        }
+
+    def test_non_square_operator_is_dimension_mismatch(self):
+        payload = {"dimension": 2, "metric": matrix_to_json(np.eye(2)),
+                   "operators": {"A": {"kind": "dd", "matrix": matrix_to_json(np.ones((2, 3)))}}}
+        with pytest.raises(DimensionMismatch, match=r"operator matrix must be square, got \(2, 3\)"):
             environment_from_json(payload)
 
     def test_vectors_must_be_object(self):
