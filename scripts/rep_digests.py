@@ -16,7 +16,11 @@ each: `sha1  bytes  what`.
   file (the line names the environment, not the file);
 - the bytes of the basis change C that `rotation_basis` returns for the
   canonical (2, 3/2), (6, 11/2) and (12, 23/2) bundles, dims 40, 312 and
-  1200.
+  1200;
+- `braket signature`, `check-symmetry` and `transform` stdout on the
+  matrices of perfbench/inputs.py `cli_matrices(1)`, and `transform` of
+  x = eta = diag(1, -1) by the swap t = [[0, 1], [1, 0]], whose products
+  hold signed zeros (the line names the matrices, not their files).
 
 Each command runs through `braket.cli.main` in this process, and its text
 is hashed as it is written. Run it against two checkouts and compare the
@@ -36,7 +40,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
-from perfbench.inputs import GOLDEN, LADDER  # noqa: E402
+import numpy as np  # noqa: E402
+from perfbench.inputs import GOLDEN, LADDER, cli_matrices, matrix_json  # noqa: E402
 
 from braket import Weight, build_rep, cli, rotation_basis  # noqa: E402
 
@@ -60,6 +65,15 @@ CG_LABELS = [
 
 # twice-j1, twice-j2 of the canonical bundles whose rotation_basis C is hashed
 ROTATION_SHAPES = [(4, 3), (12, 11), (24, 23)]
+
+# commands on matrix files, each argument after a flag naming a matrix of
+# cli_matrices(1) or diag and swap below
+MATRIX_COMMANDS = [
+    ["signature", "--matrix", "h"],
+    ["check-symmetry", "--matrix", "u", "--metric", "eta"],
+    ["transform", "--matrix", "a", "--metric", "eta", "--t", "t"],
+    ["transform", "--matrix", "diag", "--metric", "diag", "--t", "swap"],
+]
 
 
 class _Digest:
@@ -105,6 +119,20 @@ def _eval_digests() -> bool:
     return ok
 
 
+def _matrix_digests() -> bool:
+    """The digest lines of MATRIX_COMMANDS; True if all succeeded."""
+    mats = cli_matrices(1)
+    mats.update(diag=np.diag([1.0, -1.0]), swap=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, m in mats.items():
+            (Path(tmp) / f"{name}.json").write_text(json.dumps(matrix_json(m)))
+        for argv in MATRIX_COMMANDS:
+            paths = [str(Path(tmp) / f"{a}.json") if a in mats else a for a in argv]
+            ok &= _cli_digest(paths, " ".join(argv))
+    return ok
+
+
 def main() -> int:
     ok = True
     for flags in REP_COMMANDS:
@@ -119,6 +147,7 @@ def main() -> int:
         c, _ = rotation_basis(build_rep(Weight(tj1), Weight(tj2)))
         data = c.tobytes()
         print(f"{hashlib.sha1(data).hexdigest()}  {len(data)}  rotation_basis C dim {c.shape[0]}")
+    ok &= _matrix_digests()
     return 0 if ok else 1
 
 

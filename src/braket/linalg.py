@@ -91,11 +91,12 @@ def _finite_square(a) -> np.ndarray:
 
 
 def _entries(m) -> tuple[list, list]:
-    """The entries (see entries) of a dense matrix: every one that is not
-    +0, the one value whose bits are all clear."""
-    flat = np.ascontiguousarray(m, dtype=complex).reshape(-1)
-    index = np.flatnonzero(flat.view(np.int64).reshape(flat.size, 2).any(axis=1))
-    return index.tolist(), flat[index].tolist()
+    """The entries (see entries) of a dense matrix or vector, by the one
+    zero rule of entries._pair: the values that are not zero, plus 0j, so
+    a -0.0 is no entry and a -0.0 part of one becomes 0.0."""
+    flat = np.asarray(m, dtype=complex).reshape(-1)
+    index = np.flatnonzero(flat)
+    return index.tolist(), (flat[index] + 0j).tolist()
 
 
 def _flat(size: int, entries) -> np.ndarray:

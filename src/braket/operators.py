@@ -12,7 +12,9 @@ The algebra computes on entries (see entries) in pure Python, so it
 loads no numpy: a sparse operator, such as a bundle generator, costs in
 proportion to its non-zeros, and a dense one of dimension d costs d^3
 Python multiplications per product. numpy is loaded by a dense
-constructor argument and by reading `mat`.
+constructor argument and by reading `mat`. An operator made from a dense
+array stores it plus 0j, as entries' zero rule does, so its `mat` and its
+entries agree bit for bit, -0.0 never included.
 """
 
 from __future__ import annotations
@@ -44,19 +46,17 @@ __all__ = [
 class KindedOperator(_ReadOnly):
     """A square complex matrix together with its operator kind.
 
-    A matrix given as a dense array is checked square and kept as a
-    read-only copy, and its entries are derived on first use. An operator
-    built from entries makes `mat` dense on first access, which is when
-    numpy is loaded.
+    An operator keeps the form it is given, a dense array (checked
+    square) or entries, and derives the other once, on first use.
     """
 
     def __init__(self, mat, kind: OperatorKind):
         from .linalg import as_matrix
 
-        m = as_matrix(mat)
+        m = as_matrix(mat) + 0j
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"operator matrix must be square, got {m.shape}")
-        self.__dict__.update(mat=_read_only(m.copy()), kind=kind, dim=m.shape[0])
+        self.__dict__.update(mat=_read_only(m), kind=kind, dim=m.shape[0])
 
     @classmethod
     def _from_entries(cls, dim: int, entries, kind: OperatorKind) -> "KindedOperator":

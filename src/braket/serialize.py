@@ -25,9 +25,10 @@ import numpy when called, and the bundle functions import sl2c then.
 
 Vectors, operators and environments are read and written on their
 entries (see entries), in pure Python and with the matrix codec's
-checks. An environment whose metric is monomial (one non-zero in every
-row and column) is checked on those entries and loads no numpy; any
-other metric is checked densely, which needs an SVD.
+checks, so a value writes the same bytes whether it was made dense or
+from entries. An environment's metric is made from its entries, and
+MetricOperator picks its check: a monomial metric (one non-zero in
+every row and column) loads no numpy; any other needs an SVD.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from itertools import chain
 from math import copysign
 from typing import TYPE_CHECKING
 
-from .entries import DEFAULT_TOLS, _monomial_of, _pair
+from .entries import DEFAULT_TOLS, _pair
 from .errors import DimensionMismatch, InvalidArgument, NotHermitian, SchemaError, Singular
 from .spaces import MetricOperator, OperatorKind, Variance, VarVector
 
@@ -398,10 +399,9 @@ def environment_to_json(env: Environment) -> dict:
 def environment_from_json(obj) -> Environment:
     """The environment a payload describes, read in pure Python.
 
-    A monomial metric (one non-zero in every row and column, as diag(+-1)
-    is) is checked on its non-zeros (MetricOperator._from_entries), so the
-    environment loads no numpy; any other metric is checked densely by
-    MetricOperator, with an SVD. A bad metric fails alike on both routes.
+    The metric is made from its entries by MetricOperator._from_entries,
+    which picks its check from the value: a monomial metric loads no
+    numpy, any other is checked with an SVD.
     """
     from .dsl import Environment
 
@@ -415,18 +415,14 @@ def environment_from_json(obj) -> Environment:
     _require(isinstance(vectors, dict), "environment: vectors must be an object")
     _require(isinstance(operators, dict), "environment: operators must be an object")
     rows, cols, values = _matrix_values(obj["metric"])
-    entries = _pair(dict(enumerate(values)))
     vectors = {name: vector_from_json(v) for name, v in vectors.items()}
     operators = {name: operator_from_json(x) for name, x in operators.items()}
     # MetricOperator and Environment reject a bad metric and a size that
     # contradicts the dimension; in a payload, either is a schema fault
     try:
-        if rows == cols and _monomial_of(rows, *entries) is not None:
-            metric = MetricOperator._from_entries(rows, entries)
-        else:
-            import numpy as np
-
-            metric = MetricOperator(np.array(values, dtype=complex).reshape(rows, cols))
+        if rows != cols:
+            raise DimensionMismatch(f"metric must be square, got {(rows, cols)}")
+        metric = MetricOperator._from_entries(rows, _pair(dict(enumerate(values))))
         return Environment(dimension=dim, metric=metric, vectors=vectors, operators=operators)
     except (DimensionMismatch, InvalidArgument, NotHermitian, Singular) as exc:
         raise SchemaError(f"environment: {exc}") from exc

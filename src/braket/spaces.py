@@ -8,11 +8,13 @@ conjugation can sneak in. Scalar products insert the metric (or its
 inverse) between two kets of equal variance and are hermitian but in
 general indefinite.
 
-Vectors and metrics carry their entries (see entries): the bra
-relations, couple, dual_form and scalar_product compute on them in pure
-Python. numpy is loaded only by a dense constructor argument, by reading
-`components`, `eta` or `eta_inv`, and by raise_lower_index, which takes
-and returns arrays.
+Vectors and metrics hold a dense array or entries (see entries), as they
+are given, and derive the other form once; both follow the one zero
+rule, so a dense view equals the array made from the entries, bit for
+bit. The bra relations, couple, dual_form and scalar_product compute on
+entries in pure Python. numpy is loaded only by a dense argument, by
+reading `components`, `eta` or `eta_inv`, by a metric that is not
+monomial, and by raise_lower_index, which takes and returns arrays.
 """
 
 from __future__ import annotations
@@ -147,16 +149,14 @@ class VarVector(_ReadOnly):
     anti-linear bra relation), so every pairing below is a plain sum of
     products.
 
-    A vector given as a dense array is kept as a read-only copy, and its
-    entries (see entries) are derived on first use. A vector built from
-    entries, as the expression language builds its values, makes
-    `components` dense on first access, which is when numpy is loaded.
+    A vector keeps the form it is given, a dense array or entries (see
+    entries), and derives the other once, on first use.
     """
 
     def __init__(self, components, variance: Variance):
         from .linalg import as_vector
 
-        comps = _read_only(as_vector(components).copy())
+        comps = _read_only(as_vector(components) + 0j)
         self.__dict__.update(components=comps, variance=variance, dim=comps.shape[0])
 
     @classmethod
@@ -181,7 +181,7 @@ class VarVector(_ReadOnly):
         return f"VarVector({self.variance.value}, {self.components!r})"
 
 
-class MetricOperator:
+class MetricOperator(_ReadOnly):
     """Invertible hermitian matrix with a cached inverse.
 
     Hermiticity is exactly the condition that makes the induced bilinear
@@ -189,55 +189,54 @@ class MetricOperator:
     construction rather than at use sites. Singular candidates are
     rejected for the same fail-fast reason.
 
-    A dense eta given to the constructor is checked densely and kept as a
-    read-only copy beside its inverse, and the entries (see entries) of
-    both are derived on first use. A metric built from entries, as every
-    bundle metric and every monomial environment metric is, must be
-    monomial: it is checked on its d non-zeros in pure Python, its
-    inverse's entries are read off them, and eta and eta_inv are made
-    dense on first access, which is when numpy is loaded.
+    The check is picked by the value, whichever form it is given in. A
+    monomial metric, as every bundle metric and diag(+-1) is, is checked
+    on its d non-zeros in pure Python, and its inverse's entries are read
+    off them. Any other metric is checked densely, with an SVD, and
+    inverted by linalg.inverse. The entries are held from the start; eta,
+    eta_inv and the inverse's entries, when not made by the check, are
+    derived once, on first use.
     """
 
     def __init__(self, eta):
-        from .linalg import as_matrix, inverse, max_abs
+        from .linalg import _entries, as_matrix
 
-        eta = as_matrix(eta)
+        eta = _read_only(as_matrix(eta) + 0j)
         if eta.shape[0] != eta.shape[1]:
             raise DimensionMismatch(f"metric must be square, got {eta.shape}")
-        if max_abs(eta - eta.conj().T) > DEFAULT_TOLS.herm_tol:
-            raise NotHermitian("metric matrix must be hermitian")
-        self.dim, self._mono = eta.shape[0], None
-        self.eta = _read_only(eta.copy())
-        self.eta_inv = _read_only(inverse(eta))
+        self.__dict__["eta"] = eta
+        self._check(eta.shape[0], _entries(eta))
 
     @classmethod
     def _from_entries(cls, dim: int, entries) -> "MetricOperator":
-        """The monomial metric with these non-zero entries and 0 elsewhere,
-        checked as the constructor checks a dense matrix."""
-        mono = _monomial_of(dim, *entries)
-        if mono is None:
-            raise InvalidArgument("metric entries need one non-zero in every row and column")
-        _check_monomial_metric(*mono)
+        """The metric with these entries, checked as a dense one is."""
         self = cls.__new__(cls)
-        self.dim, self._entries, self._mono = dim, entries, mono
+        self._check(dim, entries)
         return self
 
-    @cached_property
-    def _entries(self) -> tuple[list, list]:
-        from .linalg import _entries
+    def _check(self, dim: int, entries):
+        """Hold dim and the entries, and check them: on the non-zeros of a
+        monomial, densely otherwise."""
+        mono = _monomial_of(dim, *entries)
+        self.__dict__.update(dim=dim, _entries=entries, _mono=mono)
+        if mono is None:
+            from .linalg import inverse, max_abs
 
-        return _entries(self.eta)
+            if max_abs(self.eta - self.eta.conj().T) > DEFAULT_TOLS.herm_tol:
+                raise NotHermitian("metric matrix must be hermitian")
+            self.__dict__["eta_inv"] = _read_only(inverse(self.eta))
+        else:
+            _check_monomial_metric(*mono)
+            cols, vals = mono
+            inv = {c * dim + i: 1 / v for i, (c, v) in enumerate(zip(cols, vals))}
+            self.__dict__["_inv_entries"] = _pair(inv)
 
     @cached_property
     def _inv_entries(self) -> tuple[list, list]:
-        """Entries of the inverse: of eta_inv for a dense metric, and
-        1/vals at the transposed positions of a monomial's non-zeros."""
-        if self._mono is None:
-            from .linalg import _entries
+        """Entries of eta_inv; a monomial metric holds them from the start."""
+        from .linalg import _entries
 
-            return _entries(self.eta_inv)
-        cols, vals = self._mono
-        return _pair({c * self.dim + i: 1 / v for i, (c, v) in enumerate(zip(cols, vals))})
+        return _entries(self.eta_inv)
 
     @cached_property
     def eta(self) -> np.ndarray:

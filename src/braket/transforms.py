@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument
 from .linalg import DEFAULT_TOLS, _finite_square, as_matrix, expm, inverse, max_abs
 from .operators import KindedOperator, OperatorKind, identity_down
-from .spaces import MetricOperator
+from .spaces import MetricOperator, _read_only, _ReadOnly
 
 __all__ = [
     "BasisChange",
@@ -36,17 +36,15 @@ __all__ = [
 ]
 
 
-class BasisChange:
+class BasisChange(_ReadOnly):
     """An invertible ket-down operator matrix acting on all dual bases."""
 
     def __init__(self, t):
         t = as_matrix(t)
         if t.shape[0] != t.shape[1]:
             raise DimensionMismatch(f"basis change must be square, got {t.shape}")
-        self.t = t.copy()
-        self.t_inv = inverse(t)  # Singular if not invertible within sig_tol
-        self.t.setflags(write=False)
-        self.t_inv.setflags(write=False)
+        # inverse raises Singular if t is not invertible within sig_tol
+        self.__dict__.update(t=_read_only(t.copy()), t_inv=_read_only(inverse(t)))
 
     @property
     def dim(self) -> int:

@@ -271,15 +271,15 @@ class TestMonomialRoute:
     @given(hermitian_monomials(min_dim=2), st.data())
     def test_extra_entry_takes_general_path(self, m, data):
         # one more non-zero (with its mirror, to stay hermitian) breaks the
-        # one-per-row pattern: the entries route refuses it, and the dense
-        # route gives numpy's results
+        # one-per-row pattern: the metric takes the dense check whichever
+        # form it is given in, and gives numpy's inverse
         zeros = np.argwhere(m == 0)
         i, j = zeros[data.draw(st.integers(0, len(zeros) - 1))]
         m[i, j] = data.draw(st.sampled_from(_ABOVE_SIG_TOL + _BELOW_SIG_TOL))
         m[j, i] = m[i, j]
         assert _monomial(m) is None
-        with pytest.raises(InvalidArgument):
-            _from_entries(m)
+        for route in (MetricOperator, _from_entries):
+            _check_inverse(m, lambda m: route(m).eta_inv)
         _check_inverse(m)
         _check_signature(m)
 

@@ -17,6 +17,8 @@ from braket import (
     InvalidArgument,
     InvalidWeights,
     MetricOperator,
+    NotHermitian,
+    Singular,
     Weight,
     WrongRepShape,
     build_rep,
@@ -34,6 +36,7 @@ from braket import (
     su2_generators,
 )
 from braket import cg, cli
+from braket.linalg import _dense
 from braket.operators import KindedOperator, OperatorKind
 from braket.serialize import dump_json, dump_rep, rep_from_json, rep_to_json
 from braket.sl2c import _blocks, _cg_block, _rotation_block_labels
@@ -220,13 +223,18 @@ class TestMetricFromEntries:
             assert max_dev(eta @ rep.metric.eta_inv, np.eye(rep.dim)) <= DEFAULT_TOLS.eq_tol
 
     @pytest.mark.parametrize(
-        "index",
-        [[0], [0, 1], [0, 2]],
+        "index, error, match",
+        [([0], Singular, "singular value"), ([0, 1], NotHermitian, "hermitian"),
+         ([0, 2], NotHermitian, "hermitian")],
         ids=["too-few-entries", "two-in-one-row", "repeated-column"],
     )
-    def test_rejects_non_monomial(self, index):
-        with pytest.raises(InvalidArgument, match="one non-zero in every row and column"):
-            MetricOperator._from_entries(2, (index, [1 + 0j] * len(index)))
+    def test_rejects_non_monomial(self, index, error, match):
+        # entries that are not monomial are checked as the dense matrix is
+        entries = (index, [1 + 0j] * len(index))
+        with pytest.raises(error, match=match):
+            MetricOperator._from_entries(2, entries)
+        with pytest.raises(error, match=match):
+            MetricOperator(_dense(2, entries))
 
 
 class TestChiralProjectors:

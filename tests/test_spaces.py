@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -56,6 +58,15 @@ class TestMetricOperator:
     def test_caches_inverse(self, rng):
         m = random_metric(rng, 3)
         assert max_dev(m.eta @ m.eta_inv, np.eye(3)) < 1e-10
+
+    @pytest.mark.parametrize("field", ["dim", "eta", "eta_inv", "_entries"])
+    def test_fields_are_read_only(self, rng, field):
+        # an assigned eta or dim would leave eta_inv stale
+        for m in (random_metric(rng, 3), MetricOperator(np.diag([1.0, -1.0, 2.0]))):
+            with pytest.raises(FrozenInstanceError):
+                setattr(m, field, np.eye(3) if field.startswith("eta") else 7)
+            with pytest.raises(FrozenInstanceError):
+                delattr(m, field)
 
 
 class TestRelateBra:

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,16 @@ class TestBasisChange:
     def test_duality_preserved(self, rng):
         bc = BasisChange(random_invertible(rng, 3))
         assert max_dev(bc.t_inv @ bc.t, np.eye(3)) < 1e-10
+
+    @pytest.mark.parametrize("field", ["t", "t_inv", "dim"])
+    def test_fields_are_read_only(self, rng, field):
+        # an assigned t would leave t_inv stale
+        bc = BasisChange(random_invertible(rng, 3))
+        with pytest.raises(FrozenInstanceError):
+            setattr(bc, field, np.eye(3))
+        with pytest.raises(FrozenInstanceError):
+            delattr(bc, field)
+        assert not bc.t.flags.writeable and not bc.t_inv.flags.writeable
 
 
 class TestTransformMetric:
