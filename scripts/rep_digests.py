@@ -12,8 +12,10 @@ each: `sha1  bytes  what`.
   400 0) and the selection-rule zero (1 1; 1 1 | 1 0);
 - `braket su2` stdout for twice-j 1, 4 and 12;
 - `braket eval` stdout for the 20 golden cases of
-  tests/data/eval_golden.json, each environment written to a temporary
-  file (the line names the environment, not the file);
+  tests/data/eval_golden.json and for four scalar expressions on its
+  `flat` environment whose parts could be signed zeros, each environment
+  written to a temporary file (the line names the environment, not the
+  file);
 - the bytes of the basis change C that `rotation_basis` returns for the
   canonical (2, 3/2), (6, 11/2) and (12, 23/2) bundles, dims 40, 312 and
   1200;
@@ -66,6 +68,10 @@ CG_LABELS = [
 # twice-j1, twice-j2 of the canonical bundles whose rotation_basis C is hashed
 ROTATION_SHAPES = [(4, 3), (12, 11), (24, 23)]
 
+# scalar expressions on the golden `flat` environment whose results a
+# product, a sum or a conjugate of complex numbers could spell with -0.0
+SCALAR_EXPRS = ["adj((1+0i))", "bar(bd:x kd:x)", "(0-0i)", "bd:e1 kd:e2 * (-1+0i)"]
+
 # commands on matrix files, each argument after a flag naming a matrix of
 # cli_matrices(1) or diag and swap below
 MATRIX_COMMANDS = [
@@ -106,13 +112,14 @@ def _cli_digest(argv: list[str], what: str | None = None) -> bool:
 
 
 def _eval_digests() -> bool:
-    """The digest lines of the golden eval cases; True if all succeeded."""
+    """The digest lines of the golden eval cases and of SCALAR_EXPRS; True
+    if all succeeded."""
     golden = json.loads((ROOT / GOLDEN).read_text())
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         for name, env in golden["environments"].items():
             (Path(tmp) / f"{name}.json").write_text(json.dumps(env))
-        for case in golden["cases"]:
+        for case in golden["cases"] + [{"env": "flat", "expr": e} for e in SCALAR_EXPRS]:
             path = Path(tmp) / f"{case['env']}.json"
             what = f"eval --env {case['env']} {case['expr']!r}"
             ok &= _cli_digest(["eval", "--env", str(path), case["expr"]], what)

@@ -40,7 +40,7 @@ def _half_integer(text: str) -> Fraction:
 def _load_json(path: str):
     from .serialize import load_json
 
-    with open(path) as f:
+    with open(path, "rb") as f:
         return load_json(f.read())
 
 
@@ -123,7 +123,7 @@ def _cmd_eval(args) -> dict:
 
 def _cmd_transform(args) -> dict:
     from .operators import KindedOperator, OperatorKind
-    from .serialize import matrix_to_json
+    from .serialize import _matrix_json
     from .spaces import MetricOperator
     from .transforms import BasisChange, transform_metric, transform_operator
 
@@ -134,8 +134,8 @@ def _cmd_transform(args) -> dict:
     new_metric = transform_metric(change, metric)
     return {
         "kind": args.kind,
-        "matrix": matrix_to_json(moved.mat),
-        "metric": matrix_to_json(new_metric.eta),
+        "matrix": _matrix_json(moved.dim, moved._entries),
+        "metric": _matrix_json(new_metric.dim, new_metric._entries),
     }
 
 

@@ -1,16 +1,19 @@
 """Expression language for bra-ket calculations over one environment.
 
-Grammar (ASCII):
+Grammar (ASCII), with the AST node of each form:
 
-    expr   := term { ("+" | "-") term }
-    term   := juxt { "*" juxt }            * is scalar scaling
-    juxt   := atom { atom }                juxtaposition composes/pairs
-    atom   := "kd:NAME" | "ku:NAME" | "bd:NAME" | "bu:NAME"
-            | "eta" | "etainv" | "idk" | "idku"
-            | NAME                         a bound operator
-            | NUMBER | "(" a "+-" b "i" ")"  complex literal
-            | "adj(" expr ")" | "bar(" expr ")" | "tr(" expr ")"
+    expr   := term { ("+" | "-") term }       Sum of (sign, node) pairs
+    term   := juxt { "*" juxt }               Scale: * is scalar scaling
+    juxt   := atom { atom }                   Juxt: composes/pairs
+    atom   := PREFIX ":" NAME                 Vector, PREFIX a Variance value
+            | NAME                            Name: a _CONSTS keyword (eta,
+                                              etainv, idk, idku) or an operator
+            | NUMBER | "(" a "+-" b "i" ")"   Literal
+            | CALL "(" expr ")"               Call, CALL a key of _CALLS
             | "(" expr ")"
+
+A Name is resolved when evaluated, keywords first, so "eta" is the metric
+even where an operator is bound under that name.
 
 A vector binding names a plain component tuple; the token prefix fixes
 the space it is read in, exactly as index decorations do in component
@@ -37,7 +40,7 @@ kernel the operator algebra uses: a slot that is absent counts 1 in the
 value's shape, so a ket is a d x 1 matrix, a bra a 1 x d one, the rank-1
 operator is their product and a scalar a 1 x 1 matrix. The evaluator
 loads no numpy; a result's dense `components` or `mat` is made when it
-is read.
+is read. A scalar is made plus 0j, as an entry is, so no part is -0.0.
 
 An Environment is read-only: its bindings are mapping views over copies
 taken at construction, so its dimension checks hold for every lookup.
@@ -101,45 +104,29 @@ class Environment:
 
 
 @dataclass(frozen=True)
-class Ket:
+class Vector:
     pos: int
     name: str
-    up: bool
+    variance: Variance  # the Variance whose value is the token's prefix
 
 
 @dataclass(frozen=True)
-class Bra:
+class Name:
     pos: int
-    name: str
-    up: bool
-
-
-@dataclass(frozen=True)
-class OpRef:
-    pos: int
-    name: str
-
-
-@dataclass(frozen=True)
-class Const:
-    """A metric or identity operator named by one of the _CONSTS keywords."""
-
-    pos: int
-    name: str
-
-
-_CONSTS = {
-    "eta": lambda env: metric_op(env.metric),
-    "etainv": lambda env: metric_inv_op(env.metric),
-    "idk": lambda env: identity_down(env.dimension),
-    "idku": lambda env: identity_up(env.dimension),
-}
+    name: str  # a keyword of _CONSTS or a bound operator
 
 
 @dataclass(frozen=True)
 class Literal:
     pos: int
     value: complex
+
+
+@dataclass(frozen=True)
+class Call:
+    pos: int
+    fn: str  # a key of _CALLS
+    operand: object
 
 
 @dataclass(frozen=True)
@@ -161,34 +148,17 @@ class Scale:
     operand: object
 
 
-@dataclass(frozen=True)
-class Adj:
-    pos: int
-    operand: object
-
-
-@dataclass(frozen=True)
-class Bar:
-    pos: int
-    operand: object
-
-
-@dataclass(frozen=True)
-class Trace:
-    pos: int
-    operand: object
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_PREFIX = "|".join(v.value for v in Variance)
 _TOKEN_RE = re.compile(
     rf"""
       (?P<ws>\s+)
     | (?P<cplx>\(\s*(?P<re>[+-]?{_NUM})\s*(?P<imsign>[+-])\s*(?P<im>{_NUM})i\s*\))
-    | (?P<prefixed>(?:kd|ku|bd|bu):[A-Za-z_]\w*)
-    | (?P<badprefix>(?:kd|ku|bd|bu):)
+    | (?P<prefixed>(?:{_PREFIX}):[A-Za-z_]\w*)
+    | (?P<badprefix>(?:{_PREFIX}):)
     | (?P<name>[A-Za-z_]\w*)
     | (?P<number>{_NUM})
     | (?P<op>[+\-*()])
@@ -221,7 +191,8 @@ def _tokenize(src: str) -> list[_Token]:
                 im_part = float(m.group("im"))
                 if m.group("imsign") == "-":
                     im_part = -im_part
-                tokens.append(_Token("literal", m.group(0), pos, complex(re_part, im_part)))
+                value = complex(re_part, im_part) + 0j  # no -0.0 part
+                tokens.append(_Token("literal", m.group(0), pos, value))
             elif kind == "number":
                 tokens.append(_Token("literal", m.group(0), pos, complex(float(m.group(0)))))
             else:
@@ -299,20 +270,15 @@ class _Parser:
         if t.kind == "prefixed":
             self.advance()
             prefix, name = t.text.split(":", 1)
-            if prefix in ("kd", "ku"):
-                return Ket(t.pos, name, up=prefix == "ku")
-            return Bra(t.pos, name, up=prefix == "bu")
+            return Vector(t.pos, name, Variance(prefix))
         if t.kind == "name":
             self.advance()
-            if t.text in _CONSTS:
-                return Const(t.pos, t.text)
-            if t.text in ("adj", "bar", "tr"):
-                self.expect("(")
-                inner = self.expr()
-                self.expect(")")
-                node_cls = {"adj": Adj, "bar": Bar, "tr": Trace}[t.text]
-                return node_cls(t.pos, inner)
-            return OpRef(t.pos, t.text)
+            if t.text not in _CALLS:
+                return Name(t.pos, t.text)
+            self.expect("(")
+            inner = self.expr()
+            self.expect(")")
+            return Call(t.pos, t.text, inner)
         if self.at_op("("):
             self.advance()
             inner = self.expr()
@@ -390,7 +356,7 @@ def _combine(env: Environment, left, right, pos: int):
     if isinstance(left, _SCALAR) or isinstance(right, _SCALAR):
         scalar, other = (left, right) if isinstance(left, _SCALAR) else (right, left)
         if isinstance(other, _SCALAR):
-            return complex(scalar) * complex(other)
+            return complex(scalar) * complex(other) + 0j
         return _make(_scale(complex(scalar), other._entries), *_slots(other), env.dimension)
     (codomain, domain), (codomain_r, domain_r) = _slots(left), _slots(right)
     a, d = left._entries, env.dimension
@@ -413,29 +379,62 @@ def _sum_pair(env: Environment, a, b, pos: int):
             f"cannot add {_describe(a)} and {_describe(b)} (at position {pos})"
         )
     if isinstance(a, _SCALAR):
-        return complex(a) + complex(b)
+        return complex(a) + complex(b) + 0j
     return _make(_sum(a._entries, b._entries), *_slots(a), env.dimension)
+
+
+def _adj(value, env: Environment, pos: int):
+    """The hermitian adjoint; the related bra or ket of a vector."""
+    if isinstance(value, _SCALAR):
+        return complex(value).conjugate() + 0j
+    if isinstance(value, VarVector):
+        return relate_bra(value) if value.variance.is_ket else relate_ket(value)
+    return hermitian_adjoint(value)
+
+
+def _bar(value, env: Environment, pos: int):
+    """The Dirac adjoint, dressed by the metric."""
+    if isinstance(value, _SCALAR):
+        return complex(value).conjugate() + 0j
+    if isinstance(value, KindedOperator):
+        return dirac_adjoint(value, env.metric)
+    raise VarianceError(
+        f"bar() applies to operators and scalars, not {_describe(value)} (at position {pos})"
+    )
+
+
+def _tr(value, env: Environment, pos: int):
+    if isinstance(value, KindedOperator):
+        return op_trace(value)
+    raise VarianceError(f"tr() applies to operators, not {_describe(value)} (at position {pos})")
+
+
+# The values of the keywords, and the functions the parser reads as calls.
+_CONSTS = {
+    "eta": lambda env: metric_op(env.metric),
+    "etainv": lambda env: metric_inv_op(env.metric),
+    "idk": lambda env: identity_down(env.dimension),
+    "idku": lambda env: identity_up(env.dimension),
+}
+_CALLS = {"adj": _adj, "bar": _bar, "tr": _tr}
 
 
 def evaluate(node, env: Environment):
     """Evaluate an AST to a complex scalar, a VarVector or a KindedOperator."""
     if isinstance(node, Literal):
         return node.value
-    if isinstance(node, Ket):
-        entries = _lookup_entries(env, node.name, as_bra=False)
-        variance = Variance.KET_UP if node.up else Variance.KET_DOWN
-        return VarVector._from_entries(env.dimension, entries, variance)
-    if isinstance(node, Bra):
-        entries = _lookup_entries(env, node.name, as_bra=True)
-        variance = Variance.BRA_UP if node.up else Variance.BRA_DOWN
-        return VarVector._from_entries(env.dimension, entries, variance)
-    if isinstance(node, OpRef):
+    if isinstance(node, Vector):
+        entries = _lookup_entries(env, node.name, as_bra=node.variance.is_bra)
+        return VarVector._from_entries(env.dimension, entries, node.variance)
+    if isinstance(node, Name):
+        if node.name in _CONSTS:
+            return _CONSTS[node.name](env)
         op = env.operators.get(node.name)
         if op is None:
             raise UnboundName(f"operator {node.name!r} is not bound")
         return op
-    if isinstance(node, Const):
-        return _CONSTS[node.name](env)
+    if isinstance(node, Call):
+        return _CALLS[node.fn](evaluate(node.operand, env), env, node.pos)
     if isinstance(node, Juxt):
         values = [(item, evaluate(item, env)) for item in node.items]
         result = values[0][1]
@@ -456,31 +455,6 @@ def evaluate(node, env: Environment):
         if not (isinstance(factor, _SCALAR) or isinstance(operand, _SCALAR)):
             raise VarianceError(f"'*' requires a scalar operand (at position {node.pos})")
         return _combine(env, factor, operand, node.pos)
-    if isinstance(node, Adj):
-        value = evaluate(node.operand, env)
-        if isinstance(value, _SCALAR):
-            return complex(value).conjugate()
-        if isinstance(value, VarVector):
-            return relate_bra(value) if value.variance.is_ket else relate_ket(value)
-        return hermitian_adjoint(value)
-    if isinstance(node, Bar):
-        value = evaluate(node.operand, env)
-        if isinstance(value, _SCALAR):
-            return complex(value).conjugate()
-        if isinstance(value, KindedOperator):
-            return dirac_adjoint(value, env.metric)
-        raise VarianceError(
-            f"bar() applies to operators and scalars, not {_describe(value)} "
-            f"(at position {node.pos})"
-        )
-    if isinstance(node, Trace):
-        value = evaluate(node.operand, env)
-        if isinstance(value, KindedOperator):
-            return op_trace(value)
-        raise VarianceError(
-            f"tr() applies to operators, not {_describe(value)} "
-            f"(at position {node.pos})"
-        )
     raise TypeError(f"not an AST node: {node!r}")
 
 

@@ -19,9 +19,10 @@ A bundle's non-zero values are those of the dense computation and its
 zeros are unsigned, so its text spells every zero 0.0; a payload that
 spells some of them -0.0 loads all the same, as values are compared
 within eq_tol. The `braket rep` command writes these pieces as they
-come. The writer and dump_json are pure Python; the functions that make
-or read dense arrays (the matrix codec, rep_to_json and rep_from_json)
-import numpy when called, and the bundle functions import sl2c then.
+come. The writer, rep_to_json (each matrix from its entries) and
+dump_json are pure Python; the functions that make or read dense arrays
+(the matrix codec and rep_from_json) import numpy when called, and the
+bundle functions import sl2c then.
 
 Vectors, operators and environments are read and written on their
 entries (see entries), in pure Python and with the matrix codec's
@@ -282,8 +283,11 @@ def _rep_fields(rep: CoupledRep, metric, generators: dict) -> dict:
 
 
 def rep_to_json(rep: CoupledRep) -> dict:
-    generators = {name: [matrix_to_json(m) for m in getattr(rep, name)] for name in "MNIK"}
-    return _rep_fields(rep, matrix_to_json(rep.metric.eta), generators)
+    """The bundle's payload, each matrix made from its entries."""
+    generators = {
+        name: [_matrix_json(rep.dim, e) for e in family] for name, family in rep._families.items()
+    }
+    return _rep_fields(rep, _matrix_json(rep.dim, rep.metric._entries), generators)
 
 
 # Stands for a matrix in the payload's frame; json.dumps writes it as "\u0000".
@@ -432,8 +436,12 @@ def dump_json(payload) -> str:
     return json.dumps(payload)
 
 
-def load_json(text: str):
+def load_json(text: str | bytes):
+    """The value of a JSON text; bytes are read as UTF-8. A text that is not
+    JSON, not UTF-8 or nested too deeply to read raises SchemaError."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None

@@ -16,6 +16,7 @@ from braket import (Basis, OperatorKind, Weight, build_rep, build_rep_diag, orth
 from braket.cli import _build_parser, main
 from braket.serialize import dump_json, matrix_to_json, rep_to_json
 from conftest import forbid_dense
+from golden_recipes import GOLDEN_PATH
 
 
 # the dim-312 orthonormal rung of the benchmark and the size of its JSON text
@@ -243,6 +244,20 @@ class TestSignatureCommand:
         code, _, err = run_cli(capsys, "signature", "--matrix", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"[" * 200_000, b'\xff\xfe{"rows": 1, "cols": 1, "data": [[1, 0]]}'],
+        ids=["deep", "not-utf8"],
+    )
+    def test_unreadable_json_is_one_error_line(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "signature", "--matrix", str(path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: invalid JSON"), err
+        assert "Traceback" not in err
+
 
 class TestCheckSymmetryCommand:
     def test_boost_is_symmetry(self, capsys, tmp_path):
@@ -310,6 +325,19 @@ class TestEvalCommand:
     def test_variance_error(self, capsys, env_file):
         code, _, err = run_cli(capsys, "eval", "--env", env_file, "kd:x kd:y")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "expr, value",
+        [("adj((1+0i))", "[1.0, 0.0]"), ("bar(bd:x kd:x)", "[0.0, 0.0]"),
+         ("(0-0i)", "[0.0, 0.0]"), ("bd:e1 kd:e2 * (-1+0i)", "[0.0, 0.0]")],
+    )
+    def test_scalar_has_no_negative_zero(self, capsys, tmp_path, expr, value):
+        golden = json.loads(GOLDEN_PATH.read_text())
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(golden["environments"]["flat"]))
+        code, out, _ = run_cli(capsys, "eval", "--env", str(path), expr)
+        assert code == 0
+        assert out == f'{{"type": "scalar", "value": {value}}}\n'
 
     @pytest.mark.parametrize("expr", ["1e400 * A", "1e300 * 1e300"])
     def test_non_finite_result_is_refused(self, capsys, env_file, expr):

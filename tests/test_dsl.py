@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -23,8 +25,20 @@ from braket import (
     scalar_product,
     trace,
 )
-from braket.dsl import Bra, Environment, Juxt, Ket, OpRef, Trace, eval_source, parse
+from braket.dsl import Call, Environment, Juxt, Name, Vector, eval_source, parse
+from braket.operators import identity_down, identity_up, metric_inv_op, metric_op
+from braket.serialize import environment_from_json
 from conftest import max_dev, random_complex, random_metric
+from golden_recipes import GOLDEN_PATH
+
+# scalar results on the golden "flat" environment that a product, a sum or
+# a conjugate of complex numbers would make with a -0.0 part, and their values
+SIGNED_ZERO_SCALARS = {
+    "adj((1+0i))": 1 + 0j,
+    "bar(bd:x kd:x)": 0j,
+    "(0-0i)": 0j,
+    "bd:e1 kd:e2 * (-1+0i)": 0j,
+}
 
 
 @pytest.fixture
@@ -66,12 +80,29 @@ class TestParse:
     def test_two_token_chain(self):
         ast = parse("bd:x kd:y")
         assert isinstance(ast, Juxt)
-        assert ast.items == (Bra(0, "x", up=False), Ket(5, "y", up=False))
+        assert ast.items == (Vector(0, "x", Variance.BRA_DOWN), Vector(5, "y", Variance.KET_DOWN))
 
     def test_trace_node(self):
-        ast = parse("tr(A)")
-        assert isinstance(ast, Trace)
-        assert ast.operand == OpRef(3, "A")
+        assert parse("tr(A)") == Call(0, "tr", Name(3, "A"))
+
+    @pytest.mark.parametrize("variance", list(Variance))
+    def test_prefix_is_the_variance(self, variance):
+        assert parse(f"{variance.value}:x") == Vector(0, "x", variance)
+
+    def test_prefixes_differ(self):
+        assert parse("bd:x") != parse("bu:x")
+
+    @pytest.mark.parametrize("word", ["eta", "etainv", "idk", "idku"])
+    def test_keyword_is_a_name(self, word):
+        assert parse(word) == Name(0, word)
+
+    @pytest.mark.parametrize("fn", ["adj", "bar", "tr"])
+    def test_call_needs_its_paren(self, fn):
+        for src, position in [(fn, len(fn)), (f"{fn} A", len(fn) + 1)]:
+            with pytest.raises(DslSyntaxError) as err:
+                parse(src)
+            assert err.value.position == position
+            assert str(err.value) == f"expected '(' (at position {position})"
 
     def test_variance_errors_are_not_parse_errors(self):
         parse("kd:x kd:y")
@@ -254,6 +285,38 @@ class TestEvalErrors:
     def test_trace_of_ket_rejected(self, env):
         with pytest.raises(VarianceError):
             eval_source("tr(kd:x)", env)
+
+
+class TestKeywords:
+    def test_keywords_win_over_bound_operators(self, env):
+        # a bare name is a keyword first, whatever the environment binds
+        shadow = KindedOperator(np.array([[2.0, 1.0], [0.5, 3.0]]), OperatorKind.DOWN_UP)
+        words = {
+            "eta": metric_op(env.metric),
+            "etainv": metric_inv_op(env.metric),
+            "idk": identity_down(2),
+            "idku": identity_up(2),
+        }
+        shadowed = Environment(
+            dimension=2, metric=env.metric, operators={word: shadow for word in words}
+        )
+        for word, want in words.items():
+            got = eval_source(word, shadowed)
+            assert got.kind == want.kind, word
+            assert got.mat.tobytes() == want.mat.tobytes(), word
+
+
+class TestScalarZeros:
+    @pytest.fixture(scope="class")
+    def flat(self):
+        golden = json.loads(GOLDEN_PATH.read_text())
+        return environment_from_json(golden["environments"]["flat"])
+
+    @pytest.mark.parametrize("src", SIGNED_ZERO_SCALARS)
+    def test_no_negative_zero_part(self, flat, src):
+        # a scalar is made plus 0j, as an entry is, so no part is -0.0
+        got, want = eval_source(src, flat), SIGNED_ZERO_SCALARS[src]
+        assert struct.pack("<2d", got.real, got.imag) == struct.pack("<2d", want.real, want.imag)
 
 
 class TestEnvironment:

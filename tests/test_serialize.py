@@ -129,6 +129,15 @@ class TestMatrixSchema:
         with pytest.raises(SchemaError):
             load_json('{"rows": 2, "cols":')
 
+    def test_deep_nesting(self):
+        # json.loads raises RecursionError past the interpreter's depth
+        with pytest.raises(SchemaError, match="nested too deeply"):
+            load_json("[" * 200_000)
+
+    def test_bytes_not_utf8(self):
+        with pytest.raises(SchemaError, match="invalid JSON: 'utf-8' codec"):
+            load_json(b'\xff\xfe{"rows": 1, "cols": 1, "data": [[1, 0]]}')
+
     def test_missing_key(self):
         with pytest.raises(SchemaError):
             matrix_from_json({"rows": 2, "data": []})
@@ -362,6 +371,28 @@ class TestRepSchema:
             for mine, theirs in zip((rep.metric.eta,) + rep.M + rep.N + rep.I + rep.K,
                                     (back.metric.eta,) + back.M + back.N + back.I + back.K):
                 assert mine.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize(
+        "rep",
+        [*(build_rep(Weight(4), Weight(3), basis=b) for b in Basis), build_rep_diag(Weight(2))],
+        ids=[*(b.value for b in Basis), "square-of-1"],
+    )
+    def test_payload_is_the_dense_encoding(self, rep):
+        # the reference encodes the bundle's dense metric and generators
+        reference = {
+            **rep_to_json(rep),
+            "metric": matrix_to_json(rep.metric.eta),
+            "generators": {name: [matrix_to_json(m) for m in getattr(rep, name)]
+                           for name in "MNIK"},
+        }
+        assert dump_json(reference) == dump_json(rep_to_json(rep))
+        assert dump_json(reference) == dump_rep(rep)
+
+    def test_write_makes_no_dense_matrix(self, monkeypatch):
+        rep = build_rep(Weight(4), Weight(3), basis="orthonormal")
+        forbid_dense(monkeypatch, "dense matrix made while writing a bundle")
+        payload = rep_to_json(rep)
+        assert len(payload["generators"]["K"][2]["data"]) == rep.dim**2
 
     def test_perturbed_payload_loads(self):
         # payloads written before the closed-form build differ by up to 3.6e-15
