@@ -22,7 +22,14 @@ each: `sha1  bytes  what`.
 - `braket signature`, `check-symmetry` and `transform` stdout on the
   matrices of perfbench/inputs.py `cli_matrices(1)`, and `transform` of
   x = eta = diag(1, -1) by the swap t = [[0, 1], [1, 0]], whose products
-  hold signed zeros (the line names the matrices, not their files).
+  hold signed zeros (the line names the matrices, not their files);
+- after those, `braket cg` for each of the label sets above that holds a
+  negative fraction, given as its own argument (`--l2 -1/2`), whose
+  digest equals that of the `=` form;
+- and, per ladder rung, its `rep` text read back and written again in
+  this process, `dump_rep(rep_from_json(load_json(text)))` plus the
+  newline the command ends with, whose digest equals the rung's `rep`
+  line.
 
 Each command runs through `braket.cli.main` in this process, and its text
 is hashed as it is written. Run it against two checkouts and compare the
@@ -34,6 +41,7 @@ Exits with status 1 if any command fails.
 """
 
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -46,6 +54,7 @@ import numpy as np  # noqa: E402
 from perfbench.inputs import GOLDEN, LADDER, cli_matrices, matrix_json  # noqa: E402
 
 from braket import Weight, build_rep, cli, rotation_basis  # noqa: E402
+from braket.serialize import dump_rep, load_json, rep_from_json  # noqa: E402
 
 REP_COMMANDS = [flags for _, flags, _ in LADDER] + [
     ["--twice-j1", "5", "--twice-j2", "2", "--epsilon", "1"],
@@ -55,7 +64,8 @@ REP_COMMANDS = [flags for _, flags, _ in LADDER] + [
     ["--twice-j1", "5", "--twice-j2", "2", "--basis", "rotation", "--epsilon", "-1"],
 ]
 
-# (j1, l1, j2, l2, s, sigma)
+# the values of CG_FLAGS: (j1, l1, j2, l2, s, sigma)
+CG_FLAGS = ("--j1", "--l1", "--j2", "--l2", "--s", "--sigma")
 CG_LABELS = [
     ("1/2", "1/2", "1/2", "-1/2", "1", "0"),
     ("1/2", "-1/2", "1/2", "1/2", "0", "0"),
@@ -140,13 +150,25 @@ def _matrix_digests() -> bool:
     return ok
 
 
+def _round_trip_digests() -> bool:
+    """The digest line of each ladder rung's `rep` text after a round trip
+    through rep_from_json in this process; True if all succeeded."""
+    ok = True
+    for _, flags, _ in LADDER:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            ok &= cli.main(["rep", *flags]) == 0
+        data = (dump_rep(rep_from_json(load_json(out.getvalue()))) + "\n").encode()
+        print(f"{hashlib.sha1(data).hexdigest()}  {len(data)}  rep round trip {' '.join(flags)}")
+    return ok
+
+
 def main() -> int:
     ok = True
     for flags in REP_COMMANDS:
         ok &= _cli_digest(["rep", *flags])
     for labels in CG_LABELS:
-        flags = zip(("--j1", "--l1", "--j2", "--l2", "--s", "--sigma"), labels)
-        ok &= _cli_digest(["cg", *(f"{flag}={value}" for flag, value in flags)])
+        ok &= _cli_digest(["cg", *(f"{flag}={value}" for flag, value in zip(CG_FLAGS, labels))])
     for twice_j in ("1", "4", "12"):
         ok &= _cli_digest(["su2", "--twice-j", twice_j])
     ok &= _eval_digests()
@@ -155,6 +177,10 @@ def main() -> int:
         data = c.tobytes()
         print(f"{hashlib.sha1(data).hexdigest()}  {len(data)}  rotation_basis C dim {c.shape[0]}")
     ok &= _matrix_digests()
+    for labels in CG_LABELS:
+        if any(x.startswith("-") and "/" in x for x in labels):
+            ok &= _cli_digest(["cg", *(x for pair in zip(CG_FLAGS, labels) for x in pair)])
+    ok &= _round_trip_digests()
     return 0 if ok else 1
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
@@ -28,6 +29,10 @@ __all__ = ["main"]
 # out so that building the parser loads neither module.
 _BASES = ("canonical", "rotation", "orthonormal")
 _KINDS = ("dd", "uu", "du", "ud")
+
+# A negative number or fraction, such as -1, -0.5 or -1/2, which the cg
+# parser reads as a value, not a flag; argparse's own pattern has no -p/q.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
 
 def _half_integer(text: str) -> Fraction:
@@ -155,6 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cg", help="exact Clebsch-Gordan coefficient")
     for flag in ("--j1", "--l1", "--j2", "--l2", "--s", "--sigma"):
         p.add_argument(flag, type=_half_integer, required=True)
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.set_defaults(func=_cmd_cg)
 
     p = sub.add_parser("rep", help="emit a coupled representation bundle")

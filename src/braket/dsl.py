@@ -13,7 +13,10 @@ Grammar (ASCII), with the AST node of each form:
             | "(" expr ")"
 
 A Name is resolved when evaluated, keywords first, so "eta" is the metric
-even where an operator is bound under that name.
+even where an operator is bound under that name. Parentheses and calls
+nest at most _MAX_DEPTH deep; an opening past that is a DslSyntaxError at
+its position. A product of any length evaluates, as its Scale chain is
+walked in a loop.
 
 A vector binding names a plain component tuple; the token prefix fixes
 the space it is read in, exactly as index decorations do in component
@@ -207,11 +210,16 @@ def _tokenize(src: str) -> list[_Token]:
 
 _ATOM_STARTERS = {"prefixed", "name", "literal"}
 
+# How deep parentheses and calls may nest: the parser and the evaluator
+# recurse a few frames per level, within Python's limit of 1000.
+_MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     @property
     def tok(self) -> _Token:
@@ -276,15 +284,22 @@ class _Parser:
             if t.text not in _CALLS:
                 return Name(t.pos, t.text)
             self.expect("(")
-            inner = self.expr()
-            self.expect(")")
-            return Call(t.pos, t.text, inner)
+            return Call(t.pos, t.text, self.enclosed(t.pos))
         if self.at_op("("):
             self.advance()
-            inner = self.expr()
-            self.expect(")")
-            return inner
+            return self.enclosed(t.pos)
         raise DslSyntaxError(f"unexpected {t.text or 'end of input'!r}", t.pos)
+
+    def enclosed(self, pos: int):
+        """The expr up to its closing ")", one level deeper than the form
+        opened at pos."""
+        if self.depth == _MAX_DEPTH:
+            raise DslSyntaxError(f"nested deeper than {_MAX_DEPTH} levels", pos)
+        self.depth += 1
+        inner = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return inner
 
 
 def parse(src: str):
@@ -450,11 +465,18 @@ def evaluate(node, env: Environment):
             total = value if total is None else _sum_pair(env, total, value, term.pos)
         return total
     if isinstance(node, Scale):
-        factor = evaluate(node.factor, env)
-        operand = evaluate(node.operand, env)
-        if not (isinstance(factor, _SCALAR) or isinstance(operand, _SCALAR)):
-            raise VarianceError(f"'*' requires a scalar operand (at position {node.pos})")
-        return _combine(env, factor, operand, node.pos)
+        # a product nests to the left: its first factor is innermost
+        links = []
+        while isinstance(node, Scale):
+            links.append(node)
+            node = node.factor
+        result = evaluate(node, env)
+        for link in reversed(links):
+            operand = evaluate(link.operand, env)
+            if not (isinstance(result, _SCALAR) or isinstance(operand, _SCALAR)):
+                raise VarianceError(f"'*' requires a scalar operand (at position {link.pos})")
+            result = _combine(env, result, operand, link.pos)
+        return result
     raise TypeError(f"not an AST node: {node!r}")
 
 

@@ -5,31 +5,27 @@ Matrix schema: {"rows": R, "cols": C, "data": [[re, im], ...]} with data
 row-major. Numbers round-trip losslessly (shortest-repr float printing).
 Malformed payloads raise SchemaError; integer fields reject bools.
 
+Every reader but matrix_from_json reads a value's [re, im] pairs into
+entries (see entries) with one checked reader, and every writer but
+matrix_to_json writes from entries, so a value writes the same bytes
+whether it was made dense or from entries. Only these two, the dense
+matrix codec, load numpy. An environment's metric is made from its
+entries, and MetricOperator picks its check: a monomial metric (one
+non-zero in every row and column) loads no numpy; any other needs an SVD.
+
 A bundle payload is fixed by its weights, epsilon and basis: rep_from_json
 rebuilds the bundle from them through sl2c and checks every other field
-against it, comparing each payload matrix with the rebuilt bundle's
-entries, so the loader constructs no bundle of its own and makes no
-dense matrix of the rebuilt one.
+against it, comparing each payload matrix's entries with the rebuilt
+bundle's, index by index, so the loader makes no dense matrix.
 
 `dump_rep(rep)` is the text of `dump_json(rep_to_json(rep))`, made by one
 writer that yields it a matrix at a time, straight from the bundle's
-entries (see entries): each run of zeros between them is written as one
-repeated string, and no dense matrix or Python list per entry is made.
-A bundle's non-zero values are those of the dense computation and its
-zeros are unsigned, so its text spells every zero 0.0; a payload that
-spells some of them -0.0 loads all the same, as values are compared
-within eq_tol. The `braket rep` command writes these pieces as they
-come. The writer, rep_to_json (each matrix from its entries) and
-dump_json are pure Python; the functions that make or read dense arrays
-(the matrix codec and rep_from_json) import numpy when called, and the
-bundle functions import sl2c then.
-
-Vectors, operators and environments are read and written on their
-entries (see entries), in pure Python and with the matrix codec's
-checks, so a value writes the same bytes whether it was made dense or
-from entries. An environment's metric is made from its entries, and
-MetricOperator picks its check: a monomial metric (one non-zero in
-every row and column) loads no numpy; any other needs an SVD.
+entries: each run of zeros between them is written as one repeated
+string, and no dense matrix or Python list per entry is made. A bundle's
+non-zero values are those of the dense computation and its zeros are
+unsigned, so its text spells every zero 0.0; a payload that spells some
+of them -0.0 loads all the same, as values are compared within eq_tol.
+The `braket rep` command writes these pieces as they come.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from itertools import chain
 from math import copysign
 from typing import TYPE_CHECKING
 
-from .entries import DEFAULT_TOLS, _pair
+from .entries import DEFAULT_TOLS, _max_abs, _pair
 from .errors import DimensionMismatch, InvalidArgument, NotHermitian, SchemaError, Singular
 from .spaces import MetricOperator, OperatorKind, Variance, VarVector
 
@@ -147,27 +143,25 @@ def _complex_list(data, what: str) -> list[complex]:
     return out
 
 
-def _from_pairs(data, what: str) -> np.ndarray:
-    import numpy as np
-
+def _entries_of(data, what: str) -> tuple[list, list]:
+    """The entries of a list of [re, im] pairs, each pair checked: the
+    indices of the pairs that are not zero and their values, stored plus
+    0j as entries' _pair stores them."""
     # Whole-list checks first; _complex_list is the one that names a bad
-    # entry, so any payload failing them falls through to it.
+    # entry, so a payload failing them, or holding an int too large for a
+    # float, falls through to it.
     if (
         isinstance(data, list)
         and set(map(type, data)) == {list}
         and set(map(len, data)) == {2}
         and set(map(type, chain.from_iterable(data))) <= {int, float}
     ):
+        index = [k for k, (re, im) in enumerate(data) if re or im]
         try:
-            flat = np.fromiter(chain.from_iterable(data), dtype=float, count=2 * len(data))
+            return index, [complex(*data[k]) + 0j for k in index]
         except OverflowError:
             pass
-        else:
-            out = np.empty(len(data), dtype=complex)
-            # Filled part by part: re + 1j*im would turn a -0.0 real part into +0.0.
-            out.real, out.imag = flat[0::2], flat[1::2]
-            return out
-    return np.array(_complex_list(data, what), dtype=complex)
+    return _pair(dict(enumerate(_complex_list(data, what))))
 
 
 def _entry_pairs(size: int, entries) -> list[list[float]]:
@@ -210,19 +204,21 @@ def _matrix_json(dim: int, entries) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    rows, cols = _matrix_shape(obj)
-    flat = _from_pairs(obj["data"], "matrix data")
-    _require(flat.shape[0] == rows * cols, "matrix: data length != rows*cols")
-    return flat.reshape(rows, cols)
+    import numpy as np
 
-
-def _matrix_values(obj) -> tuple[int, int, list[complex]]:
-    """rows, cols and the row-major values of a matrix payload, read in
-    pure Python with matrix_from_json's checks."""
     rows, cols = _matrix_shape(obj)
     values = _complex_list(obj["data"], "matrix data")
     _require(len(values) == rows * cols, "matrix: data length != rows*cols")
-    return rows, cols, values
+    return np.array(values, dtype=complex).reshape(rows, cols)
+
+
+def _matrix_entries(obj) -> tuple[tuple[int, int], tuple[list, list]]:
+    """(rows, cols) and the entries of a matrix payload, read with
+    matrix_from_json's checks."""
+    rows, cols = _matrix_shape(obj)
+    entries = _entries_of(obj["data"], "matrix data")
+    _require(len(obj["data"]) == rows * cols, "matrix: data length != rows*cols")
+    return (rows, cols), entries
 
 
 def vector_to_json(v: VarVector) -> dict:
@@ -236,8 +232,9 @@ def vector_from_json(obj) -> VarVector:
         variance = Variance(obj["variance"])
     except ValueError:
         raise SchemaError(f"vector: unknown variance {obj['variance']!r}") from None
-    values = _complex_list(obj["components"], "vector components")
-    return VarVector._from_entries(len(values), _pair(dict(enumerate(values))), variance)
+    components = obj["components"]
+    entries = _entries_of(components, "vector components")
+    return VarVector._from_entries(len(components), entries, variance)
 
 
 def operator_to_json(x: KindedOperator) -> dict:
@@ -253,10 +250,10 @@ def operator_from_json(obj) -> KindedOperator:
         kind = OperatorKind(obj["kind"])
     except ValueError:
         raise SchemaError(f"operator: unknown kind {obj['kind']!r}") from None
-    rows, cols, values = _matrix_values(obj["matrix"])
+    (rows, cols), entries = _matrix_entries(obj["matrix"])
     if rows != cols:
         raise DimensionMismatch(f"operator matrix must be square, got {(rows, cols)}")
-    return KindedOperator._from_entries(rows, _pair(dict(enumerate(values))), kind)
+    return KindedOperator._from_entries(rows, entries, kind)
 
 
 def _rep_fields(rep: CoupledRep, metric, generators: dict) -> dict:
@@ -358,15 +355,15 @@ def rep_from_json(obj) -> CoupledRep:
         )
     gens = obj["generators"]
     _require(isinstance(gens, dict), "rep: generators must be an object")
-    metric = matrix_from_json(obj["metric"])
-    _require(metric.shape == (dim, dim), "rep: metric shape != dim")
+    shape, metric = _matrix_entries(obj["metric"])
+    _require(shape == (dim, dim), "rep: metric shape != dim")
     mats = {"metric": (metric,)}
     for name in ("M", "N", "I", "K"):
         _require(name in gens, f"rep: missing generator family {name!r}")
         family = gens[name]
         _require(isinstance(family, list) and len(family) == 3, f"rep: {name} needs 3 matrices")
-        mats[name] = tuple(matrix_from_json(m) for m in family)
-        _require(all(m.shape == (dim, dim) for m in mats[name]), f"rep: {name} matrix shape != dim")
+        shapes, mats[name] = zip(*map(_matrix_entries, family))
+        _require(all(s == (dim, dim) for s in shapes), f"rep: {name} matrix shape != dim")
     rep = build_rep_diag(j1, epsilon, basis) if j1 == j2 else build_rep(j1, j2, epsilon, basis)
     built = {"metric": (rep.metric._entries,), **rep._families}
     for name, family in mats.items():
@@ -380,15 +377,10 @@ def rep_from_json(obj) -> CoupledRep:
     return rep
 
 
-def _deviation(m: np.ndarray, entries) -> float:
-    """max_abs(m - b) for the matrix b with these entries and +0 elsewhere,
-    made by subtracting the values at their indices, so b is never made."""
-    from .linalg import max_abs
-
-    index, values = entries
-    diff = m.reshape(-1).copy()
-    diff[index] -= values
-    return max_abs(diff)
+def _deviation(a, b) -> float:
+    """max_abs(a - b) of two matrices of one shape, from their entries."""
+    rest = dict(zip(*b))
+    return _max_abs(chain((v - rest.pop(k, 0) for k, v in zip(*a)), rest.values()))
 
 
 def environment_to_json(env: Environment) -> dict:
@@ -418,7 +410,7 @@ def environment_from_json(obj) -> Environment:
     operators = obj.get("operators", {})
     _require(isinstance(vectors, dict), "environment: vectors must be an object")
     _require(isinstance(operators, dict), "environment: operators must be an object")
-    rows, cols, values = _matrix_values(obj["metric"])
+    (rows, cols), entries = _matrix_entries(obj["metric"])
     vectors = {name: vector_from_json(v) for name, v in vectors.items()}
     operators = {name: operator_from_json(x) for name, x in operators.items()}
     # MetricOperator and Environment reject a bad metric and a size that
@@ -426,7 +418,7 @@ def environment_from_json(obj) -> Environment:
     try:
         if rows != cols:
             raise DimensionMismatch(f"metric must be square, got {(rows, cols)}")
-        metric = MetricOperator._from_entries(rows, _pair(dict(enumerate(values))))
+        metric = MetricOperator._from_entries(rows, entries)
         return Environment(dimension=dim, metric=metric, vectors=vectors, operators=operators)
     except (DimensionMismatch, InvalidArgument, NotHermitian, Singular) as exc:
         raise SchemaError(f"environment: {exc}") from exc

@@ -80,13 +80,32 @@ class TestCgCommand:
         )
         assert code == 0
         assert json.loads(out) == {"sign": 1, "squared": "1"}
-        # argparse reads a bare -1/2 as a flag, so a negative fraction takes the = form
+        # a negative fraction reads the same after "=" as on its own
         code, out, _ = run_cli(
             capsys, "cg", "--j1", "1/2", "--l1", "1/2",
             "--j2", "1/2", "--l2=-1/2", "--s", "1", "--sigma", "0",
         )
         assert code == 0
         assert json.loads(out) == {"sign": 1, "squared": "1/2"}
+
+    @pytest.mark.parametrize(
+        "labels",
+        [("1/2", "1/2", "1/2", "-1/2", "1", "0"), ("3/2", "-3/2", "1", "1", "1/2", "-1/2")],
+    )
+    def test_negative_fraction_as_its_own_argument(self, capsys, labels):
+        flags = ("--j1", "--l1", "--j2", "--l2", "--s", "--sigma")
+        spaced = run_cli(capsys, "cg", *(x for pair in zip(flags, labels) for x in pair))
+        joined = run_cli(capsys, "cg", *(f"{flag}={x}" for flag, x in zip(flags, labels)))
+        assert spaced == joined and spaced[0] == 0
+        assert json.loads(spaced[1])["squared"] == "1/2"
+
+    def test_flag_like_value_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "cg", "--j1", "1/2", "--l1", "1/2",
+            "--j2", "1/2", "--l2", "-x", "--s", "1", "--sigma", "0",
+        )
+        assert code == 2 and out == ""
+        assert "argument --l2: expected one argument" in err
 
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -338,6 +357,21 @@ class TestEvalCommand:
         code, out, _ = run_cli(capsys, "eval", "--env", str(path), expr)
         assert code == 0
         assert out == f'{{"type": "scalar", "value": {value}}}\n'
+
+    @pytest.mark.parametrize(
+        "expr", ["(" * 300 + "1" + ")" * 300, "adj(" * 400 + "1" + ")" * 400],
+        ids=["parentheses", "calls"],
+    )
+    def test_deep_nesting_is_one_error_line(self, capsys, env_file, expr):
+        code, out, err = run_cli(capsys, "eval", "--env", env_file, expr)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: nested deeper than"), err
+        assert "Traceback" not in err
+
+    def test_long_product(self, capsys, env_file):
+        code, out, _ = run_cli(capsys, "eval", "--env", env_file, "1" + " * 1" * 2000)
+        assert code == 0
+        assert out == '{"type": "scalar", "value": [1.0, 0.0]}\n'
 
     @pytest.mark.parametrize("expr", ["1e400 * A", "1e300 * 1e300"])
     def test_non_finite_result_is_refused(self, capsys, env_file, expr):

@@ -26,6 +26,7 @@ from braket import (
     trace,
 )
 from braket.dsl import Call, Environment, Juxt, Name, Vector, eval_source, parse
+from braket.dsl import _MAX_DEPTH
 from braket.operators import identity_down, identity_up, metric_inv_op, metric_op
 from braket.serialize import environment_from_json
 from conftest import max_dev, random_complex, random_metric
@@ -123,6 +124,20 @@ class TestParse:
     def test_empty_input(self):
         with pytest.raises(DslSyntaxError):
             parse("   ")
+
+    @pytest.mark.parametrize(
+        "opening, src",
+        [(100, "(" * 300 + "1" + ")" * 300), (400, "adj(" * 400 + "1" + ")" * 400),
+         (250, "(adj(" * 60 + "1" + "))" * 60)],
+        ids=["parentheses", "calls", "mixed"],
+    )
+    def test_nesting_past_the_limit(self, opening, src):
+        # refused at the opening of the first form past _MAX_DEPTH, before
+        # the parser's recursion can run out
+        with pytest.raises(DslSyntaxError) as err:
+            parse(src)
+        assert type(err.value) is DslSyntaxError and err.value.position == opening
+        parse("(" * _MAX_DEPTH + "1" + ")" * _MAX_DEPTH)
 
     def test_complex_literal(self):
         ast = parse("(1.5-2i)")
@@ -242,6 +257,13 @@ class TestEvalOperators:
     def test_sum_of_operators(self, env):
         got = eval_source("A + A", env)
         assert max_dev(got.mat, 2 * env.operators["A"].mat) == 0
+
+    def test_long_product(self, env):
+        # a product nests to the left, one Scale per factor
+        assert (eval_source("A" + " * 1" * 2000, env).mat == env.operators["A"].mat).all()
+        src = "1 * " * 1000 + "A * A"
+        with pytest.raises(VarianceError, match=f"at position {len(src) - 3}"):
+            eval_source(src, env)
 
     def test_scalar_minus(self, env):
         assert eval_source("tr(A) - tr(A)", env) == 0

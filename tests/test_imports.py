@@ -110,6 +110,22 @@ def test_rep_loads_only_what_it_runs(basis):
     )
 
 
+def test_rep_round_trip_leaves_numpy_unloaded():
+    # a payload's matrices are read into entries and compared with the
+    # rebuilt bundle's entries
+    run_fresh(
+        "import sys\n"
+        "from braket import Weight, build_rep\n"
+        "from braket.serialize import dump_json, dump_rep, load_json, rep_from_json, rep_to_json\n"
+        "for basis in ('canonical', 'rotation', 'orthonormal'):\n"
+        "    rep = build_rep(Weight(4), Weight(3), basis=basis)\n"
+        "    back = rep_from_json(load_json(dump_json(rep_to_json(rep))))\n"
+        "    assert dump_rep(back) == dump_rep(rep)\n"
+        "loaded = [m for m in ['numpy', 'braket.linalg'] if m in sys.modules]\n"
+        "assert loaded == [], loaded\n"
+    )
+
+
 def test_cg_leaves_numpy_unloaded():
     # Racah's sum is Fraction arithmetic, and the parser's choices and the
     # JSON writer need neither sl2c, spaces nor serialize; run as `python

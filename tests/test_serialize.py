@@ -222,6 +222,11 @@ def doubled(rep):
     return out
 
 
+def set_entry(payload, family, k, pair):
+    """Put pair at index k of the first matrix of a generator family."""
+    payload["generators"][family][0]["data"][k] = pair
+
+
 class TestRepSchema:
     def test_round_trip_fundamental(self):
         rep = build_rep(Weight(1), Weight(0))
@@ -349,9 +354,23 @@ class TestRepSchema:
             (doubled(build_rep(Weight(1), Weight(0))), lambda p: None, "M"),
             (build_rep(Weight(1), Weight(0)),
              lambda p: p["metric"].update(data=[[0.0, 0.0]] * 16), "metric"),
+            # M[0] of this bundle is 0 at index 0 and 0.5 at index 1
+            (build_rep(Weight(1), Weight(0)),
+             lambda p: set_entry(p, "M", 1, [float("nan"), 0.0]), "M does not match"),
+            (build_rep(Weight(1), Weight(0)),
+             lambda p: set_entry(p, "N", 0, [1e-6, 0.0]), "N does not match"),
+            (build_rep(Weight(1), Weight(0)),
+             lambda p: set_entry(p, "M", 0, [10**400, 0]), "entry 0 does not fit a float"),
+            (build_rep(Weight(1), Weight(0)),
+             lambda p: set_entry(p, "M", 1, [10**400, 0]), "entry 1 does not fit a float"),
+            (build_rep(Weight(1), Weight(0)),
+             lambda p: set_entry(p, "M", 1, [True, 0.0]), r"entry 1 is not a \[re, im\] pair"),
+            (build_rep(Weight(1), Weight(0)),
+             lambda p: set_entry(p, "K", 1, (0.0, -0.5)), r"entry 1 is not a \[re, im\] pair"),
         ],
         ids=["foreign-labels", "canonical-as-orthonormal", "square-as-orthonormal",
-             "flipped-epsilon", "doubled-M-N", "zero-metric"],
+             "flipped-epsilon", "doubled-M-N", "zero-metric", "nan", "extra-non-zero",
+             "past-float-at-zero", "past-float-at-non-zero", "bool", "tuple-pair"],
     )
     def test_payload_contradicting_its_bundle(self, rep, edit, match):
         # none of these payloads is the bundle of its weights, epsilon and basis
@@ -359,6 +378,14 @@ class TestRepSchema:
         edit(payload)
         with pytest.raises(SchemaError, match=match):
             rep_from_json(payload)
+
+    def test_numpy_float_payload_loads(self):
+        # a payload built in Python may hold numpy floats, which are floats
+        rep = build_rep(Weight(1), Weight(0))
+        payload = rep_to_json(rep)
+        for m in [payload["metric"], *(m for f in payload["generators"].values() for m in f)]:
+            m["data"] = [[np.float64(re), np.float64(im)] for re, im in m["data"]]
+        assert dump_rep(rep_from_json(payload)) == dump_rep(rep)
 
     def test_round_trip_every_basis_bit_equal(self):
         reps = reps_in_every_basis()
@@ -488,9 +515,12 @@ class TestEnvironmentSchema:
             ({"dimension": 2, "metric": matrix_to_json([[1, 1], [0, 1]])}, "hermitian"),
             ({"dimension": 1, "metric": {"rows": 1, "cols": 1, "data": [[float("nan"), 0]]}},
              "NaN"),
+            ({"dimension": 1, "metric": matrix_to_json(np.eye(1)),
+              "vectors": {"x": {"variance": "kd", "components": [[10**400, 0]]}}},
+             "vector components: entry 0 does not fit a float"),
         ],
         ids=["metric-size", "vector-size", "operator-size", "zero-metric", "non-hermitian",
-             "nan-metric"],
+             "nan-metric", "vector-past-float"],
     )
     def test_malformed_is_schema_error(self, payload, match):
         # MetricOperator and Environment find each fault; the loader
