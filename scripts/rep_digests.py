@@ -26,10 +26,12 @@ each: `sha1  bytes  what`.
 - after those, `braket cg` for each of the label sets above that holds a
   negative fraction, given as its own argument (`--l2 -1/2`), whose
   digest equals that of the `=` form;
-- and, per ladder rung, its `rep` text read back and written again in
-  this process, `dump_rep(rep_from_json(load_json(text)))` plus the
-  newline the command ends with, whose digest equals the rung's `rep`
-  line.
+- per ladder rung, its `rep` text read back and written again in this
+  process, `dump_rep(rep_from_json(load_json(text)))` plus the newline
+  the command ends with, whose digest equals the rung's `rep` line;
+- and `transform --kind uu`, `du` and `ud` on the matrices of
+  `cli_matrices(1)`, so that the basis-change law is pinned for every
+  operator kind, not only for the default dd.
 
 Each command runs through `braket.cli.main` in this process, and its text
 is hashed as it is written. Run it against two checkouts and compare the
@@ -91,6 +93,12 @@ MATRIX_COMMANDS = [
     ["transform", "--matrix", "diag", "--metric", "diag", "--t", "swap"],
 ]
 
+# transform of every other operator kind, printed last
+KIND_COMMANDS = [
+    ["transform", "--matrix", "a", "--metric", "eta", "--t", "t", "--kind", kind]
+    for kind in ("uu", "du", "ud")
+]
+
 
 class _Digest:
     """A text sink that keeps only the sha1 and the size of what it gets."""
@@ -136,15 +144,16 @@ def _eval_digests() -> bool:
     return ok
 
 
-def _matrix_digests() -> bool:
-    """The digest lines of MATRIX_COMMANDS; True if all succeeded."""
+def _matrix_digests(commands: list[list[str]]) -> bool:
+    """The digest lines of these commands on matrix files; True if all
+    succeeded."""
     mats = cli_matrices(1)
     mats.update(diag=np.diag([1.0, -1.0]), swap=np.array([[0.0, 1.0], [1.0, 0.0]]))
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         for name, m in mats.items():
             (Path(tmp) / f"{name}.json").write_text(json.dumps(matrix_json(m)))
-        for argv in MATRIX_COMMANDS:
+        for argv in commands:
             paths = [str(Path(tmp) / f"{a}.json") if a in mats else a for a in argv]
             ok &= _cli_digest(paths, " ".join(argv))
     return ok
@@ -176,11 +185,12 @@ def main() -> int:
         c, _ = rotation_basis(build_rep(Weight(tj1), Weight(tj2)))
         data = c.tobytes()
         print(f"{hashlib.sha1(data).hexdigest()}  {len(data)}  rotation_basis C dim {c.shape[0]}")
-    ok &= _matrix_digests()
+    ok &= _matrix_digests(MATRIX_COMMANDS)
     for labels in CG_LABELS:
         if any(x.startswith("-") and "/" in x for x in labels):
             ok &= _cli_digest(["cg", *(x for pair in zip(CG_FLAGS, labels) for x in pair)])
     ok &= _round_trip_digests()
+    ok &= _matrix_digests(KIND_COMMANDS)
     return 0 if ok else 1
 
 

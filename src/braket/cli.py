@@ -8,8 +8,8 @@ Each subcommand imports what it runs, so a command loads only its own
 part of the library; `rep` writes its payload a matrix at a time. `rep`,
 `cg`, `su2` and `eval` on an environment whose metric is monomial (one
 non-zero in every row and column, as diag(+-1) is) compute on entries
-(see entries) and load no numpy. `eval` refuses a result with a NaN or
-infinite part, which JSON cannot spell, as a domain error.
+(see entries) and load no numpy. A JSON payload with a NaN or infinite
+part, which JSON cannot spell, is refused as a domain error.
 """
 
 from __future__ import annotations
@@ -104,17 +104,12 @@ def _cmd_check_symmetry(args) -> dict:
 
 def _cmd_eval(args) -> dict:
     from .dsl import eval_source
-    from .entries import _finite
     from .operators import KindedOperator
     from .serialize import environment_from_json, operator_to_json, vector_to_json
     from .spaces import VarVector
 
     env = environment_from_json(_load_json(args.env))
     result = eval_source(args.expr, env)
-    # JSON has no NaN or infinity: json.dumps would write NaN, Infinity
-    values = [result] if isinstance(result, complex) else result._entries[1]
-    if not _finite(values):
-        raise InvalidArgument("result has a NaN or infinite part")
     if isinstance(result, VarVector):
         payload = vector_to_json(result)
         payload["type"] = "vector"
@@ -204,7 +199,11 @@ def main(argv=None) -> int:
     try:
         out = args.func(args)
         if isinstance(out, (dict, list)):
-            out = [json.dumps(out)]  # what serialize.dump_json writes
+            # what serialize.dump_json writes, but JSON has no NaN or infinity
+            try:
+                out = [json.dumps(out, allow_nan=False)]
+            except ValueError:
+                raise InvalidArgument("result has a NaN or infinite part") from None
         # `rep` yields its text in pieces, after every check has run, so a
         # failing command writes nothing to stdout
         sys.stdout.writelines(out)

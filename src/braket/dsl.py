@@ -74,12 +74,13 @@ from .spaces import MetricOperator, Variance, VarVector, relate_bra, relate_ket
 __all__ = ["Environment", "parse", "evaluate", "eval_source"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Environment:
     """Named vectors and operators over one metric of fixed dimension.
 
     Read-only: vectors and operators are mapping views over copies of the
     given bindings, so the dimension checks below hold for every lookup.
+    It compares and hashes by identity, as the values it binds do.
     """
 
     dimension: int

@@ -62,9 +62,11 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-def _require_square(m: np.ndarray) -> np.ndarray:
+def _square(a, what: str) -> np.ndarray:
+    """as_matrix of a square input; what names it in the error."""
+    m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {m.shape}")
+        raise DimensionMismatch(f"{what} must be square, got {m.shape}")
     return m
 
 
@@ -83,8 +85,8 @@ def conj_transpose(a) -> np.ndarray:
     return as_matrix(a).conj().T.copy()
 
 
-def _finite_square(a) -> np.ndarray:
-    m = _require_square(as_matrix(a))
+def _finite_square(a, what: str = "matrix") -> np.ndarray:
+    m = _square(a, what)
     if not np.isfinite(m).all():
         raise InvalidArgument("matrix has a NaN or infinite entry")
     return m

@@ -51,11 +51,9 @@ class KindedOperator(_ReadOnly):
     """
 
     def __init__(self, mat, kind: OperatorKind):
-        from .linalg import as_matrix
+        from .linalg import _square
 
-        m = as_matrix(mat) + 0j
-        if m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"operator matrix must be square, got {m.shape}")
+        m = _square(mat, "operator matrix") + 0j
         self.__dict__.update(mat=_read_only(m), kind=kind, dim=m.shape[0])
 
     @classmethod
@@ -162,19 +160,15 @@ def couple_operator(m: MetricOperator, a: KindedOperator) -> KindedOperator:
 
 
 def dirac_adjoint(x: KindedOperator, m: MetricOperator) -> KindedOperator:
-    """Metric-dressed adjoint, uniform across all four kinds.
+    """Metric-dressed adjoint: the metric coupling of the hermitian adjoint.
 
     dd operators map to eta_inv . X+ . eta (kind preserved), uu operators
     to eta . X+ . eta_inv, cross kinds to the plain hermitian adjoint.
     The result is an anti-linear, anti-multiplicative involution.
     """
     _match_dim(m, x)
-    adj = _adjoint(x._entries, x.dim, x.dim)
-    if x.kind == OperatorKind.DOWN_DOWN:
-        adj = _chain(m.dim, m._inv_entries, adj, m._entries)
-    elif x.kind == OperatorKind.UP_UP:
-        adj = _chain(m.dim, m._entries, adj, m._inv_entries)
-    return KindedOperator._from_entries(x.dim, adj, x.kind)
+    adj = hermitian_adjoint(x)
+    return couple_operator(m, adj) if x.kind.is_endomorphism else adj
 
 
 def is_semi_hermitian(x: KindedOperator, m: MetricOperator, tol: float) -> bool:

@@ -70,13 +70,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _pairs(v: np.ndarray) -> list[list[float]]:
-    """[re, im] pairs of a 1-D complex array, as plain Python floats."""
-    import numpy as np
-
-    return np.stack((v.real, v.imag), axis=-1).tolist()
-
-
 # json.dumps spells the non-finite floats differently from float.__repr__.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -166,7 +159,7 @@ def _entries_of(data, what: str) -> tuple[list, list]:
 
 def _entry_pairs(size: int, entries) -> list[list[float]]:
     """[re, im] pairs of the 1-D array of this size with these entries and
-    +0 elsewhere, as _pairs writes that array."""
+    +0 elsewhere, as matrix_to_json writes that array."""
     pairs = [[0.0, 0.0] for _ in range(size)]
     for k, z in zip(*entries):
         pairs[k] = [z.real, z.imag]
@@ -193,7 +186,7 @@ def matrix_to_json(m) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": _pairs(m.reshape(-1)),
+        "data": [[z.real, z.imag] for z in m.reshape(-1).tolist()],
     }
 
 

@@ -53,10 +53,11 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from math import sqrt
+from types import MappingProxyType
 
 from .entries import _cartesian, _combine, _monomial_signature, _pair
 from .errors import EqualWeights, InvalidArgument, InvalidWeights, WrongRepShape
-from .spaces import MetricOperator
+from .spaces import MetricOperator, _read_only
 from .su2 import Weight, _generator_entries
 
 __all__ = [
@@ -85,18 +86,18 @@ class CoupledRep:
     """The bundle of weights (j1, j2) with sign epsilon in one fixed basis.
 
     These four labels fix it. epsilon None stands for default_epsilon(j1,
-    j2); basis is a Basis or its name. The labels, metric and the entries
-    of M and N (see entries) are built when it is made: by _canonical in
-    the canonical basis and by _closed_form in the other two.
-    The public M, N, I and K are dense arrays made on first access, which
-    is when numpy is loaded; I and K are derived from M and N.
+    j2); basis is a Basis or its name. The labels (read-only mappings),
+    metric and the entries of M and N (see entries) are built when it is
+    made: by _canonical in the canonical basis and by _closed_form in the
+    other two. The public M, N, I and K are dense arrays made on first
+    access, which is when numpy is loaded; I and K are derived from M and N.
     """
 
     j1: Weight
     j2: Weight
     epsilon: int | None = None
     basis: Basis = Basis.CANONICAL
-    labels: tuple[dict, ...] = field(init=False, compare=False, repr=False)
+    labels: tuple[MappingProxyType, ...] = field(init=False, compare=False, repr=False)
     metric: MetricOperator = field(init=False, compare=False, repr=False)
     _mn: tuple = field(init=False, compare=False, repr=False)  # entries of M1, M2, M3, N1, N2, N3
 
@@ -113,7 +114,7 @@ class CoupledRep:
             raise WrongRepShape("equal-weight bundles are orthonormal in the rotation basis")
         labels, metric, mn = (_canonical(self.j1, self.j2, epsilon) if basis == Basis.CANONICAL
                               else _closed_form(self.j1, self.j2, epsilon, basis))
-        fields = dict(epsilon=epsilon, basis=basis, labels=tuple(labels),
+        fields = dict(epsilon=epsilon, basis=basis, labels=tuple(map(MappingProxyType, labels)),
                       metric=MetricOperator._from_entries(len(labels), metric), _mn=tuple(mn))
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -144,10 +145,7 @@ class CoupledRep:
     def _dense_family(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         from .linalg import _dense
 
-        out = tuple(_dense(self.dim, e) for e in self._families[name])
-        for x in out:
-            x.setflags(write=False)
-        return out
+        return tuple(_read_only(_dense(self.dim, e)) for e in self._families[name])
 
     @cached_property
     def M(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

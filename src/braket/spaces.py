@@ -71,10 +71,6 @@ class Variance(enum.Enum):
         return not self.is_ket
 
     @property
-    def is_down(self) -> bool:
-        return self in (Variance.KET_DOWN, Variance.BRA_DOWN)
-
-    @property
     def bra_partner(self) -> "Variance":
         """Variance of the mutually related bra (covariance is conserved)."""
         return {
@@ -199,11 +195,9 @@ class MetricOperator(_ReadOnly):
     """
 
     def __init__(self, eta):
-        from .linalg import _entries, as_matrix
+        from .linalg import _entries, _square
 
-        eta = _read_only(as_matrix(eta) + 0j)
-        if eta.shape[0] != eta.shape[1]:
-            raise DimensionMismatch(f"metric must be square, got {eta.shape}")
+        eta = _read_only(_square(eta, "metric") + 0j)
         self.__dict__["eta"] = eta
         self._check(eta.shape[0], _entries(eta))
 

@@ -1,7 +1,9 @@
 """Basis transformations, symmetry tests and gauge-group generators.
 
-A general invertible operator T moves all four dual bases at once; the
-metric matrix picks up the congruence T+ . eta . T, which preserves its
+A general invertible operator T moves all four dual bases at once, and
+one law, read off index positions, moves every matrix: a down index takes
+T (domain) or T^-1 (codomain), an up index (T^-1)+ or T+. The metric, of
+kind du, picks up the congruence T+ . eta . T, which preserves its
 signature. Transformations with T+ . eta . T = eta are the symmetries of
 the metric: they leave every scalar-product component expression invariant
 and form the pseudo-unitary gauge group of the metric. Its Lie algebra is
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument
-from .linalg import DEFAULT_TOLS, _finite_square, as_matrix, expm, inverse, max_abs
+from .linalg import DEFAULT_TOLS, _finite_square, _square, as_matrix, expm, inverse, max_abs
 from .operators import KindedOperator, OperatorKind, identity_down
 from .spaces import MetricOperator, _read_only, _ReadOnly
 
@@ -40,9 +42,7 @@ class BasisChange(_ReadOnly):
     """An invertible ket-down operator matrix acting on all dual bases."""
 
     def __init__(self, t):
-        t = as_matrix(t)
-        if t.shape[0] != t.shape[1]:
-            raise DimensionMismatch(f"basis change must be square, got {t.shape}")
+        t = _square(t, "basis change")
         # inverse raises Singular if t is not invertible within sig_tol
         self.__dict__.update(t=_read_only(t.copy()), t_inv=_read_only(inverse(t)))
 
@@ -51,24 +51,19 @@ class BasisChange(_ReadOnly):
         return self.t.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaugeParams:
     """Complex parameter matrix omega for the exponential parametrisation.
 
     Gauge (symmetry) flows need omega[i,j] + conj(omega[j,i]) = 0, i.e.
     the real part antisymmetric and the imaginary part symmetric; that
-    leaves exactly n*n real parameters.
+    leaves exactly n*n real parameters. It compares and hashes by identity.
     """
 
     omega: np.ndarray
 
     def __post_init__(self):
-        w = as_matrix(self.omega)
-        if w.shape[0] != w.shape[1]:
-            raise DimensionMismatch(f"omega must be square, got {w.shape}")
-        w = _finite_square(w).copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "omega", w)
+        object.__setattr__(self, "omega", _read_only(_finite_square(self.omega, "omega").copy()))
 
     @property
     def dim(self) -> int:
@@ -98,7 +93,7 @@ class GaugeParams:
 def transform_metric(bc: BasisChange, m: MetricOperator) -> MetricOperator:
     """Congruence eta' = T+ . eta . T; hermitian, invertible, same signature."""
     _match(bc, m.dim)
-    return MetricOperator(bc.t.conj().T @ m.eta @ bc.t)
+    return MetricOperator(_moved(bc, m.eta, OperatorKind.DOWN_UP))
 
 
 def transform_operator(bc: BasisChange, x: KindedOperator) -> KindedOperator:
@@ -108,16 +103,16 @@ def transform_operator(bc: BasisChange, x: KindedOperator) -> KindedOperator:
     du: like the metric     ud: like the inverse metric
     """
     _match(bc, x.dim)
-    t, tinv = bc.t, bc.t_inv
-    if x.kind == OperatorKind.DOWN_DOWN:
-        mat = tinv @ x.mat @ t
-    elif x.kind == OperatorKind.UP_UP:
-        mat = t.conj().T @ x.mat @ tinv.conj().T
-    elif x.kind == OperatorKind.DOWN_UP:
-        mat = t.conj().T @ x.mat @ t
-    else:
-        mat = tinv @ x.mat @ tinv.conj().T
-    return KindedOperator(mat, x.kind)
+    return KindedOperator(_moved(bc, x.mat, x.kind), x.kind)
+
+
+def _moved(bc: BasisChange, mat: np.ndarray, kind: OperatorKind) -> np.ndarray:
+    """left . mat . right, each side fixed by its index position: the
+    codomain by T^-1 if down and T+ if up, the domain by T if down and
+    (T^-1)+ if up."""
+    left = bc.t.conj().T if kind.codomain_up else bc.t_inv
+    right = bc.t_inv.conj().T if kind.domain_up else bc.t
+    return left @ mat @ right
 
 
 def symmetry_deviation(u, m: MetricOperator) -> float:

@@ -382,6 +382,23 @@ class TestEvalCommand:
         assert err == "error: result has a NaN or infinite part\n"
 
 
+class TestNonFinitePayload:
+    # JSON has no NaN or infinity; json.dumps would write NaN and Infinity
+    @pytest.mark.parametrize("entry", [np.nan, 1e308], ids=["nan", "huge"])
+    @pytest.mark.parametrize("command", ["check-symmetry", "transform"])
+    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+    def test_refused(self, capsys, tmp_path, command, entry):
+        upath = write_matrix(tmp_path / "u.json", [[entry, entry], [0, 1]])
+        mpath = write_matrix(tmp_path / "eta.json", np.diag([1.0, -1.0]))
+        argv = [command, "--matrix", upath, "--metric", mpath]
+        if command == "transform":
+            argv += ["--t", write_matrix(tmp_path / "t.json", np.diag([1.0, 3.0]))]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: result has a NaN or infinite part\n"
+
+
 class TestTransformCommand:
     def test_dd_law_and_metric(self, capsys, tmp_path):
         apath = write_matrix(tmp_path / "a.json", [[1, 2], [3, 4]])

@@ -359,6 +359,15 @@ class TestEnvironment:
         with pytest.raises(UnboundName):
             eval_source("bd:v kd:x", env)
 
+    def test_compares_and_hashes_by_identity(self):
+        # like the metric, vectors and operators it binds; a generated
+        # __hash__ would hash its mapping views and raise
+        metric = MetricOperator(np.eye(2))
+        a, b = Environment(2, metric), Environment(2, metric)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
 
 class TestLibraryCoherence:
     def test_random_environments(self, rng):

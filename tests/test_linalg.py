@@ -27,6 +27,8 @@ from braket import (
 )
 from braket.entries import _monomial_of, _monomial_signature
 from braket.linalg import _PADE_THETA, _entries, max_abs
+from braket.operators import KindedOperator, OperatorKind
+from braket.transforms import BasisChange, GaugeParams
 from conftest import max_dev, random_complex, random_invertible, random_hermitian_invertible
 
 
@@ -407,3 +409,21 @@ def test_tolerances_validation():
     assert tols.sig_tol == 1e-9 and tols.sym_tol == 1e-8
     with pytest.raises(AttributeError):
         tols.eq_tol = 0.0
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda a: KindedOperator(a, OperatorKind.DOWN_DOWN), "operator matrix"),
+        (MetricOperator, "metric"),
+        (BasisChange, "basis change"),
+        (GaugeParams, "omega"),
+        (inverse, "matrix"),
+        (signature, "matrix"),
+        (expm, "matrix"),
+    ],
+    ids=["operator", "metric", "basis-change", "omega", "inverse", "signature", "expm"],
+)
+def test_square_check_names_its_input(make, name):
+    with pytest.raises(DimensionMismatch, match=rf"^{name} must be square, got \(2, 3\)$"):
+        make(np.zeros((2, 3)))

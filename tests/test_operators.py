@@ -21,6 +21,8 @@ from braket import (
     scale,
     trace,
 )
+from braket.entries import _adjoint
+from braket.operators import _chain
 from conftest import (ascending_product, max_dev, random_complex, random_metric,
                       random_semi_hermitian)
 
@@ -48,6 +50,14 @@ def ulp_bound(a, b) -> float:
 
 def op(rng, kind, n=2):
     return KindedOperator(random_complex(rng, n, n), kind)
+
+
+MONOMIAL_METRIC = MetricOperator([[0, 2j, 0], [-2j, 0, 0], [0, 0, -1]])
+
+
+def bits(entries) -> tuple[list, bytes]:
+    """Positions and value bits of entries, so that -0.0 != 0.0."""
+    return entries[0], np.array(entries[1], dtype=complex).tobytes()
 
 
 class TestKindAlgebra:
@@ -162,6 +172,22 @@ class TestCoupleOperator:
 
 
 class TestDiracAdjoint:
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    @pytest.mark.parametrize("dense", [False, True], ids=["monomial", "dense"])
+    def test_entries_of_the_explicit_dressings(self, rng, kind, dense):
+        # a monomial metric holds its inverse's entries from the start; a
+        # dense one derives them from linalg.inverse
+        m = random_metric(rng, 3) if dense else MONOMIAL_METRIC
+        x = op(rng, kind, 3)
+        adj = _adjoint(x._entries, 3, 3)
+        want = {
+            DD: lambda: _chain(3, m._inv_entries, adj, m._entries),
+            UU: lambda: _chain(3, m._entries, adj, m._inv_entries),
+        }.get(kind, lambda: adj)()
+        bar = dirac_adjoint(x, m)
+        assert bar.kind == kind
+        assert bits(bar._entries) == bits(want)
+
     def test_metric_and_identities_self_adjoint(self, rng):
         m = random_metric(rng, 3)
         for x in (metric_op(m), metric_inv_op(m), identity_down(3), identity_up(3)):

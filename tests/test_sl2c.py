@@ -863,3 +863,13 @@ class TestLabels:
         orth = orthonormal_basis(rot)
         signs = [lab["sign"] for lab in orth.labels]
         assert signs == [1, 1, -1, -1]
+
+    def test_labels_are_read_only(self):
+        # a label is not compared or hashed, so a changed one would go
+        # unseen by == while rep_to_json wrote it
+        rep = build_rep(Weight(1), Weight(0))
+        before = rep_to_json(rep)
+        with pytest.raises(TypeError):
+            rep.labels[0]["twice_ml"] = 99
+        assert rep_to_json(rep) == before
+        assert before["labels"][0]["twice_ml"] == 1

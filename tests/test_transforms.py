@@ -41,6 +41,14 @@ from conftest import (
 
 DIAG_1_1 = MetricOperator(np.diag([1.0, -1.0]))
 
+# The basis-change law written out kind by kind: (t, t_inv, mat) -> matrix.
+FOUR_BRANCH_LAW = {
+    OperatorKind.DOWN_DOWN: lambda t, tinv, mat: tinv @ mat @ t,
+    OperatorKind.UP_UP: lambda t, tinv, mat: t.conj().T @ mat @ tinv.conj().T,
+    OperatorKind.DOWN_UP: lambda t, tinv, mat: t.conj().T @ mat @ t,
+    OperatorKind.UP_DOWN: lambda t, tinv, mat: tinv @ mat @ tinv.conj().T,
+}
+
 
 def random_gauge_params(rng, n, bound=0.25) -> GaugeParams:
     return GaugeParams.from_real_parameters(
@@ -69,6 +77,12 @@ class TestBasisChange:
 
 
 class TestTransformMetric:
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_bits_of_the_congruence(self, rng, n):
+        bc, m = BasisChange(random_invertible(rng, n)), random_metric(rng, n)
+        want = bc.t.conj().T @ m.eta @ bc.t + 0j
+        assert transform_metric(bc, m).eta.tobytes() == want.tobytes()
+
     def test_identity(self, rng):
         m = random_metric(rng, 3)
         moved = transform_metric(BasisChange(np.eye(3)), m)
@@ -89,6 +103,16 @@ class TestTransformMetric:
 
 
 class TestTransformOperator:
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_bits_of_the_four_branch_law(self, rng, kind, n):
+        bc = BasisChange(random_invertible(rng, n))
+        x = KindedOperator(random_complex(rng, n, n), kind)
+        moved = transform_operator(bc, x)
+        want = FOUR_BRANCH_LAW[kind](bc.t, bc.t_inv, x.mat) + 0j
+        assert moved.kind == kind
+        assert moved.mat.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("kind", list(OperatorKind))
     def test_identity_change(self, rng, kind):
         x = KindedOperator(random_complex(rng, 3, 3), kind)
@@ -288,6 +312,15 @@ class TestGroupElement:
     def test_non_square_message_kept(self):
         with pytest.raises(DimensionMismatch, match="omega must be square"):
             GaugeParams(np.zeros((2, 3)))
+
+    def test_compares_and_hashes_by_identity(self):
+        # like the array it holds; a generated __eq__ would compare arrays
+        # and raise, and a generated __hash__ would hash one
+        omega = np.zeros((2, 2))
+        a, b = GaugeParams(omega), GaugeParams(omega)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
 
     def test_real_parameters_must_be_real(self):
         with pytest.raises(InvalidArgument):
