@@ -9,7 +9,9 @@ convention.
 clebsch_gordan parses each label once into twice its value and checks
 the six; the private kernel _clebsch_gordan does the arithmetic on those
 twice-labels, and sl2c._cg_block, whose labels are valid by
-construction, calls it directly. Racah's sum is evaluated in integers, as
+construction, calls it directly. A CGValue is checked once, by its
+public constructor: the kernel's results and the products and negations
+of values are valid by construction and skip the checks. Racah's sum is evaluated in integers, as
 WIGXJPF does (Johansson & Forssen, SIAM J. Sci. Comput. 38 (2016) A376),
 in Wei's binomial form (Comput. Phys. Commun. 120 (1999) 222): its terms
 are integers whose consecutive ratio is a ratio of integer cubics, so each
@@ -32,36 +34,42 @@ from __future__ import annotations
 
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, lcm, sqrt
 from typing import Iterable
 
+from .entries import _Value
 from .errors import InvalidArgument, InvalidWeights
 from .su2 import twice_half_integer
 
 __all__ = ["CGValue", "clebsch_gordan", "radical_sum"]
 
 
-@dataclass(frozen=True)
-class CGValue:
+class CGValue(_Value):
     """A signed square root of a non-negative rational: sign * sqrt(squared)."""
 
-    sign: int
-    squared: Fraction
+    _fields = ("sign", "squared")
 
-    def __post_init__(self):
-        if type(self.sign) is not int:  # a bool is refused too
-            raise InvalidArgument(f"sign must be an int, got {self.sign!r}")
-        if type(self.squared) not in (int, Fraction):
-            raise InvalidArgument(f"squared must be an int or a Fraction, got {self.squared!r}")
-        if self.sign not in (-1, 0, 1):
-            raise InvalidArgument(f"sign must be -1, 0 or +1, got {self.sign}")
-        n = self.squared.numerator  # an int's numerator is itself
+    def __init__(self, sign: int, squared: Fraction):
+        if type(sign) is not int:  # a bool is refused too
+            raise InvalidArgument(f"sign must be an int, got {sign!r}")
+        if type(squared) not in (int, Fraction):
+            raise InvalidArgument(f"squared must be an int or a Fraction, got {squared!r}")
+        if sign not in (-1, 0, 1):
+            raise InvalidArgument(f"sign must be -1, 0 or +1, got {sign}")
+        n = squared.numerator  # an int's numerator is itself
         if n < 0:
             raise InvalidArgument("squared value must be non-negative")
-        if (n == 0) != (self.sign == 0):
+        if (n == 0) != (sign == 0):
             raise InvalidArgument("squared is zero exactly when sign is zero")
+        self.__dict__.update(sign=sign, squared=squared)
+
+    @classmethod
+    def _unchecked(cls, sign: int, squared: Fraction) -> "CGValue":
+        """The value of arguments valid by construction, made without the checks."""
+        self = cls.__new__(cls)
+        self.__dict__.update(sign=sign, squared=squared)
+        return self
 
     @property
     def value(self) -> float:
@@ -72,10 +80,10 @@ class CGValue:
         return self.sign == 0
 
     def __mul__(self, other: "CGValue") -> "CGValue":
-        return CGValue(self.sign * other.sign, self.squared * other.squared)
+        return CGValue._unchecked(self.sign * other.sign, self.squared * other.squared)
 
     def __neg__(self) -> "CGValue":
-        return CGValue(-self.sign, self.squared)
+        return CGValue._unchecked(-self.sign, self.squared)
 
 
 CG_ZERO = CGValue(0, Fraction(0))
@@ -140,7 +148,7 @@ def _clebsch_gordan(tj1: int, tl1: int, tj2: int, tl2: int, ts: int, tsig: int) 
     top = ksum * ksum * comb(tj1, a) * comb(tj2, a)
     bottom = (comb((tj1 + tj2 + ts) // 2 + 1, a) * comb(tj1, b)
               * comb(tj2, (tj2 - tl2) // 2) * comb(ts, (ts - tsig) // 2))
-    return CGValue(1 if ksum > 0 else -1, Fraction(top, bottom))
+    return CGValue._unchecked(1 if ksum > 0 else -1, Fraction(top, bottom))
 
 
 # Trial division stops below this prime bound: far above the primes of any

@@ -19,7 +19,6 @@ import json
 import re
 import sys
 from collections.abc import Iterator
-from fractions import Fraction
 
 from .errors import BraketError, InvalidArgument
 
@@ -36,6 +35,8 @@ _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
 
 def _half_integer(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -199,7 +200,7 @@ def main(argv=None) -> int:
     try:
         out = args.func(args)
         if isinstance(out, (dict, list)):
-            # what serialize.dump_json writes, but JSON has no NaN or infinity
+            # serialize.dump_json's text and check, without loading serialize for `cg`
             try:
                 out = [json.dumps(out, allow_nan=False)]
             except ValueError:

@@ -53,10 +53,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .entries import _adjoint, _only, _product, _scale, _sum
+from .entries import _adjoint, _only, _product, _ReadOnly, _scale, _sum, _Value
 from .errors import DimensionMismatch, DslSyntaxError, UnboundName, UnknownToken, VarianceError
 from .operators import (
     KindedOperator,
@@ -74,8 +73,7 @@ from .spaces import MetricOperator, Variance, VarVector, relate_bra, relate_ket
 __all__ = ["Environment", "parse", "evaluate", "eval_source"]
 
 
-@dataclass(frozen=True, eq=False)
-class Environment:
+class Environment(_ReadOnly):
     """Named vectors and operators over one metric of fixed dimension.
 
     Read-only: vectors and operators are mapping views over copies of the
@@ -83,73 +81,73 @@ class Environment:
     It compares and hashes by identity, as the values it binds do.
     """
 
-    dimension: int
-    metric: MetricOperator
-    vectors: Mapping[str, VarVector] = field(default_factory=dict)
-    operators: Mapping[str, KindedOperator] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for attr in ("vectors", "operators"):
-            object.__setattr__(self, attr, MappingProxyType(dict(getattr(self, attr))))
-        if self.metric.dim != self.dimension:
-            raise DimensionMismatch(
-                f"metric dim {self.metric.dim} != environment dim {self.dimension}"
-            )
-        for name, v in self.vectors.items():
-            if v.dim != self.dimension:
+    def __init__(self, dimension: int, metric: MetricOperator,
+                 vectors: Mapping[str, VarVector] = MappingProxyType({}),
+                 operators: Mapping[str, KindedOperator] = MappingProxyType({})):
+        vectors, operators = MappingProxyType(dict(vectors)), MappingProxyType(dict(operators))
+        if metric.dim != dimension:
+            raise DimensionMismatch(f"metric dim {metric.dim} != environment dim {dimension}")
+        for name, v in vectors.items():
+            if v.dim != dimension:
                 raise DimensionMismatch(f"vector {name!r} has dim {v.dim}")
-        for name, x in self.operators.items():
-            if x.dim != self.dimension:
+        for name, x in operators.items():
+            if x.dim != dimension:
                 raise DimensionMismatch(f"operator {name!r} has dim {x.dim}")
+        self.__dict__.update(dimension=dimension, metric=metric, vectors=vectors,
+                             operators=operators)
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST: each node compares, hashes and prints by its fields, pos first
 
 
-@dataclass(frozen=True)
-class Vector:
-    pos: int
-    name: str
-    variance: Variance  # the Variance whose value is the token's prefix
+class Vector(_Value):
+    _fields = ("pos", "name", "variance")
+
+    def __init__(self, pos: int, name: str, variance: Variance):  # the Variance of the prefix
+        self.__dict__.update(pos=pos, name=name, variance=variance)
 
 
-@dataclass(frozen=True)
-class Name:
-    pos: int
-    name: str  # a keyword of _CONSTS or a bound operator
+class Name(_Value):
+    _fields = ("pos", "name")
+
+    def __init__(self, pos: int, name: str):  # name: a keyword of _CONSTS or a bound operator
+        self.__dict__.update(pos=pos, name=name)
 
 
-@dataclass(frozen=True)
-class Literal:
-    pos: int
-    value: complex
+class Literal(_Value):
+    _fields = ("pos", "value")
+
+    def __init__(self, pos: int, value: complex):
+        self.__dict__.update(pos=pos, value=value)
 
 
-@dataclass(frozen=True)
-class Call:
-    pos: int
-    fn: str  # a key of _CALLS
-    operand: object
+class Call(_Value):
+    _fields = ("pos", "fn", "operand")
+
+    def __init__(self, pos: int, fn: str, operand):  # fn: a key of _CALLS
+        self.__dict__.update(pos=pos, fn=fn, operand=operand)
 
 
-@dataclass(frozen=True)
-class Juxt:
-    pos: int
-    items: tuple
+class Juxt(_Value):
+    _fields = ("pos", "items")
+
+    def __init__(self, pos: int, items: tuple):
+        self.__dict__.update(pos=pos, items=items)
 
 
-@dataclass(frozen=True)
-class Sum:
-    pos: int
-    terms: tuple  # (sign, node) pairs, sign is +1 or -1
+class Sum(_Value):
+    _fields = ("pos", "terms")
+
+    def __init__(self, pos: int, terms: tuple):  # terms: (sign, node) pairs, sign +1 or -1
+        self.__dict__.update(pos=pos, terms=terms)
 
 
-@dataclass(frozen=True)
-class Scale:
-    pos: int
-    factor: object
-    operand: object
+class Scale(_Value):
+    _fields = ("pos", "factor", "operand")
+
+    def __init__(self, pos: int, factor, operand):
+        self.__dict__.update(pos=pos, factor=factor, operand=operand)
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +169,11 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
-    value: complex = 0j
+class _Token(_Value):
+    _fields = ("kind", "text", "pos", "value")
+
+    def __init__(self, kind: str, text: str, pos: int, value: complex = 0j):
+        self.__dict__.update(kind=kind, text=text, pos=pos, value=value)
 
 
 def _tokenize(src: str) -> list[_Token]:

@@ -3,7 +3,7 @@
 A matrix is held as its entries: (index, values), the ascending flat
 indices i * cols + j as a list of ints and the Python complex values
 there. A zero has no sign in the bra-ket calculus, and the one rule for
-it is here: _pair and _combine keep a value only when it is not zero,
+it is here: _pair and _kept keep a value only when it is not zero,
 and store it plus 0j, which turns a -0.0 part into 0.0 and leaves every
 other bit alone. Every other position holds 0.
 
@@ -20,19 +20,60 @@ column, as every bundle metric does (a signed permutation, or diag(+-1)
 in the orthonormal basis). It is described by (cols, vals), row i
 holding vals[i] at column cols[i], and the helpers below check it as a
 metric and read its signature from these d values alone.
+
+Every command loads this module, so the read-only base of every library
+value is here too: _ReadOnly, and _Value for those that compare by value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite, isnan, nan
+from itertools import repeat
 from operator import add
 
 from .errors import DegenerateMetric, InvalidArgument, NotHermitian, Singular
 
 
-@dataclass(frozen=True)
-class _Tolerances:
+class _ReadOnly:
+    """A value whose attributes are set once, when it is made, through its
+    __dict__ (cached properties too); assigning or deleting one raises
+    dataclasses.FrozenInstanceError. It compares and hashes by identity."""
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Value(_ReadOnly):
+    """A read-only value that compares, hashes and prints by its _fields, in
+    order, as a frozen dataclass does: == with another type is
+    NotImplemented."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{self.__class__.__qualname__}({args})"
+
+
+class _Tolerances(_Value):
     """The library's fixed numeric thresholds.
 
     eq_tol   entrywise equality of matrices and scalars
@@ -41,26 +82,32 @@ class _Tolerances:
     sym_tol  metric preservation after an exponential map
     """
 
-    eq_tol: float = 1e-10
-    herm_tol: float = 1e-10
-    sig_tol: float = 1e-9
-    sym_tol: float = 1e-8
+    _fields = ("eq_tol", "herm_tol", "sig_tol", "sym_tol")
+
+    def __init__(self, eq_tol: float = 1e-10, herm_tol: float = 1e-10, sig_tol: float = 1e-9,
+                 sym_tol: float = 1e-8):
+        self.__dict__.update(eq_tol=eq_tol, herm_tol=herm_tol, sig_tol=sig_tol, sym_tol=sym_tol)
 
 
 DEFAULT_TOLS = _Tolerances()
 
 
-def _combine(a: dict, b: dict, op) -> tuple[list, list]:
-    """Entries of op(x, y) over the union of the indices of a and b, two
-    {index: value}, x and y read from them with 0 where one has none.
-    op(0, 0) is 0 for every op used, so the positions in neither are 0."""
-    index, values = [], []
-    for k in sorted(a.keys() | b.keys()):
-        x = op(a.get(k, 0), b.get(k, 0))
-        if x != 0:
-            index.append(k)
-            values.append(x + 0j)
-    return index, values
+def _aligned(a, b) -> tuple[list, list, list]:
+    """The union of the positions of two matrices of one shape, ascending,
+    and the values of each there, 0 where it has none; matrices holding the
+    same positions are read as they are."""
+    if a[0] == b[0]:
+        return a[0], a[1], b[1]
+    da, db = dict(zip(*a)), dict(zip(*b))
+    index = sorted(da.keys() | db.keys())
+    return index, list(map(da.get, index, repeat(0))), list(map(db.get, index, repeat(0)))
+
+
+def _kept(index: list, values: list) -> tuple[list, list]:
+    """The entries of these values at these ascending positions, with the
+    zero values left out."""
+    kept = [i for i, x in enumerate(values) if x != 0]
+    return [index[i] for i in kept], [values[i] + 0j for i in kept]
 
 
 def _pair(entries: dict) -> tuple[list, list]:
@@ -72,7 +119,8 @@ def _pair(entries: dict) -> tuple[list, list]:
 
 def _sum(a, b) -> tuple[list, list]:
     """Entries of the sum of two matrices of one shape."""
-    return _combine(dict(zip(*a)), dict(zip(*b)), add)
+    index, x, y = _aligned(a, b)
+    return _kept(index, list(map(add, x, y)))
 
 
 def _scale(alpha: complex, a) -> tuple[list, list]:

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .entries import _adjoint, _max_abs, _pair, _product, _scale, _sum, _trace
+from .entries import _adjoint, _max_abs, _pair, _product, _ReadOnly, _scale, _sum, _trace
 from .errors import DimensionMismatch, KindMismatch, WrongKind
-from .spaces import MetricOperator, OperatorKind, _read_only, _ReadOnly
+from .spaces import MetricOperator, OperatorKind, _read_only
 
 __all__ = [
     "OperatorKind",

@@ -9,10 +9,9 @@ direct sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .entries import _ReadOnly
 from .errors import (
     DimensionMismatch,
     NotIdempotent,
@@ -36,20 +35,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Projector:
+class Projector(_ReadOnly):
     """An idempotent ket-down endomorphism."""
 
-    op: KindedOperator
-
-    def __post_init__(self):
-        if self.op.kind != OperatorKind.DOWN_DOWN:
-            raise WrongKind(
-                f"projectors are ket-down endomorphisms, got {self.op.kind.value}"
-            )
-        _finite_square(self.op.mat)  # NaN would pass the idempotency check below
-        if max_abs(self.op.mat @ self.op.mat - self.op.mat) > DEFAULT_TOLS.eq_tol:
+    def __init__(self, op: KindedOperator):
+        if op.kind != OperatorKind.DOWN_DOWN:
+            raise WrongKind(f"projectors are ket-down endomorphisms, got {op.kind.value}")
+        _finite_square(op.mat)  # NaN would pass the idempotency check below
+        if max_abs(op.mat @ op.mat - op.mat) > DEFAULT_TOLS.eq_tol:
             raise NotIdempotent("matrix is not idempotent within eq_tol")
+        self.__dict__["op"] = op
 
     @classmethod
     def from_matrix(cls, mat) -> "Projector":

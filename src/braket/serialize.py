@@ -418,7 +418,14 @@ def environment_from_json(obj) -> Environment:
 
 
 def dump_json(payload) -> str:
-    return json.dumps(payload)
+    """The JSON text of a payload. A NaN or infinite part, which JSON cannot
+    spell, raises InvalidArgument; a circular payload raises json's own
+    ValueError."""
+    try:
+        return json.dumps(payload, allow_nan=False)
+    except ValueError:
+        json.dumps(payload)  # raises again only if the payload is circular
+        raise InvalidArgument("result has a NaN or infinite part") from None
 
 
 def load_json(text: str | bytes):

@@ -11,7 +11,7 @@ tensor square K^j x K^j with the slot-swap metric.
 Both shapes are assembled by one path over the bundle's tensor blocks:
 ((j, j),) for a tensor square, ((j1, j2), (j2, j1)) for a pair.
 
-A bundle is the frozen value CoupledRep(j1, j2, epsilon, basis): it
+A bundle is the read-only value CoupledRep(j1, j2, epsilon, basis): it
 compares and hashes on these four labels, and builds all else from them
 when it is made. build_rep, build_rep_diag, rotation_basis and
 orthonormal_basis check their arguments and make it.
@@ -49,13 +49,13 @@ its own rounding. Zeros are unsigned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from math import sqrt
+from operator import add
 from types import MappingProxyType
 
-from .entries import _cartesian, _combine, _monomial_signature, _pair
+from .entries import _aligned, _cartesian, _kept, _monomial_signature, _pair, _Value
 from .errors import EqualWeights, InvalidArgument, InvalidWeights, WrongRepShape
 from .spaces import MetricOperator, _read_only
 from .su2 import Weight, _generator_entries
@@ -81,43 +81,37 @@ class Basis(str, Enum):
     ORTHONORMAL = "orthonormal"
 
 
-@dataclass(frozen=True)
-class CoupledRep:
+class CoupledRep(_Value):
     """The bundle of weights (j1, j2) with sign epsilon in one fixed basis.
 
-    These four labels fix it. epsilon None stands for default_epsilon(j1,
-    j2); basis is a Basis or its name. The labels (read-only mappings),
-    metric and the entries of M and N (see entries) are built when it is
-    made: by _canonical in the canonical basis and by _closed_form in the
-    other two. The public M, N, I and K are dense arrays made on first
-    access, which is when numpy is loaded; I and K are derived from M and N.
+    These four labels fix it, and it compares, hashes and prints by them.
+    epsilon None stands for default_epsilon(j1, j2); basis is a Basis or
+    its name. The labels (read-only mappings), metric and the entries of M
+    and N (see entries) are built when it is made: by _canonical in the
+    canonical basis and by _closed_form in the other two. The public M, N,
+    I and K are dense arrays made on first access, which is when numpy is
+    loaded; I and K are derived from M and N.
     """
 
-    j1: Weight
-    j2: Weight
-    epsilon: int | None = None
-    basis: Basis = Basis.CANONICAL
-    labels: tuple[MappingProxyType, ...] = field(init=False, compare=False, repr=False)
-    metric: MetricOperator = field(init=False, compare=False, repr=False)
-    _mn: tuple = field(init=False, compare=False, repr=False)  # entries of M1, M2, M3, N1, N2, N3
+    _fields = ("j1", "j2", "epsilon", "basis")
 
-    def __post_init__(self):
-        if not (isinstance(self.j1, Weight) and isinstance(self.j2, Weight)):
-            raise InvalidWeights(f"weights must be Weight, got {self.j1!r} and {self.j2!r}")
-        epsilon = self.epsilon
-        epsilon = default_epsilon(self.j1, self.j2) if epsilon is None else _check_epsilon(epsilon)
+    def __init__(self, j1: Weight, j2: Weight, epsilon: int | None = None,
+                 basis: Basis = Basis.CANONICAL):
+        if not (isinstance(j1, Weight) and isinstance(j2, Weight)):
+            raise InvalidWeights(f"weights must be Weight, got {j1!r} and {j2!r}")
+        epsilon = default_epsilon(j1, j2) if epsilon is None else _check_epsilon(epsilon)
         try:
-            basis = Basis(self.basis)
+            basis = Basis(basis)
         except ValueError:
-            raise InvalidArgument(f"unknown basis {self.basis!r}") from None
-        if basis == Basis.ORTHONORMAL and self.is_diagonal:
+            raise InvalidArgument(f"unknown basis {basis!r}") from None
+        if basis == Basis.ORTHONORMAL and j1 == j2:
             raise WrongRepShape("equal-weight bundles are orthonormal in the rotation basis")
-        labels, metric, mn = (_canonical(self.j1, self.j2, epsilon) if basis == Basis.CANONICAL
-                              else _closed_form(self.j1, self.j2, epsilon, basis))
-        fields = dict(epsilon=epsilon, basis=basis, labels=tuple(map(MappingProxyType, labels)),
-                      metric=MetricOperator._from_entries(len(labels), metric), _mn=tuple(mn))
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        labels, metric, mn = (_canonical(j1, j2, epsilon) if basis == Basis.CANONICAL
+                              else _closed_form(j1, j2, epsilon, basis))
+        self.__dict__.update(j1=j1, j2=j2, epsilon=epsilon, basis=basis,
+                             labels=tuple(map(MappingProxyType, labels)),
+                             metric=MetricOperator._from_entries(len(labels), metric),
+                             _mn=tuple(mn))  # entries of M1, M2, M3, N1, N2, N3
 
     @property
     def dim(self) -> int:
@@ -131,16 +125,16 @@ class CoupledRep:
 
     @cached_property
     def _families(self) -> dict[str, tuple]:
-        """Entries of M, N, I and K, in payload order; I and K are taken on
-        the union of M's and N's positions."""
+        """Entries of M, N, I and K, in payload order; I and K are taken in
+        one pass over the union of M_a's and N_a's positions, which are the
+        same in the rotation and orthonormal bases."""
         m, n = self._mn[:3], self._mn[3:]
-        pairs = [(dict(zip(*a)), dict(zip(*b))) for a, b in zip(m, n)]
-        return {
-            "M": m,
-            "N": n,
-            "I": tuple(_combine(a, b, lambda x, y: x + y) for a, b in pairs),
-            "K": tuple(_combine(a, b, lambda x, y: 1j * (y - x)) for a, b in pairs),
-        }
+        i, k = [], []
+        for a, b in zip(m, n):
+            index, u, w = _aligned(a, b)
+            i.append(_kept(index, list(map(add, u, w))))
+            k.append(_kept(index, [1j * (y - x) for x, y in zip(u, w)]))
+        return {"M": m, "N": n, "I": tuple(i), "K": tuple(k)}
 
     def _dense_family(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         from .linalg import _dense
@@ -478,7 +472,7 @@ def rotation_basis(rep: CoupledRep) -> tuple[np.ndarray, CoupledRep]:
         n = jl.dim * jr.dim
         c[offset : offset + n, offset : offset + n] = _cg_block(jl, jr)
         offset += n
-    return c, replace(rep, basis=Basis.ROTATION)
+    return c, CoupledRep(rep.j1, rep.j2, rep.epsilon, Basis.ROTATION)
 
 
 def orthonormal_basis(rep: CoupledRep) -> CoupledRep:
@@ -492,7 +486,7 @@ def orthonormal_basis(rep: CoupledRep) -> CoupledRep:
     # the constructor rejects a tensor square in any basis
     if rep.basis != Basis.ROTATION and not rep.is_diagonal:
         raise WrongRepShape(f"expected a rotation-basis bundle, got {rep.basis.value!r}")
-    return replace(rep, basis=Basis.ORTHONORMAL)
+    return CoupledRep(rep.j1, rep.j2, rep.epsilon, Basis.ORTHONORMAL)
 
 
 def rep_signature(rep: CoupledRep) -> tuple[int, int]:

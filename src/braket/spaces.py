@@ -15,16 +15,18 @@ bit. The bra relations, couple, dual_form and scalar_product compute on
 entries in pure Python. numpy is loaded only by a dense argument, by
 reading `components`, `eta` or `eta_inv`, by a metric that is not
 monomial, and by raise_lower_index, which takes and returns arrays.
+Both values are read-only through entries._ReadOnly, the one read-only
+base of the library's values, and compare by identity.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import FrozenInstanceError
 from functools import cached_property
 
 from .entries import (
     DEFAULT_TOLS,
+    _ReadOnly,
     _adjoint,
     _check_monomial_metric,
     _monomial_of,
@@ -124,18 +126,6 @@ class OperatorKind(enum.Enum):
     @property
     def is_endomorphism(self) -> bool:
         return self in (OperatorKind.DOWN_DOWN, OperatorKind.UP_UP)
-
-
-class _ReadOnly:
-    """A value whose attributes are set once, when it is made, through its
-    __dict__ (cached properties too); assigning or deleting one raises, as
-    on a frozen dataclass."""
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class VarVector(_ReadOnly):

@@ -14,12 +14,10 @@ and ladder_plus make dense arrays of them, and load numpy when called.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from functools import total_ordering
 from math import sqrt
-from numbers import Integral, Real
 
-from .entries import _cartesian, _pair
+from .entries import _cartesian, _pair, _ReadOnly, _Value
 from .errors import InvalidWeights
 
 __all__ = ["Weight", "Su2Irrep", "su2_generators", "ladder_plus"]
@@ -36,6 +34,9 @@ def twice_half_integer(x, name: str) -> int:
     kind = type(x)
     if kind is int:
         return 2 * x
+    from fractions import Fraction
+    from numbers import Integral, Real
+
     if kind is not Fraction:
         if isinstance(x, bool) or not isinstance(x, Real):  # bool is an int, but no weight
             raise InvalidWeights(f"{name}={x!r} is not a number")
@@ -55,16 +56,22 @@ def twice_half_integer(x, name: str) -> int:
     raise InvalidWeights(f"{name}={x} is not a half-integer")
 
 
-@dataclass(frozen=True, order=True)
-class Weight:
+@total_ordering
+class Weight(_Value):
     """A non-negative half-integer weight stored as twice its value."""
 
-    twice_j: int
+    _fields = ("twice_j",)
 
-    def __post_init__(self):
+    def __init__(self, twice_j: int):
         # bool is an int, but no weight: its JSON would be true or false
-        if not isinstance(self.twice_j, int) or isinstance(self.twice_j, bool) or self.twice_j < 0:
-            raise InvalidWeights(f"twice_j must be a non-negative int, got {self.twice_j!r}")
+        if not isinstance(twice_j, int) or isinstance(twice_j, bool) or twice_j < 0:
+            raise InvalidWeights(f"twice_j must be a non-negative int, got {twice_j!r}")
+        self.__dict__["twice_j"] = twice_j
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.twice_j < other.twice_j
 
     @classmethod
     def from_j(cls, j) -> "Weight":
@@ -73,6 +80,8 @@ class Weight:
 
     @property
     def j(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.twice_j, 2)
 
     @property
@@ -83,12 +92,11 @@ class Weight:
         return str(self.j)
 
 
-@dataclass(frozen=True, eq=False)
-class Su2Irrep:
+class Su2Irrep(_ReadOnly):
     """The three canonical generator matrices of the weight-j irrep."""
 
-    j: Weight
-    J: tuple[np.ndarray, np.ndarray, np.ndarray]
+    def __init__(self, j: Weight, J: tuple[np.ndarray, np.ndarray, np.ndarray]):
+        self.__dict__.update(j=j, J=J)
 
     @property
     def dim(self) -> int:

@@ -13,14 +13,13 @@ traceless family H_ij, and the self-adjoint pair A_ij / S_ij.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .entries import _ReadOnly
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument
 from .linalg import DEFAULT_TOLS, _finite_square, _square, as_matrix, expm, inverse, max_abs
 from .operators import KindedOperator, OperatorKind, identity_down
-from .spaces import MetricOperator, _read_only, _ReadOnly
+from .spaces import MetricOperator, _read_only
 
 __all__ = [
     "BasisChange",
@@ -51,8 +50,7 @@ class BasisChange(_ReadOnly):
         return self.t.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class GaugeParams:
+class GaugeParams(_ReadOnly):
     """Complex parameter matrix omega for the exponential parametrisation.
 
     Gauge (symmetry) flows need omega[i,j] + conj(omega[j,i]) = 0, i.e.
@@ -60,10 +58,8 @@ class GaugeParams:
     leaves exactly n*n real parameters. It compares and hashes by identity.
     """
 
-    omega: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", _read_only(_finite_square(self.omega, "omega").copy()))
+    def __init__(self, omega: np.ndarray):
+        self.__dict__["omega"] = _read_only(_finite_square(omega, "omega").copy())
 
     @property
     def dim(self) -> int:
@@ -112,15 +108,27 @@ def _moved(bc: BasisChange, mat: np.ndarray, kind: OperatorKind) -> np.ndarray:
     (T^-1)+ if up."""
     left = bc.t.conj().T if kind.codomain_up else bc.t_inv
     right = bc.t_inv.conj().T if kind.domain_up else bc.t
-    return left @ mat @ right
+    return _finite(lambda: left @ mat @ right)
+
+
+def _finite(compute):
+    """compute(), whose numpy overflow or invalid operation raises
+    InvalidArgument, where numpy would warn and go on with an infinity or a
+    NaN."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return compute()
+    except FloatingPointError:
+        raise InvalidArgument("result has a NaN or infinite part") from None
 
 
 def symmetry_deviation(u, m: MetricOperator) -> float:
-    """Largest entry of U+ . eta . U - eta; zero for an exact symmetry."""
+    """Largest entry of U+ . eta . U - eta; zero for an exact symmetry. An
+    overflow on the way raises InvalidArgument."""
     u = as_matrix(u)
     if u.shape != (m.dim, m.dim):
         raise DimensionMismatch(f"expected {m.dim}x{m.dim}, got {u.shape}")
-    return max_abs(u.conj().T @ m.eta @ u - m.eta)
+    return _finite(lambda: max_abs(u.conj().T @ m.eta @ u - m.eta))
 
 
 def is_symmetry(u, m: MetricOperator, tol: float) -> bool:

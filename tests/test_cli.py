@@ -386,7 +386,7 @@ class TestNonFinitePayload:
     # JSON has no NaN or infinity; json.dumps would write NaN and Infinity
     @pytest.mark.parametrize("entry", [np.nan, 1e308], ids=["nan", "huge"])
     @pytest.mark.parametrize("command", ["check-symmetry", "transform"])
-    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_refused(self, capsys, tmp_path, command, entry):
         upath = write_matrix(tmp_path / "u.json", [[entry, entry], [0, 1]])
         mpath = write_matrix(tmp_path / "eta.json", np.diag([1.0, -1.0]))
@@ -397,6 +397,23 @@ class TestNonFinitePayload:
         assert code == 1
         assert out == ""
         assert err == "error: result has a NaN or infinite part\n"
+
+    @pytest.mark.parametrize("command", ["check-symmetry", "transform"])
+    def test_overflow_in_a_fresh_process_prints_one_line(self, tmp_path, command):
+        # numpy's overflow warnings would come before the error line
+        upath = write_matrix(tmp_path / "u.json", [[1e308, 1e308], [1e308, 1e308]])
+        mpath = write_matrix(tmp_path / "eta.json", np.diag([1.0, -1.0]))
+        argv = [command, "--matrix", upath, "--metric", mpath]
+        if command == "transform":
+            argv += ["--t", write_matrix(tmp_path / "t.json", np.diag([1.0, 3.0]))]
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run([sys.executable, "-m", "braket.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: result has a NaN or infinite part\n"
 
 
 class TestTransformCommand:

@@ -3,7 +3,14 @@ no numpy, `braket rep` loads only the modules it runs and no numpy,
 `braket cg` loads neither numpy nor sl2c, spaces or serialize, `braket
 su2` and `braket eval` on a monomial metric load no numpy, `from braket
 import *` binds every name the package exports, and no module imports
-scipy (checked on the source with ast)."""
+scipy (checked on the source with ast).
+
+The library's values are read-only through one base class, not frozen
+dataclasses, and `fractions` is imported where it is used: so `braket
+rep`, `su2` and `eval` on a monomial metric load neither `dataclasses`
+nor `fractions` (nor `numbers` and `decimal`, which it loads), `cg` and
+`signature` load no `dataclasses`, and only `cg` imports `fractions` at
+load (checked on the source with ast)."""
 
 import ast
 import json
@@ -180,6 +187,81 @@ def test_star_import_binds_every_export():
     assert sorted(namespace) == sorted(EXPORTED)
     for name, value in namespace.items():
         assert getattr(braket, name) is value
+
+
+# What a frozen dataclass or a Fraction costs a fresh process to import.
+DATACLASSES = ["dataclasses"]
+FRACTIONS = ["fractions", "numbers", "decimal"]
+
+
+def run_command_fresh(argv: list[str], unused: list[str]) -> None:
+    """Run one command through cli.main in a fresh process and check that
+    it loaded none of the unused modules the interpreter had not loaded
+    before it."""
+    run_fresh(
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "from braket import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        f"loaded = [m for m in {unused!r} if m in sys.modules and m not in before]\n"
+        "assert loaded == [], loaded\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rep", "--twice-j1", "4", "--twice-j2", "3", "--basis", "canonical"],
+        ["rep", "--twice-j1", "4", "--twice-j2", "3", "--basis", "rotation"],
+        ["rep", "--twice-j1", "4", "--twice-j2", "3", "--basis", "orthonormal"],
+        ["rep", "--twice-j1", "4", "--basis", "rotation"],
+        ["su2", "--twice-j", "1"],
+    ],
+    ids=["rep-canonical", "rep-rotation", "rep-orthonormal", "rep-square", "su2"],
+)
+def test_command_loads_neither_dataclasses_nor_fractions(argv):
+    run_command_fresh(argv, DATACLASSES + FRACTIONS)
+
+
+def test_cg_loads_no_dataclasses():
+    run_command_fresh(["cg", "--j1", "1", "--l1", "1", "--j2", "1/2", "--l2=-1/2", "--s", "3/2",
+                       "--sigma", "1/2"], DATACLASSES)
+
+
+def test_signature_loads_no_dataclasses(tmp_path):
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [-1, 0]]}))
+    run_command_fresh(["signature", "--matrix", str(path)], DATACLASSES)
+
+
+def test_eval_on_a_monomial_metric_loads_neither_dataclasses_nor_fractions(tmp_path):
+    run_golden_evals(tmp_path, "flat", DATACLASSES + FRACTIONS, [])
+
+
+def load_time_imports(tree: ast.Module):
+    """(line, module) of each absolute import that runs when the module is
+    loaded: every one outside a function body (class bodies run at load)."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_only_cg_imports_fractions_and_none_dataclasses_at_load():
+    allowed = {"dataclasses": set(), "fractions": {"cg.py"}}
+    offenders = []
+    for path in sorted(Path(braket.__file__).parent.glob("*.py")):
+        for line, name in load_time_imports(ast.parse(path.read_text())):
+            top = name.split(".")[0]
+            if top in allowed and path.name not in allowed[top]:
+                offenders.append(f"{path.name}:{line} imports {name} at load")
+    assert offenders == []
 
 
 def test_library_never_imports_scipy():

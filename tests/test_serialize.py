@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 
 from braket import (
     Basis,
+    CoupledRep,
     DimensionMismatch,
     InvalidArgument,
     KindedOperator,
@@ -191,6 +191,34 @@ class TestMatrixSchema:
         assert back.dtype == m.dtype and back.tobytes() == m.tobytes()
 
 
+class TestDumpJson:
+    # JSON has no NaN or infinity: json.dumps would write NaN and Infinity
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            lambda: operator_to_json(KindedOperator([[np.nan, 0], [0, np.inf]],
+                                                    OperatorKind.DOWN_DOWN)),
+            lambda: vector_to_json(VarVector([complex(1, -np.inf), 0], Variance.KET_UP)),
+            lambda: {"value": [float("nan"), 0.0]},
+        ],
+        ids=["operator", "vector", "scalar"],
+    )
+    def test_non_finite_part_refused(self, payload):
+        with pytest.raises(InvalidArgument, match="^result has a NaN or infinite part$"):
+            dump_json(payload())
+
+    def test_circular_payload_raises_json_error(self):
+        payload = {"data": [1.0]}
+        payload["data"].append(payload)
+        with pytest.raises(ValueError, match="Circular reference") as info:
+            dump_json(payload)
+        assert type(info.value) is ValueError
+
+    def test_finite_payload_unchanged(self):
+        payload = {"data": [[1e308, -0.0], [5e-324, 2.5]], "kind": "dd"}
+        assert dump_json(payload) == json.dumps(payload)
+
+
 class TestVectorOperatorSchema:
     def test_vector_round_trip(self, rng):
         v = VarVector(random_complex(rng, 3), Variance.BRA_UP)
@@ -216,7 +244,7 @@ class TestVectorOperatorSchema:
 def doubled(rep):
     """rep with M and N doubled. I = M + N and K = i(N - M) still hold, but
     [M1, M2] - iM3 no longer vanishes (residual 1.0 for the (1/2, 0) bundle)."""
-    out = replace(rep)
+    out = CoupledRep(rep.j1, rep.j2, rep.epsilon, rep.basis)
     twice = tuple((index, [2 * v for v in values]) for index, values in rep._mn)
     object.__setattr__(out, "_mn", twice)
     return out
@@ -308,7 +336,7 @@ class TestRepSchema:
         # bundle negated, whose M and N carry -0.0 in every zero entry
         reps = reps_in_every_basis()
         orth = orthonormal_basis(rotation_basis(build_rep(Weight(8), Weight(7)))[1])
-        negated = replace(orth)
+        negated = CoupledRep(orth.j1, orth.j2, orth.epsilon, orth.basis)
         object.__setattr__(negated, "_mn", tuple(signed_entries(-x) for x in orth.M + orth.N))
         assert all(np.signbit(m.real).sum() > m.size // 2 for m in negated.M + negated.N)
         reps += [orth, negated]
