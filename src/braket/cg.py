@@ -68,7 +68,8 @@ class CGValue(_Value):
     def _unchecked(cls, sign: int, squared: Fraction) -> "CGValue":
         """The value of arguments valid by construction, made without the checks."""
         self = cls.__new__(cls)
-        self.__dict__.update(sign=sign, squared=squared)
+        fields = self.__dict__
+        fields["sign"], fields["squared"] = sign, squared
         return self
 
     @property

@@ -34,15 +34,16 @@ def twice_half_integer(x, name: str) -> int:
     kind = type(x)
     if kind is int:
         return 2 * x
-    from fractions import Fraction
-    from numbers import Integral, Real
+    import fractions  # a plain import of a loaded module is cheap, a from-import is not
 
-    if kind is not Fraction:
-        if isinstance(x, bool) or not isinstance(x, Real):  # bool is an int, but no weight
+    if kind is not fractions.Fraction:
+        import numbers
+
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):  # bool is an int, but no weight
             raise InvalidWeights(f"{name}={x!r} is not a number")
-        if isinstance(x, Integral):
+        if isinstance(x, numbers.Integral):
             return 2 * int(x)
-        if not isinstance(x, Fraction):
+        if not isinstance(x, fractions.Fraction):
             doubled = 2 * float(x)
             if not doubled.is_integer():
                 raise InvalidWeights(f"{name}={x} is not a half-integer")
@@ -80,9 +81,9 @@ class Weight(_Value):
 
     @property
     def j(self) -> Fraction:
-        from fractions import Fraction
+        import fractions
 
-        return Fraction(self.twice_j, 2)
+        return fractions.Fraction(self.twice_j, 2)
 
     @property
     def dim(self) -> int:
