@@ -11,10 +11,10 @@ the six; the private kernel _clebsch_gordan does the arithmetic on those
 twice-labels, and sl2c._cg_block, whose labels are valid by
 construction, calls it directly. A CGValue is checked once, by its
 public constructor: the kernel's results and the products and negations
-of values are valid by construction and skip the checks. Racah's sum is evaluated in integers, as
-WIGXJPF does (Johansson & Forssen, SIAM J. Sci. Comput. 38 (2016) A376),
-in Wei's binomial form (Comput. Phys. Commun. 120 (1999) 222): its terms
-are integers whose consecutive ratio is a ratio of integer cubics, so each
+of values are valid by construction and skip the checks. Racah's sum is
+evaluated in integers, as WIGXJPF does (Johansson & Forssen, SIAM J.
+Sci. Comput. 38 (2016) A376), in Wei's binomial form (Comput. Phys.
+Commun. 120 (1999) 222): its terms are integers whose consecutive ratio is a ratio of integer cubics, so each
 term is the previous one times that ratio, divided exactly, and the
 squared value is one Fraction: the sum's square times six binomials.
 clebsch_gordan(J, 0, J, 0, J, 0) takes about 0.0007, 0.008, 0.03 and

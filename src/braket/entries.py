@@ -27,8 +27,8 @@ value is here too: _ReadOnly, and _Value for those that compare by value.
 
 from __future__ import annotations
 
-from math import isfinite, isnan, nan
 from itertools import repeat
+from math import isfinite, isnan, nan
 from operator import add
 
 from .errors import DegenerateMetric, InvalidArgument, NotHermitian, Singular
