@@ -26,8 +26,8 @@ _EXPORTS = {
     "linalg": ("DEFAULT_TOLS", "conj_transpose", "expm", "inverse", "kron", "matmul", "signature"),
     "operators": (
         "KindedOperator", "OperatorKind", "add", "compose", "couple_operator", "dirac_adjoint",
-        "hermitian_adjoint", "identity_down", "identity_up", "is_semi_hermitian", "metric_inv_op",
-        "metric_op", "scale", "trace",
+        "hermitian_adjoint", "identity_down", "identity_up", "is_semi_hermitian", "is_symmetry",
+        "metric_inv_op", "metric_op", "scale", "symmetry_deviation", "trace",
     ),
     "projections": (
         "Projector", "coupled_subspace_metric", "elementary_projectors", "is_additive", "is_perp",
@@ -44,8 +44,8 @@ _EXPORTS = {
     "su2": ("Su2Irrep", "Weight", "su2_generators"),
     "transforms": (
         "BasisChange", "GaugeParams", "generator_h", "generator_x", "generators_a_s",
-        "group_element", "is_symmetry", "orthonormalizing_change", "symmetry_deviation",
-        "transform_generator", "transform_metric", "transform_operator",
+        "group_element", "orthonormalizing_change", "transform_generator", "transform_metric",
+        "transform_operator",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -28,7 +28,7 @@ value is here too: _ReadOnly, and _Value for those that compare by value.
 from __future__ import annotations
 
 from itertools import repeat
-from math import isfinite, isnan, nan
+from math import hypot, isfinite, isnan, nan
 from operator import add
 
 from .errors import DegenerateMetric, InvalidArgument, NotHermitian, Singular
@@ -178,10 +178,20 @@ def _cartesian(dim: int, raising: dict) -> tuple[tuple[list, list], tuple[list, 
     return _pair(x1), _pair(x2)
 
 
-def _max_abs(values) -> float:
+def _magnitudes(values: list) -> list:
+    """abs of each value, where a finite value whose magnitude is past the
+    float range, for which abs raises OverflowError, counts as inf, as
+    math.hypot gives it."""
+    try:
+        return list(map(abs, values))
+    except OverflowError:
+        return [hypot(v.real, v.imag) for v in values]
+
+
+def _max_abs(values: list) -> float:
     """Largest magnitude among the values, 0.0 for none, NaN if one is NaN
     (as numpy's max, whatever the order)."""
-    mags = list(map(abs, values))
+    mags = _magnitudes(values)
     return nan if any(map(isnan, mags)) else max(mags, default=0.0)
 
 
@@ -209,7 +219,7 @@ def _monomial_herm_dev(cols: list, vals: list) -> float:
     entry of m - m^H is zero or the negated conjugate of one of these.
     """
     return _max_abs(
-        v - vals[c].conjugate() if cols[c] == i else v for i, (c, v) in enumerate(zip(cols, vals))
+        [v - vals[c].conjugate() if cols[c] == i else v for i, (c, v) in enumerate(zip(cols, vals))]
     )
 
 
@@ -227,7 +237,7 @@ def _check_monomial_metric(cols: list, vals: list):
     if not _finite(vals):
         raise InvalidArgument("matrix has a NaN or infinite entry")
     # the singular values of a monomial matrix are the magnitudes of its non-zeros
-    _require_nonsingular(map(abs, vals))
+    _require_nonsingular(_magnitudes(vals))
 
 
 def _monomial_signature(cols: list, vals: list) -> tuple[int, int]:

@@ -92,12 +92,26 @@ def _finite_square(a, what: str = "matrix") -> np.ndarray:
     return m
 
 
-def _entries(m) -> tuple[list, list]:
+def _no_overflow(compute):
+    """compute(), whose numpy overflow or invalid operation raises
+    InvalidArgument, where numpy would warn and go on with an infinity or a
+    NaN."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return compute()
+    except FloatingPointError:
+        raise InvalidArgument("result has a NaN or infinite part") from None
+
+
+def _entries(m, count: int | None = None) -> tuple[list, list] | None:
     """The entries (see entries) of a dense matrix or vector, by the one
     zero rule of entries._pair: the values that are not zero, plus 0j, so
-    a -0.0 is no entry and a -0.0 part of one becomes 0.0."""
+    a -0.0 is no entry and a -0.0 part of one becomes 0.0. With a count,
+    None, without the lists, when the number of entries is another."""
     flat = np.asarray(m, dtype=complex).reshape(-1)
     index = np.flatnonzero(flat)
+    if count is not None and len(index) != count:
+        return None
     return index.tolist(), (flat[index] + 0j).tolist()
 
 

@@ -5,24 +5,39 @@ matrix is tagged with one of four kinds, named by domain and codomain
 variance: dd (ket-down to ket-down), uu, du (ket-down to ket-up, the kind
 of the metric) and ud (the kind of the inverse metric). The tag gates
 composition, sums, adjoints and traces, which is exactly the discipline
-that keeps indefinite-metric calculations honest. OperatorKind is defined in
-spaces, beside Variance, so that reading a kind loads no numpy.
+that keeps indefinite-metric calculations honest. The tests of an
+operator against the metric are here too: semi-hermiticity, and
+membership in the metric's symmetry group (U+ . eta . U = eta).
+OperatorKind is defined in spaces, beside Variance, so that reading a
+kind loads no numpy.
 
 The algebra computes on entries (see entries) in pure Python, so it
 loads no numpy: a sparse operator, such as a bundle generator, costs in
 proportion to its non-zeros, and a dense one of dimension d costs d^3
 Python multiplications per product. numpy is loaded by a dense
-constructor argument and by reading `mat`. An operator made from a dense
-array stores it plus 0j, as entries' zero rule does, so its `mat` and its
+constructor argument, by reading `mat` and by the symmetry test of an
+array, which keeps the dense route. An operator made from a dense array
+stores it plus 0j, as entries' zero rule does, so its `mat` and its
 entries agree bit for bit, -0.0 never included.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from math import isfinite, isinf, nan
 
-from .entries import _adjoint, _max_abs, _pair, _product, _ReadOnly, _scale, _sum, _trace
-from .errors import DimensionMismatch, KindMismatch, WrongKind
+from .entries import (
+    _adjoint,
+    _finite,
+    _max_abs,
+    _pair,
+    _product,
+    _ReadOnly,
+    _scale,
+    _sum,
+    _trace,
+)
+from .errors import DimensionMismatch, InvalidArgument, KindMismatch, WrongKind
 from .spaces import MetricOperator, OperatorKind, _read_only
 
 __all__ = [
@@ -39,6 +54,8 @@ __all__ = [
     "couple_operator",
     "dirac_adjoint",
     "is_semi_hermitian",
+    "symmetry_deviation",
+    "is_symmetry",
     "trace",
 ]
 
@@ -177,6 +194,48 @@ def is_semi_hermitian(x: KindedOperator, m: MetricOperator, tol: float) -> bool:
         raise WrongKind(f"semi-hermiticity is defined for dd/uu, got {x.kind.value}")
     bar = dirac_adjoint(x, m)
     return _max_abs(_sum(bar._entries, _scale(-1.0, x._entries))[1]) <= tol
+
+
+def symmetry_deviation(u, m: MetricOperator) -> float:
+    """Largest entry of U+ . eta . U - eta; zero for an exact symmetry.
+
+    The route is picked by the form of u: a dd operator is computed on
+    entries, in pure Python, an array densely, with numpy. A NaN in u
+    gives a NaN deviation; an infinity in u, or an overflow on the way,
+    the largest magnitude's included, raises InvalidArgument.
+    """
+    if not isinstance(u, KindedOperator):
+        from .linalg import _no_overflow, as_matrix, max_abs
+
+        u = as_matrix(u)
+        if u.shape != (m.dim, m.dim):
+            raise DimensionMismatch(f"expected {m.dim}x{m.dim}, got {u.shape}")
+        deviation = _no_overflow(lambda: max_abs(u.conj().T @ m.eta @ u - m.eta))
+        if isinf(deviation):
+            raise InvalidArgument("result has a NaN or infinite part")
+        return deviation
+    if u.kind != OperatorKind.DOWN_DOWN:
+        raise WrongKind(f"a symmetry is a dd operator, got {u.kind.value}")
+    if u.dim != m.dim:
+        raise DimensionMismatch(f"expected {m.dim}x{m.dim}, got {(u.dim, u.dim)}")
+    if not _finite(u._entries[1]):
+        # as on the dense route, where every entry meets a zero: inf * 0
+        # raises there, and a NaN spreads
+        if any(isinf(v.real) or isinf(v.imag) for v in u._entries[1]):
+            raise InvalidArgument("result has a NaN or infinite part")
+        return nan
+    left = _product(_adjoint(u._entries, m.dim, m.dim), m._entries, m.dim, m.dim)
+    moved = _product(left, u._entries, m.dim, m.dim)
+    deviation = _max_abs(_sum(moved, _scale(-1.0, m._entries))[1])
+    # an overflow in U+ . eta raises even where it meets no entry of U
+    if not (isfinite(deviation) and _finite(left[1])):
+        raise InvalidArgument("result has a NaN or infinite part")
+    return deviation
+
+
+def is_symmetry(u, m: MetricOperator, tol: float) -> bool:
+    """Semi-unitarity test: U+ . eta . U = eta within tol."""
+    return symmetry_deviation(u, m) <= tol
 
 
 def trace(x: KindedOperator) -> complex:

@@ -373,7 +373,7 @@ def rep_from_json(obj) -> CoupledRep:
 def _deviation(a, b) -> float:
     """max_abs(a - b) of two matrices of one shape, from their entries."""
     rest = dict(zip(*b))
-    return _max_abs(chain((v - rest.pop(k, 0) for k, v in zip(*a)), rest.values()))
+    return _max_abs([*(v - rest.pop(k, 0) for k, v in zip(*a)), *rest.values()])
 
 
 def environment_to_json(env: Environment) -> dict:

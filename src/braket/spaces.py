@@ -179,8 +179,9 @@ class MetricOperator(_ReadOnly):
     monomial metric, as every bundle metric and diag(+-1) is, is checked
     on its d non-zeros in pure Python, and its inverse's entries are read
     off them. Any other metric is checked densely, with an SVD, and
-    inverted by linalg.inverse. The entries are held from the start; eta,
-    eta_inv and the inverse's entries, when not made by the check, are
+    inverted by linalg.inverse. A dense metric whose number of non-zeros
+    is not d is no monomial, and its entries are left to first use. eta,
+    eta_inv and the entries of both, when not made by the check, are
     derived once, on first use.
     """
 
@@ -189,7 +190,7 @@ class MetricOperator(_ReadOnly):
 
         eta = _read_only(_square(eta, "metric") + 0j)
         self.__dict__["eta"] = eta
-        self._check(eta.shape[0], _entries(eta))
+        self._check(eta.shape[0], _entries(eta, eta.shape[0]))
 
     @classmethod
     def _from_entries(cls, dim: int, entries) -> "MetricOperator":
@@ -199,10 +200,15 @@ class MetricOperator(_ReadOnly):
         return self
 
     def _check(self, dim: int, entries):
-        """Hold dim and the entries, and check them: on the non-zeros of a
-        monomial, densely otherwise."""
-        mono = _monomial_of(dim, *entries)
-        self.__dict__.update(dim=dim, _entries=entries, _mono=mono)
+        """Hold dim and the entries, None for a dense metric known not to be
+        monomial, and check them: on the non-zeros of a monomial, densely
+        otherwise."""
+        if entries is None:
+            mono = None
+            self.__dict__.update(dim=dim, _mono=None)
+        else:
+            mono = _monomial_of(dim, *entries)
+            self.__dict__.update(dim=dim, _entries=entries, _mono=mono)
         if mono is None:
             from .linalg import inverse, max_abs
 
@@ -214,6 +220,12 @@ class MetricOperator(_ReadOnly):
             cols, vals = mono
             inv = {c * dim + i: 1 / v for i, (c, v) in enumerate(zip(cols, vals))}
             self.__dict__["_inv_entries"] = _pair(inv)
+
+    @cached_property
+    def _entries(self) -> tuple[list, list]:
+        from .linalg import _entries
+
+        return _entries(self.eta)
 
     @cached_property
     def _inv_entries(self) -> tuple[list, list]:

@@ -8,7 +8,10 @@ signature. Transformations with T+ . eta . T = eta are the symmetries of
 the metric: they leave every scalar-product component expression invariant
 and form the pseudo-unitary gauge group of the metric. Its Lie algebra is
 spanned here by three generator families: the raw rank-1 family X_ij, the
-traceless family H_ij, and the self-adjoint pair A_ij / S_ij.
+traceless family H_ij, and the self-adjoint pair A_ij / S_ij. The test of
+membership in the group, symmetry_deviation and is_symmetry, lives in
+operators, where a dd operator is tested on entries without numpy, and is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -17,8 +20,17 @@ import numpy as np
 
 from .entries import _ReadOnly
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument
-from .linalg import DEFAULT_TOLS, _finite_square, _square, as_matrix, expm, inverse, max_abs
-from .operators import KindedOperator, OperatorKind, identity_down
+from .linalg import (
+    DEFAULT_TOLS,
+    _no_overflow,
+    _finite_square,
+    _square,
+    as_matrix,
+    expm,
+    inverse,
+    max_abs,
+)
+from .operators import KindedOperator, OperatorKind, identity_down, is_symmetry, symmetry_deviation
 from .spaces import MetricOperator, _read_only
 
 __all__ = [
@@ -108,32 +120,7 @@ def _moved(bc: BasisChange, mat: np.ndarray, kind: OperatorKind) -> np.ndarray:
     (T^-1)+ if up."""
     left = bc.t.conj().T if kind.codomain_up else bc.t_inv
     right = bc.t_inv.conj().T if kind.domain_up else bc.t
-    return _finite(lambda: left @ mat @ right)
-
-
-def _finite(compute):
-    """compute(), whose numpy overflow or invalid operation raises
-    InvalidArgument, where numpy would warn and go on with an infinity or a
-    NaN."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return compute()
-    except FloatingPointError:
-        raise InvalidArgument("result has a NaN or infinite part") from None
-
-
-def symmetry_deviation(u, m: MetricOperator) -> float:
-    """Largest entry of U+ . eta . U - eta; zero for an exact symmetry. An
-    overflow on the way raises InvalidArgument."""
-    u = as_matrix(u)
-    if u.shape != (m.dim, m.dim):
-        raise DimensionMismatch(f"expected {m.dim}x{m.dim}, got {u.shape}")
-    return _finite(lambda: max_abs(u.conj().T @ m.eta @ u - m.eta))
-
-
-def is_symmetry(u, m: MetricOperator, tol: float) -> bool:
-    """Semi-unitarity test: U+ . eta . U = eta within tol."""
-    return symmetry_deviation(u, m) <= tol
+    return _no_overflow(lambda: left @ mat @ right)
 
 
 def _check_index(i: int, n: int):

@@ -297,6 +297,83 @@ class TestCheckSymmetryCommand:
         assert code == 0
         assert json.loads(out)["symmetry"] is False
 
+    @pytest.mark.parametrize("metric", [np.diag([1.0, -1.0, -1.0]),
+                                        [[0, 2j, 0], [-2j, 0, 0], [0, 0, 1]],
+                                        [[2, 1, 0], [1, -1, 0], [0, 0, 1]]],
+                             ids=["diagonal", "monomial", "dense"])
+    def test_deviation_matches_numpy(self, capsys, tmp_path, rng, metric):
+        eta = np.asarray(metric, dtype=complex)
+        u = np.eye(3) + 0.1 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        upath = write_matrix(tmp_path / "u.json", u)
+        mpath = write_matrix(tmp_path / "eta.json", eta)
+        code, out, _ = run_cli(capsys, "check-symmetry", "--matrix", upath, "--metric", mpath)
+        assert code == 0
+        want = float(np.max(np.abs(u.conj().T @ eta @ u - eta)))
+        assert json.loads(out) == {"symmetry": False, "max_deviation": pytest.approx(want, abs=1e-12)}
+
+    # the messages of the command before it computed on entries, each for a
+    # metric that is monomial (the entries route) and, where it applies, dense
+    DIAG = np.diag([1.0, -1.0])
+    DENSE = np.array([[2.0, 1.0], [1.0, -1.0]])
+
+    @pytest.mark.parametrize("u, metric, message", [
+        (np.eye(2, 3), DIAG, "expected 2x2, got (2, 3)"),
+        (np.eye(2, 3), DENSE, "expected 2x2, got (2, 3)"),
+        (np.eye(3), DIAG, "expected 2x2, got (3, 3)"),
+        (np.eye(3), DENSE, "expected 2x2, got (3, 3)"),
+        (np.eye(2), np.eye(2, 3), "metric must be square, got (2, 3)"),
+        (np.eye(3, 2), np.eye(2, 3), "metric must be square, got (2, 3)"),
+        (np.eye(2), [[0, 1], [2, 0]], "metric matrix must be hermitian"),
+        (np.eye(2), [[1, 1], [0, 1]], "metric matrix must be hermitian"),
+        (np.eye(2), np.diag([1, 1e-12]), "smallest singular value 1.000e-12 below 1.000e-09"),
+        (np.eye(2), np.ones((2, 2)), "smallest singular value 0.000e+00 below 1.000e-09"),
+        (np.eye(2), [[np.nan, 0], [0, 1]], "matrix has a NaN or infinite entry"),
+        ([[np.nan, 0], [0, 1]], DIAG, "result has a NaN or infinite part"),
+        ([[np.inf, 0], [0, 1]], DIAG, "result has a NaN or infinite part"),
+        ([[1e308, 0], [0, 1]], DIAG, "result has a NaN or infinite part"),
+    ], ids=["u-not-square", "u-not-square-dense", "dims-differ", "dims-differ-dense",
+            "metric-not-square", "both-not-square", "not-hermitian", "not-hermitian-dense",
+            "singular", "singular-dense", "metric-nan", "u-nan", "u-inf", "u-huge"])
+    def test_error_messages(self, capsys, tmp_path, u, metric, message):
+        upath = write_matrix(tmp_path / "u.json", u)
+        mpath = write_matrix(tmp_path / "eta.json", metric)
+        code, out, err = run_cli(capsys, "check-symmetry", "--matrix", upath, "--metric", mpath)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("u, metric, route", [
+        (np.ones((64, 64)), np.eye(64), "entries"),  # 64^3 multiplications
+        (np.ones((65, 65)), np.eye(65), "dense"),
+        (np.eye(300) + np.eye(300, k=1), np.eye(300), "entries"),  # large, sparse
+        (np.eye(2), [[2, 1], [1, -1]], "dense"),  # a metric that is not monomial
+    ], ids=["dense-64", "dense-65", "sparse-300", "dense-metric"])
+    def test_route(self, capsys, tmp_path, monkeypatch, u, metric, route):
+        import braket.operators
+
+        seen = []
+        monkeypatch.setattr(braket.operators, "symmetry_deviation",
+                            lambda u, m: seen.append(type(u).__name__) or 0.0)
+        upath = write_matrix(tmp_path / "u.json", u)
+        mpath = write_matrix(tmp_path / "eta.json", metric)
+        code, _, _ = run_cli(capsys, "check-symmetry", "--matrix", upath, "--metric", mpath)
+        assert code == 0
+        assert seen == [{"entries": "KindedOperator", "dense": "ndarray"}[route]]
+
+    def test_metric_past_the_float_range(self, capsys, tmp_path):
+        # abs() of such an entry raises OverflowError; its magnitude counts as inf
+        z = complex(1.5e308, 1.5e308)
+        mpath = write_matrix(tmp_path / "eta.json", [[0, z], [z.conjugate(), 0]])
+        upath = write_matrix(tmp_path / "u.json", np.eye(2))
+        code, out, err = run_cli(capsys, "check-symmetry", "--matrix", upath, "--metric", mpath)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"symmetry": True, "max_deviation": 0.0}
+        env = {"dimension": 2, "metric": json.loads(Path(mpath).read_text()),
+               "vectors": {"x": {"variance": "kd", "components": [[1, 0], [0, 0]]}}}
+        epath = tmp_path / "env.json"
+        epath.write_text(json.dumps(env))
+        code, out, err = run_cli(capsys, "eval", "--env", str(epath), "bu:x kd:x")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"type": "scalar", "value": [1.0, 0.0]}
+
 
 class TestEvalCommand:
     @pytest.fixture

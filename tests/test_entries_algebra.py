@@ -2,14 +2,24 @@
 on entries in pure Python; every result agrees with the dense numpy
 computation within 1e-12, on seeded random operators with some zero
 entries, under a dense and a monomial metric, and on the sparse
-generators of a dim-40 bundle."""
+generators of a dim-40 bundle. The symmetry test's entries route (a dd
+operator) and dense route (an array) give the same verdict, the same
+exception class and deviations within 1e-15 max(1, |U|^2), NaN, infinite
+and 1e308 entries included. (Near the float range the two can still
+differ: BLAS may add a sum's terms in an order whose partial sum
+overflows where the ascending order does not.) A magnitude past the
+float range counts as inf."""
 
+import math
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from braket import (
+    BraketError,
+    GaugeParams,
+    InvalidArgument,
     KindedOperator,
     MetricOperator,
     OperatorKind,
@@ -23,14 +33,17 @@ from braket import (
     couple_operator,
     dirac_adjoint,
     dual_form,
+    group_element,
     hermitian_adjoint,
     is_semi_hermitian,
     relate_bra,
     scalar_product,
     scale,
+    symmetry_deviation,
     trace,
 )
 from braket.dsl import Environment, eval_source
+from braket.entries import _max_abs
 from braket.linalg import _entries
 from conftest import ascending_product, max_dev, random_complex, random_hermitian_invertible
 
@@ -161,3 +174,91 @@ def test_values_stay_read_only():
             setattr(value, attr, getattr(value, attr))
     assert not compose(x, x).mat.flags.writeable
     assert not relate_bra(v).components.flags.writeable
+
+
+def both_routes(u: np.ndarray, m: MetricOperator) -> list:
+    """symmetry_deviation of u as an array and as a dd operator, or the
+    class of the error each raises."""
+    out = []
+    for arg in (u, KindedOperator(u, DD)):
+        try:
+            out.append(symmetry_deviation(arg, m))
+        except BraketError as exc:
+            out.append(type(exc))
+    return out
+
+
+def assert_routes_agree(u: np.ndarray, m: MetricOperator):
+    dense, sparse = both_routes(u, m)
+    if isinstance(dense, type) or isinstance(sparse, type):
+        assert dense is sparse
+    elif math.isnan(dense) or math.isnan(sparse):
+        assert math.isnan(dense) and math.isnan(sparse)
+    else:
+        assert (dense <= 1e-8) == (sparse <= 1e-8)
+        with np.errstate(over="ignore"):  # |U|^2 of a 1e308 entry is inf
+            assert abs(dense - sparse) <= 1e-15 * max(1.0, np.linalg.norm(u, 2) ** 2)
+
+
+def boost(n: int, i: int, j: int, rapidity: float) -> np.ndarray:
+    """The hyperbolic rotation of basis vectors i and j in dimension n."""
+    u = np.eye(n, dtype=complex)
+    c, s = np.cosh(rapidity), np.sinh(rapidity)
+    u[[i, i, j, j], [i, j, i, j]] = [c, s, s, c]
+    return u
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_symmetry_routes_agree(rng, n):
+    diag = MetricOperator(np.diag(rng.choice([-1.0, 1.0], n)))
+    for m in (diag, *metrics(rng, n)):
+        assert_routes_agree(np.eye(n), m)
+        for _ in range(4):
+            assert_routes_agree(sparse_complex(rng, n, n), m)
+    signs = np.diag(diag.eta).real
+    for i, j in zip(*np.nonzero(signs[:, None] != signs[None, :])):
+        for rapidity in (0.3, -2.0, 8.0):
+            u = boost(n, i, j, rapidity)
+            assert_routes_agree(u, diag)
+            assert both_routes(u, diag)[1] <= 1e-15 * np.linalg.norm(u, 2) ** 2
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (8, 8)])
+def test_symmetry_routes_agree_on_gauge_elements(rng, p, q):
+    # as the benchmark's warm workload makes them
+    m = MetricOperator(np.diag([1.0] * p + [-1.0] * q))
+    for _ in range(3):
+        params = GaugeParams.from_real_parameters(*0.3 * rng.normal(size=(2, p + q, p + q)))
+        u = group_element(params, m)
+        assert_routes_agree(u, m)
+        assert both_routes(u, m)[1] <= 1e-8
+
+
+@pytest.mark.parametrize("entry", [np.nan, complex(np.nan, 1), np.inf, -np.inf,
+                                   complex(0, -np.inf), 1e308, complex(-1e308, 1e308)],
+                         ids=["nan", "nan-real", "inf", "-inf", "-inf-imag", "1e308",
+                              "1e308-both"])
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_symmetry_routes_agree_on_non_finite_entries(rng, n, entry):
+    for m in (MetricOperator(np.diag(rng.choice([-1.0, 1.0], n))), *metrics(rng, n)):
+        for _ in range(3):
+            u = sparse_complex(rng, n, n)
+            u[rng.integers(n), rng.integers(n)] = entry
+            assert_routes_agree(u, m)
+
+
+def test_magnitude_past_the_float_range_is_inf():
+    # abs() raises OverflowError on such a finite complex; math.hypot gives inf
+    z = complex(1.5e308, 1.5e308)
+    assert _max_abs([1.0, z]) == math.inf
+    assert math.isnan(_max_abs(iter([z, complex(math.nan, 0)])))
+    assert _max_abs(v for v in [2.0, -3j]) == 3.0
+    m = MetricOperator._from_entries(2, ([1, 2], [z, z.conjugate()]))
+    assert m._mono is not None
+    assert symmetry_deviation(KindedOperator(np.eye(2), DD), m) == 0.0
+    # U+ . eta . U - eta = [[0, z - 1], [conj(z) - 1, 0]]: finite parts, an
+    # infinite magnitude, an overflow on either route
+    swap, u = MetricOperator(np.array([[0, 1], [1, 0]])), np.diag([1, z])
+    for arg in (u, KindedOperator(u, DD)):
+        with pytest.raises(InvalidArgument, match="NaN or infinite"):
+            symmetry_deviation(arg, swap)

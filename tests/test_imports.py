@@ -1,9 +1,10 @@
 """What fresh processes import: `import braket` loads no submodule and so
 no numpy, `braket rep` loads only the modules it runs and no numpy,
 `braket cg` loads neither numpy nor sl2c, spaces or serialize, `braket
-su2` and `braket eval` on a monomial metric load no numpy, `from braket
-import *` binds every name the package exports, and no module imports
-scipy (checked on the source with ast).
+su2`, and `braket eval` and `braket check-symmetry` on a monomial metric,
+load no numpy, `from braket import *` binds every name the package
+exports, no module imports scipy, and only linalg, projections and
+transforms import numpy at load (both checked on the source with ast).
 
 The library's values are read-only through one base class, not frozen
 dataclasses, and `fractions` is imported where it is used: so `braket
@@ -19,9 +20,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import braket
+from braket.serialize import matrix_to_json
 
 # The 90 library names and 10 submodules that `from braket import *` binds.
 EXPORTED = """
@@ -251,6 +254,56 @@ def load_time_imports(tree: ast.Module):
             yield node.lineno, node.module
         elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             stack.extend(ast.iter_child_nodes(node))
+
+
+def run_check_symmetry_fresh(tmp_path, metric, unused: list[str], loaded: list[str]) -> None:
+    """Run `check-symmetry` through cli.main in a fresh process on a seeded
+    u near the identity; check which modules it loaded and that the
+    deviation matches numpy's within 1e-12."""
+    rng = np.random.default_rng(20240811)
+    eta = np.asarray(metric, dtype=complex)
+    u = np.eye(len(eta)) + 0.1 * (rng.normal(size=eta.shape) + 1j * rng.normal(size=eta.shape))
+    paths = []
+    for name, m in (("u", u), ("eta", eta)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(matrix_to_json(m)))
+    argv = ["check-symmetry", "--matrix", str(paths[0]), "--metric", str(paths[1])]
+    out = run_fresh(
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "from braket import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        f"unused = [m for m in {unused!r} if m in sys.modules and m not in before]\n"
+        "assert unused == [], unused\n"
+        f"assert all(m in sys.modules for m in {loaded!r})\n"
+        "print(out.getvalue())\n"
+    )
+    want = float(np.max(np.abs(u.conj().T @ eta @ u - eta)))
+    assert json.loads(out) == {"symmetry": False, "max_deviation": pytest.approx(want, abs=1e-12)}
+
+
+@pytest.mark.parametrize("signs", [[1, -1], [1, 1, -1, -1, -1, 1]], ids=["dim2", "dim6"])
+def test_check_symmetry_on_a_monomial_metric_leaves_numpy_unloaded(tmp_path, signs):
+    # the metric and u are read, checked and multiplied on entries
+    run_check_symmetry_fresh(tmp_path, np.diag(signs),
+                             ["numpy", "braket.linalg", "braket.transforms"] + DATACLASSES, [])
+
+
+def test_check_symmetry_on_a_dense_metric_matches_numpy(tmp_path):
+    # a metric that is not monomial needs an SVD, and u is multiplied densely
+    run_check_symmetry_fresh(tmp_path, [[2, 1, 0], [1, -1, 0], [0, 0, 1]],
+                             ["braket.transforms"] + DATACLASSES, ["numpy", "braket.linalg"])
+
+
+def test_only_linalg_projections_and_transforms_import_numpy_at_load():
+    allowed = {"linalg.py", "projections.py", "transforms.py"}
+    offenders = []
+    for path in sorted(Path(braket.__file__).parent.glob("*.py")):
+        for line, name in load_time_imports(ast.parse(path.read_text())):
+            if name.split(".")[0] == "numpy" and path.name not in allowed:
+                offenders.append(f"{path.name}:{line} imports {name} at load")
+    assert offenders == []
 
 
 def test_only_cg_imports_fractions_and_none_dataclasses_at_load():

@@ -74,6 +74,9 @@ class TestMetricRouteByValue:
         perm = np.array([[0, 2j, 0], [-2j, 0, 0], [0, 0, -0.5]])
         for a in (h + h.conj().T + 4 * np.eye(3), perm):
             dense, sparse = MetricOperator(a), MetricOperator._from_entries(3, from_entries(a))
+            # nine non-zeros settle the dense route; its entries wait for first use
+            assert ("_entries" in dense.__dict__) == (dense._mono is not None)
+            assert bits(dense._entries) == bits(sparse._entries)
             assert (dense._mono is None) == (sparse._mono is None)
             assert dense.eta.tobytes() == sparse.eta.tobytes()
             assert dense.eta_inv.tobytes() == sparse.eta_inv.tobytes()
