@@ -178,20 +178,20 @@ def _cartesian(dim: int, raising: dict) -> tuple[tuple[list, list], tuple[list, 
     return _pair(x1), _pair(x2)
 
 
-def _magnitudes(values: list) -> list:
-    """abs of each value, where a finite value whose magnitude is past the
-    float range, for which abs raises OverflowError, counts as inf, as
+def _hypots(values: list) -> list:
+    """The magnitudes of the values, for when abs raises OverflowError: a
+    finite value whose magnitude is past the float range counts as inf, as
     math.hypot gives it."""
-    try:
-        return list(map(abs, values))
-    except OverflowError:
-        return [hypot(v.real, v.imag) for v in values]
+    return [hypot(v.real, v.imag) for v in values]
 
 
 def _max_abs(values: list) -> float:
     """Largest magnitude among the values, 0.0 for none, NaN if one is NaN
     (as numpy's max, whatever the order)."""
-    mags = _magnitudes(values)
+    try:
+        mags = list(map(abs, values))
+    except OverflowError:
+        mags = _hypots(values)
     return nan if any(map(isnan, mags)) else max(mags, default=0.0)
 
 
@@ -237,7 +237,10 @@ def _check_monomial_metric(cols: list, vals: list):
     if not _finite(vals):
         raise InvalidArgument("matrix has a NaN or infinite entry")
     # the singular values of a monomial matrix are the magnitudes of its non-zeros
-    _require_nonsingular(_magnitudes(vals))
+    try:
+        _require_nonsingular(map(abs, vals))
+    except OverflowError:
+        _require_nonsingular(_hypots(vals))
 
 
 def _monomial_signature(cols: list, vals: list) -> tuple[int, int]:

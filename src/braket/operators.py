@@ -26,17 +26,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import isfinite, isinf, nan
 
-from .entries import (
-    _adjoint,
-    _finite,
-    _max_abs,
-    _pair,
-    _product,
-    _ReadOnly,
-    _scale,
-    _sum,
-    _trace,
-)
+from .entries import _adjoint, _finite, _max_abs, _pair, _product, _ReadOnly, _scale, _sum, _trace
 from .errors import DimensionMismatch, InvalidArgument, KindMismatch, WrongKind
 from .spaces import MetricOperator, OperatorKind, _read_only
 

@@ -20,16 +20,8 @@ import numpy as np
 
 from .entries import _ReadOnly
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument
-from .linalg import (
-    DEFAULT_TOLS,
-    _no_overflow,
-    _finite_square,
-    _square,
-    as_matrix,
-    expm,
-    inverse,
-    max_abs,
-)
+from .linalg import (DEFAULT_TOLS, _finite_square, _no_overflow, _square, as_matrix, expm,
+                     inverse, max_abs)
 from .operators import KindedOperator, OperatorKind, identity_down, is_symmetry, symmetry_deviation
 from .spaces import MetricOperator, _read_only
 
