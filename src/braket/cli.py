@@ -66,7 +66,8 @@ def _load_entries(path: str) -> tuple[tuple[int, int], tuple[list, list]]:
 
 
 # U+ . eta . U on entries beats importing numpy (about 150 ms) up to about
-# 64^3 multiplications: 87 ms for a dense u at d = 64, 400 ms at d = 96.
+# 64^3 multiplications: 87 ms for a dense u at d = 64, 400 ms at d = 96
+# (2-vCPU Xeon, CPython 3.11).
 _ENTRIES_PRODUCT_LIMIT = 64**3
 
 

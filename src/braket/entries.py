@@ -186,8 +186,9 @@ def _hypots(values: list) -> list:
 
 
 def _max_abs(values: list) -> float:
-    """Largest magnitude among the values, 0.0 for none, NaN if one is NaN
-    (as numpy's max, whatever the order)."""
+    """Largest magnitude among a list of values, 0.0 for none, NaN if one
+    is NaN (as numpy's max, whatever the order), inf if one is past the
+    float range."""
     try:
         mags = list(map(abs, values))
     except OverflowError:

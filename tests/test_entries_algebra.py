@@ -251,8 +251,8 @@ def test_magnitude_past_the_float_range_is_inf():
     # abs() raises OverflowError on such a finite complex; math.hypot gives inf
     z = complex(1.5e308, 1.5e308)
     assert _max_abs([1.0, z]) == math.inf
-    assert math.isnan(_max_abs(iter([z, complex(math.nan, 0)])))
-    assert _max_abs(v for v in [2.0, -3j]) == 3.0
+    assert math.isnan(_max_abs([z, complex(math.nan, 0)]))
+    assert _max_abs([2.0, -3j]) == 3.0
     m = MetricOperator._from_entries(2, ([1, 2], [z, z.conjugate()]))
     assert m._mono is not None
     assert symmetry_deviation(KindedOperator(np.eye(2), DD), m) == 0.0
